@@ -18,10 +18,9 @@ from .solar import (
     clearsky_ghi,
     extraterrestrial_normal,
     relative_airmass,
-    sun_position,
     sun_positions,
 )
-from .proxy import ProxyMatrix, ProxyParams, proxy_gradient, proxy_matrix
+from .proxy import ProxyMatrix, ProxyParams, proxy_matrix
 from .orientation import (
     OmegaCoefficients,
     OrientationMesh,
@@ -78,13 +77,11 @@ __all__ = [
     "init_ghi",
     "load_plant_csv",
     "normalized_rmse",
-    "proxy_gradient",
     "proxy_matrix",
     "refine_ghi",
     "relative_airmass",
     "select_clear",
     "smooth_threshold_map",
-    "sun_position",
     "sun_positions",
     "synthesize",
     "trust_weights",

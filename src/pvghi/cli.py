@@ -47,7 +47,6 @@ def _load_dataset(cfg: RunConfig):
 
 def cmd_identify(args) -> int:
     cfg = load_run_config(args.config)
-    threads = args.threads if args.threads is not None else cfg.threads
     dataset = _load_dataset(cfg)
     sp = sun_positions(dataset.timestamps, dataset.site)
     ghi_clear = clearsky_ghi(
@@ -61,7 +60,7 @@ def cmd_identify(args) -> int:
     ]
     result = identify_with_splits(
         dataset, sp, ghi_clear, mesh, cfg.proxy, masks,
-        split_days=cfg.orientation.split_candidates, threads=threads,
+        split_days=cfg.orientation.split_candidates,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     omega_path = cfg.output_dir / "omega.json"
@@ -88,7 +87,6 @@ def cmd_identify(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = load_run_config(args.config)
-    threads = args.threads if args.threads is not None else cfg.threads
     dataset = _load_dataset(cfg)
     mesh = generate_mesh(cfg.orientation.subdivision)
     omega_path = Path(args.omega) if args.omega else cfg.output_dir / "omega.json"
@@ -107,7 +105,7 @@ def cmd_estimate(args) -> int:
     )
     result = estimate(
         dataset, ordered, mesh.orientations, cfg.proxy, cfg.solver,
-        ghi_clear=ghi_clear, threads=threads,
+        ghi_clear=ghi_clear,
     )
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -308,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identify", help="recover plant orientations and ratings")
     p_ident.add_argument("--config", required=True)
-    p_ident.add_argument("--threads", type=int, default=None)
     p_ident.set_defaults(func=cmd_identify)
 
     p_est = sub.add_parser("estimate", help="estimate GHI from plant power")
     p_est.add_argument("--config", required=True)
     p_est.add_argument("--omega", default=None, help="coefficient file from identify")
-    p_est.add_argument("--threads", type=int, default=None)
     p_est.set_defaults(func=cmd_estimate)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")

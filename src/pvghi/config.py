@@ -1,7 +1,10 @@
 """Run configuration: one INI file carries every tunable of a run.
 
 Unknown sections or keys are rejected so typos cannot silently fall
-back to defaults. Paths are resolved relative to the config file.
+back to defaults, and a value that does not parse is an input error
+naming its section and key. Paths are resolved relative to the config
+file. ``[run] threads`` is accepted for compatibility and ignored: runs
+are single-threaded.
 """
 
 from __future__ import annotations
@@ -46,15 +49,23 @@ class RunConfig:
     orientation: OrientationConfig
     solver: SolverConfig
     seed: int = 0
-    threads: int = 1
+
+
+def _convert(section, key, default, kind):
+    try:
+        return kind(section.get(key, default))
+    except ValueError:
+        raise InputError(
+            f"[{section.name}] {key}: expected {kind.__name__}, got {section[key]!r}"
+        ) from None
 
 
 def _getfloat(section, key, default):
-    return float(section.get(key, default))
+    return _convert(section, key, default, float)
 
 
 def _getint(section, key, default):
-    return int(section.get(key, default))
+    return _convert(section, key, default, int)
 
 
 def _getbool(section, key, default):
@@ -134,11 +145,16 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
 
     orient_sec = parser["orientation"] if "orientation" in parser else {}
     splits = orient_sec.get("split_candidates", "")
-    split_candidates = (
-        tuple(int(x.strip()) for x in splits.split(",") if x.strip())
-        if splits
-        else OrientationConfig().split_candidates
-    )
+    try:
+        split_candidates = (
+            tuple(int(x.strip()) for x in splits.split(",") if x.strip())
+            if splits
+            else OrientationConfig().split_candidates
+        )
+    except ValueError:
+        raise InputError(
+            f"[orientation] split_candidates: expected integers, got {splits!r}"
+        ) from None
     orientation = OrientationConfig(
         subdivision=_getint(orient_sec, "subdivision", 2),
         split_candidates=split_candidates,
@@ -175,5 +191,4 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
         orientation=orientation,
         solver=solver,
         seed=_getint(run_sec, "seed", 0),
-        threads=_getint(run_sec, "threads", 1),
     )

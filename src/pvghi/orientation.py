@@ -370,7 +370,6 @@ def identify_with_splits(
     clear_masks: list[np.ndarray],
     split_days: tuple[int, ...] = (365, 182, 121, 91, 73),
     huber_c: float = 1.345,
-    threads: int = 1,
 ) -> IdentificationResult:
     """Identify coefficients per plant, choosing the best temporal split.
 
@@ -393,7 +392,7 @@ def identify_with_splits(
 
     pr = proxy_matrix(
         ghi_clear, sp, dataset.timestamps, dataset.mean_temperature(),
-        mesh.orientations, params, albedo=dataset.site.albedo, threads=threads,
+        mesh.orientations, params, dataset.site,
     ).values
     n_p = pr.shape[1]
 

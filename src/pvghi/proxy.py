@@ -13,12 +13,11 @@ output to GHI is a per-timestep forward difference.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError
+from .data import InputError, Site
 from .solar import (
     SolarPosition,
     Orientation,
@@ -30,6 +29,7 @@ from .solar import (
 
 DISC_ZENITH_CUTOFF = np.deg2rad(87.0)
 SEA_LEVEL_PRESSURE = 101325.0
+I_MIN = 10.0  # efficiency cutoff, W/m^2
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,10 @@ class ProxyParams:
     k2: float = 0.942           # efficiency curve constant
     k3: float = -5.02e-2        # efficiency curve ln term
     k4: float = -3.77e-2        # efficiency curve ln^2 term
-    i_min: float = 10.0         # efficiency cutoff, W/m^2
-    iam_form: str = "secant"    # "secant" (physical) or "cot" (compat)
 
     def __post_init__(self):
         if self.i_stc <= 0:
             raise InputError("i_stc must be positive")
-        if self.iam_form not in ("secant", "cot"):
-            raise InputError(f"unknown iam_form: {self.iam_form}")
 
 
 @dataclass(frozen=True)
@@ -129,19 +125,19 @@ def dhi_from(ghi, sp: SolarPosition, dni):
 
 
 def transpose_hay_davies(
-    ghi, dhi, dni, sp: SolarPosition, orientation: Orientation, e0, albedo: float
+    ghi, dhi, dni, sp: SolarPosition, orientation: Orientation, aoi, e0, albedo: float
 ) -> IrradianceComponents:
     """Project horizontal irradiance onto a tilted plane.
 
-    Beam by incidence-angle projection, diffuse by the Hay-Davies
-    anisotropy blend, ground reflection isotropic with the given albedo.
-    The beam ratio denominator is floored at cos(87 deg) to avoid the
-    horizon blow-up.
+    Beam by incidence-angle projection (``aoi`` is the plane's angle of
+    incidence at each timestep), diffuse by the Hay-Davies anisotropy
+    blend, ground reflection isotropic with the given albedo. The beam
+    ratio denominator is floored at cos(87 deg) to avoid the horizon
+    blow-up.
     """
     ghi = np.asarray(ghi, float)
     dhi = np.asarray(dhi, float)
     dni = np.asarray(dni, float)
-    aoi = angle_of_incidence(sp, orientation)
     cos_aoi = np.maximum(np.cos(aoi), 0.0)
     i_b = dni * cos_aoi
     i_g = albedo * ghi * (1.0 - np.cos(orientation.tilt)) / 2.0
@@ -159,19 +155,10 @@ def transpose_hay_davies(
 
 
 def incidence_modifier(aoi, params: ProxyParams):
-    """Beam reflection-loss factor in [0, 1].
-
-    The physical form uses the secant of the incidence angle (ASHRAE);
-    the "cot" form is kept only for comparison studies since it breaks
-    down at normal incidence.
-    """
+    """Beam reflection-loss factor in [0, 1] (ASHRAE secant form)."""
     aoi = np.asarray(aoi, dtype=float)
     capped = np.minimum(aoi, np.pi / 2 - 1e-9)
-    with np.errstate(divide="ignore", over="ignore"):
-        if params.iam_form == "secant":
-            raw = 1.0 - params.k1 * (1.0 / np.cos(capped) - 1.0)
-        else:
-            raw = 1.0 - params.k1 * (1.0 / np.tan(np.maximum(capped, 1e-12)) - 1.0)
+    raw = 1.0 - params.k1 * (1.0 / np.cos(capped) - 1.0)
     iam = np.clip(raw, 0.0, 1.0)
     return np.where(aoi < np.pi / 2, iam, 0.0)
 
@@ -198,7 +185,7 @@ def efficiency(i_aoit, params: ProxyParams):
     """Combined module and inverter efficiency as a function of irradiance.
 
     Log-quadratic in the irradiance ratio, clamped to [0, 1], with a
-    hard cutoff below i_min where the curve diverges.
+    hard cutoff below I_MIN where the curve diverges.
     """
     i_aoit = np.asarray(i_aoit, dtype=float)
     safe = np.maximum(i_aoit, 1e-12)
@@ -206,32 +193,7 @@ def efficiency(i_aoit, params: ProxyParams):
         ln_r = np.log(safe / params.i_stc)
         eta = params.k2 + params.k3 * ln_r + params.k4 * ln_r * ln_r
     eta = np.clip(eta, 0.0, 1.0)
-    return np.where(i_aoit >= params.i_min, eta, 0.0)
-
-
-def _chain_columns(
-    ghi: np.ndarray,
-    sp: SolarPosition,
-    doy: np.ndarray,
-    e0: np.ndarray,
-    t_ambient: np.ndarray,
-    orientations,
-    params: ProxyParams,
-    albedo: float,
-    pressure: float,
-) -> np.ndarray:
-    """Evaluate the full chain for every orientation; (T, n_p) array."""
-    dni = disc_dni(ghi, sp, doy, pressure)
-    dhi = dhi_from(ghi, sp, dni)
-    out = np.empty((len(ghi), len(orientations)))
-    for j, orient in enumerate(orientations):
-        comp = transpose_hay_davies(ghi, dhi, dni, sp, orient, e0, albedo)
-        aoi = angle_of_incidence(sp, orient)
-        i_aoi = apply_iam(comp, aoi, params)
-        i_aoit = apply_temperature(i_aoi, t_ambient, params)
-        out[:, j] = efficiency(i_aoit, params) * i_aoit
-    out[~sp.daytime, :] = 0.0
-    return out
+    return np.where(i_aoit >= I_MIN, eta, 0.0)
 
 
 def proxy_matrix(
@@ -241,15 +203,14 @@ def proxy_matrix(
     t_ambient: np.ndarray,
     orientations,
     params: ProxyParams,
-    albedo: float = 0.2,
-    pressure: float = SEA_LEVEL_PRESSURE,
-    threads: int = 1,
+    site: Site,
 ) -> ProxyMatrix:
     """Simulated specific power for every orientation at the given GHI.
 
-    ``ghi`` must be non-negative and as long as the timestamps. Rows at
-    night are zero. With ``threads`` > 1 the time axis is processed in
-    chunks; results are identical to the single-threaded evaluation.
+    ``ghi`` must be non-negative and as long as the timestamps. The air
+    pressure (from the altitude) and the ground albedo come from the
+    site, so every caller evaluates the same chain. Rows at night are
+    zero.
     """
     ghi = np.asarray(ghi, dtype=float)
     if ghi.shape[0] != len(timestamps):
@@ -257,58 +218,14 @@ def proxy_matrix(
     doy = day_of_year(timestamps)
     e0 = extraterrestrial_normal(doy)
     t_ambient = np.asarray(t_ambient, dtype=float)
-
-    if threads and threads > 1 and len(ghi) > 256:
-        bounds = np.linspace(0, len(ghi), threads + 1).astype(int)
-        chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-        def run(span):
-            lo, hi = span
-            sub = SolarPosition(sp.azimuth[lo:hi], sp.zenith[lo:hi])
-            return _chain_columns(
-                ghi[lo:hi], sub, doy[lo:hi], e0[lo:hi], t_ambient[lo:hi],
-                orientations, params, albedo, pressure,
-            )
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-        values = np.vstack(parts)
-    else:
-        values = _chain_columns(
-            ghi, sp, doy, e0, t_ambient, orientations, params, albedo, pressure
-        )
+    dni = disc_dni(ghi, sp, doy, pressure_at_altitude(site.altitude))
+    dhi = dhi_from(ghi, sp, dni)
+    values = np.empty((len(ghi), len(orientations)))
+    for j, orient in enumerate(orientations):
+        aoi = angle_of_incidence(sp, orient)
+        comp = transpose_hay_davies(ghi, dhi, dni, sp, orient, aoi, e0, site.albedo)
+        i_aoi = apply_iam(comp, aoi, params)
+        i_aoit = apply_temperature(i_aoi, t_ambient, params)
+        values[:, j] = efficiency(i_aoit, params) * i_aoit
+    values[~sp.daytime, :] = 0.0
     return ProxyMatrix(values=values, orientations=tuple(orientations))
-
-
-def proxy_gradient(
-    ghi: np.ndarray,
-    sp: SolarPosition,
-    timestamps: np.ndarray,
-    t_ambient: np.ndarray,
-    orientations,
-    params: ProxyParams,
-    albedo: float = 0.2,
-    pressure: float = SEA_LEVEL_PRESSURE,
-    delta_ghi: float = 1.0,
-    base: ProxyMatrix | None = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """Forward-difference sensitivity of the proxy matrix to GHI.
-
-    The chain is elementwise in time, so only same-timestep entries are
-    non-zero and the result is stored dense as (T, n_p). ``base`` lets
-    callers reuse an already computed matrix at the current GHI.
-    """
-    if delta_ghi <= 0:
-        raise InputError("delta_ghi must be positive")
-    if base is None:
-        base = proxy_matrix(
-            ghi, sp, timestamps, t_ambient, orientations, params, albedo, pressure,
-            threads=threads,
-        )
-    bumped = proxy_matrix(
-        np.asarray(ghi, float) + delta_ghi,
-        sp, timestamps, t_ambient, orientations, params, albedo, pressure,
-        threads=threads,
-    )
-    return (bumped.values - base.values) / delta_ghi

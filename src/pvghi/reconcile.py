@@ -144,28 +144,19 @@ def trust_weights(
 
 
 def tukey_gate(errors: np.ndarray, k_q: float = 1.5) -> np.ndarray:
-    """Keep-mask over one timestep's errors by interquartile fences.
-
-    Entries strictly outside [Q25 - k_q*IQ, Q75 + k_q*IQ] are dropped.
-    With two or fewer finite entries the quartiles are meaningless and
-    everything is kept. NaN entries (missing plants) are kept as True
-    and must be masked by the caller.
-    """
-    e = np.asarray(errors, dtype=float)
-    keep = np.ones(e.shape, dtype=bool)
-    finite = np.isfinite(e)
-    if finite.sum() <= 2:
-        return keep
-    q25, q75 = np.percentile(e[finite], [25.0, 75.0], method="linear")
-    iq = q75 - q25
-    lo = q25 - k_q * iq
-    hi = q75 + k_q * iq
-    keep[finite] = (e[finite] >= lo) & (e[finite] <= hi)
-    return keep
+    """Keep-mask over one timestep's errors; see ``tukey_gate_matrix``."""
+    return tukey_gate_matrix(np.asarray(errors, dtype=float)[None, :], k_q)[0]
 
 
 def tukey_gate_matrix(error_matrix: np.ndarray, k_q: float = 1.5) -> np.ndarray:
-    """Row-wise Tukey gate over a (T, n_plants) error matrix."""
+    """Row-wise Tukey keep-mask over a (T, n_plants) error matrix.
+
+    Per row, entries strictly outside [Q25 - k_q*IQ, Q75 + k_q*IQ] of
+    the row's finite entries (linear-interpolated quartiles) are
+    dropped. A row with two or fewer finite entries has meaningless
+    quartiles and keeps everything. NaN entries (missing plants) are
+    kept as True and must be masked by the caller.
+    """
     e = np.asarray(error_matrix, dtype=float)
     keep = np.ones(e.shape, dtype=bool)
     finite = np.isfinite(e)
@@ -182,17 +173,3 @@ def tukey_gate_matrix(error_matrix: np.ndarray, k_q: float = 1.5) -> np.ndarray:
     sub = e[rows]
     keep[rows] = np.where(np.isfinite(sub), (sub >= lo) & (sub <= hi), True)
     return keep
-
-
-def export_shadow_map_csv(shadow: ShadowMap, path) -> None:
-    """Dump a map as (azimuth_bin, zenith_bin, value, valid) rows."""
-    with open(path, "w") as fh:
-        fh.write("azimuth_bin_deg,zenith_bin_deg,value,valid\n")
-        for i in range(shadow.n_zenith):
-            for j in range(shadow.n_azimuth):
-                v = shadow.values[i, j]
-                fh.write(
-                    f"{j * shadow.bin_deg},{i * shadow.bin_deg},"
-                    f"{'' if np.isnan(v) else repr(float(v))},"
-                    f"{int(shadow.valid[i, j])}\n"
-                )

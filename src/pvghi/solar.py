@@ -122,13 +122,6 @@ def sun_positions(timestamps: np.ndarray, site: Site) -> SolarPosition:
     return SolarPosition(azimuth=azimuth, zenith=zenith)
 
 
-def sun_position(timestamp, site: Site) -> SolarPosition:
-    """Single-instant solar position; see sun_positions."""
-    ts = np.array([parse_timestamp(timestamp) if isinstance(timestamp, str) else timestamp])
-    sp = sun_positions(ts, site)
-    return SolarPosition(azimuth=float(sp.azimuth[0]), zenith=float(sp.zenith[0]))
-
-
 def extraterrestrial_normal(doy) -> np.ndarray:
     """Normal-incidence extraterrestrial irradiance for a day of year."""
     doy = np.asarray(doy)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import AlignedDataset, InputError
 from .orientation import OmegaCoefficients
-from .proxy import ProxyParams, pressure_at_altitude, proxy_matrix
+from .proxy import ProxyParams, proxy_matrix
 from .reconcile import (
     build_shadow_map,
     smooth_threshold_map,
@@ -42,11 +42,8 @@ class SolverConfig:
     lambda0: float = 20.0            # W/m^2, initial descent step
     k_decay: float = 0.5             # step decay per rejected update
     max_iterations: int = 100
-    lambda_min: float = 0.05         # W/m^2, freeze threshold
     use_trust: bool = True
     use_gate: bool = True
-    gate_rounds: int = 2             # outlier-gate refresh passes
-    grad_floor: float = 1e-9
     trust_floor: float = 0.02        # shadow-map threshold
     trust_bandwidth_deg: float = 6.0
     trust_bin_deg: float = 2.0
@@ -63,6 +60,9 @@ class SolverConfig:
 
 
 ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
+LAMBDA_MIN = 0.05      # W/m^2, a timestep freezes once its step is below this
+GRAD_FLOOR = 1e-9      # gradients at or below this count as flat
+GATE_ROUNDS = 2        # outlier-gate refresh passes
 
 
 @dataclass
@@ -93,7 +93,6 @@ class ForwardModel:
         mesh_orientations,
         params: ProxyParams,
         sp: SolarPosition,
-        threads: int = 1,
     ):
         if len(omegas) != dataset.n_plants:
             raise InputError("one coefficient set per plant is required")
@@ -106,7 +105,6 @@ class ForwardModel:
         self.dataset = dataset
         self.params = params
         self.sp = sp
-        self.threads = threads
         self.orientations = [mesh_orientations[j] for j in support]
         self.weights = weights[support]
         self.pnom = np.maximum(
@@ -114,19 +112,12 @@ class ForwardModel:
         )
         self.power = dataset.power_matrix()
         self.temperature = dataset.mean_temperature()
-        self.pressure = pressure_at_altitude(dataset.site.altitude)
 
     def proxies(self, ghi: np.ndarray) -> np.ndarray:
         return proxy_matrix(
             ghi, self.sp, self.dataset.timestamps, self.temperature,
-            self.orientations, self.params, albedo=self.dataset.site.albedo,
-            pressure=self.pressure, threads=self.threads,
+            self.orientations, self.params, self.dataset.site,
         ).values
-
-    def predict(self, ghi: np.ndarray, pr: np.ndarray | None = None) -> np.ndarray:
-        if pr is None:
-            pr = self.proxies(ghi)
-        return pr @ self.weights
 
     def errors_from(self, pr: np.ndarray) -> np.ndarray:
         return (self.power - pr @ self.weights) / self.pnom[None, :]
@@ -255,7 +246,7 @@ def refine_ghi(
     gradient sign, clamped to [0, k_safety * clear-sky]. A step that
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
-    lambda_min or its gradient vanishes. Iteration stops when every
+    LAMBDA_MIN or its gradient vanishes. Iteration stops when every
     timestep is frozen or at the iteration cap.
     """
     ghi = state.ghi.copy()
@@ -280,7 +271,7 @@ def refine_ghi(
             model, ghi, trust, gate, cfg, pr_base=pr, errors=errors
         )
         direction = np.sign(grad)
-        direction[np.abs(grad) <= cfg.grad_floor] = 0.0
+        direction[np.abs(grad) <= GRAD_FLOOR] = 0.0
 
         flat = active & (direction == 0.0)
         active = active & ~flat
@@ -301,7 +292,7 @@ def refine_ghi(
         lam = np.where(rejected, lam * cfg.k_decay, lam)
         iterations[active] += 1
 
-        frozen = active & (lam < cfg.lambda_min)
+        frozen = active & (lam < LAMBDA_MIN)
         active = active & ~frozen
 
         bound_violation = max(
@@ -352,7 +343,8 @@ def estimate(
     Builds shadow maps and trust weights (for two or more plants), runs
     the grid initialization, then alternates outlier gating with descent
     refinement a fixed number of rounds. A single plant reduces to the
-    ungated, unweighted objective.
+    ungated, unweighted objective. ``threads`` is accepted and ignored:
+    the solve is single-threaded.
     """
     t0 = time.perf_counter()
     sp = sun_positions(dataset.timestamps, dataset.site)
@@ -360,9 +352,7 @@ def estimate(
         ghi_clear = clearsky_ghi(
             dataset.timestamps, dataset.site, linke_turbidity=cfg.linke_turbidity
         )
-    model = ForwardModel(
-        dataset, omegas, mesh_orientations, params, sp, threads=threads
-    )
+    model = ForwardModel(dataset, omegas, mesh_orientations, params, sp)
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
@@ -386,9 +376,9 @@ def estimate(
     state = init_ghi(model, ghi_clear, trust, cfg)
 
     gating = cfg.use_gate and n_pv >= 3
-    rounds = cfg.gate_rounds if gating else 1
+    rounds = GATE_ROUNDS if gating else 1
     gate = np.ones((dataset.n_steps, n_pv), dtype=bool)
-    for _ in range(max(rounds, 1)):
+    for _ in range(rounds):
         if gating:
             gate = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
         state = refine_ghi(model, state, trust, gate, cfg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AlignedDataset, InputError, PlantSeries, Site
-from .proxy import ProxyParams, pressure_at_altitude, proxy_matrix
+from .proxy import ProxyParams, proxy_matrix
 from .solar import clearsky_ghi, sun_positions
 
 
@@ -130,16 +130,12 @@ def synthesize(
 
     az_deg = np.rad2deg(np.mod(sp.azimuth, 2 * np.pi))
     zen_deg = np.rad2deg(sp.zenith)
-    pressure = pressure_at_altitude(site.altitude)
 
     plants = []
     plant_rngs = rng.spawn(len(spec.plants))
     for p_spec, p_rng in zip(spec.plants, plant_rngs):
         orientations = [o for o, _ in p_spec.fields]
-        pr = proxy_matrix(
-            ghi_true, sp, timestamps, temp, orientations, params,
-            albedo=site.albedo, pressure=pressure,
-        ).values
+        pr = proxy_matrix(ghi_true, sp, timestamps, temp, orientations, params, site).values
         coeffs = np.array(
             [pnom / (params.k2 * params.i_stc) for _, pnom in p_spec.fields]
         )

@@ -157,6 +157,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n_grid", "abc"), ("k_safety", "high")])
+def test_bad_config_value_is_input_error(tmp_path, capsys, key, value):
+    config = tmp_path / "config.ini"
+    config.write_text(
+        CONFIG_TEMPLATE.format(plants_line="plants =") + f"\n[solver]\n{key} = {value}\n"
+    )
+    spec_path = tmp_path / "synth.json"
+    spec_path.write_text(json.dumps(SYNTH_SPEC))
+    rc = main(["synth", "--config", str(config), "--spec", str(spec_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[solver]" in err and key in err
+
+
 def test_missing_config_errors(tmp_path):
     assert main(["identify", "--config", str(tmp_path / "nope.ini")]) == 1
 

@@ -82,6 +82,12 @@ def test_missing_plant_file_rejected(tmp_path):
         load_run_config(write_config(tmp_path, body))
 
 
+def test_bad_split_candidates_rejected(tmp_path):
+    body = MINIMAL + "\n[orientation]\nsplit_candidates = 91, ninety\n"
+    with pytest.raises(InputError, match="split_candidates"):
+        load_run_config(write_config(tmp_path, body), require_plants=False)
+
+
 def test_bad_boolean_rejected(tmp_path):
     body = MINIMAL + "\n[solver]\nuse_trust = maybe\n"
     with pytest.raises(InputError, match="boolean"):

@@ -5,6 +5,7 @@ import pytest
 
 from pvghi import (
     InputError,
+    Site,
     estimate_nominal_power,
     fit_gmm2,
     generate_mesh,
@@ -19,7 +20,7 @@ from pvghi.orientation import (
     load_omegas,
     save_omegas,
 )
-from pvghi.proxy import pressure_at_altitude, proxy_matrix
+from pvghi.proxy import proxy_matrix
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -110,8 +111,7 @@ def clear_scene(site, mesh, params):
     sp = sun_positions(ts, site)
     pr_clear = proxy_matrix(
         synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-        mesh.orientations, params, albedo=site.albedo,
-        pressure=pressure_at_altitude(site.altitude),
+        mesh.orientations, params, site,
     ).values
     return synth, sp, pr_clear, south, east, west
 
@@ -237,8 +237,7 @@ class TestNominalPower:
         sp = sun_positions(ts, site)
         pr_clear = proxy_matrix(
             synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-            mesh.orientations, params, albedo=site.albedo,
-            pressure=pressure_at_altitude(site.altitude),
+            mesh.orientations, params, site,
         ).values
         mask = select_clear(synth.dataset.plants[0], sp)
         omega = identify_omega(synth.dataset.plants[0].power[mask], pr_clear[mask])
@@ -297,6 +296,23 @@ class TestSplits:
                 synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
                 split_days=(91,),
             )
+
+
+def test_identify_uses_site_pressure(mesh, params):
+    """Identification fits the chain that synthesis and estimation evaluate.
+
+    At 1500 m a sea-level chain misses this noise-free rating by 0.8 %.
+    """
+    site = Site(latitude=47.5, longitude=7.5, altitude=1500.0)
+    south = mesh_vertex(mesh, 26.57, 180.0)
+    ts = make_timestamps("2015-05-01T00:00:00", 35, 600)
+    spec = SyntheticSpec(plants=(PlantSpec("p", ((south, 8000.0),)),))
+    synth = synthesize(spec, site, ts, seed=4)
+    res = identify_with_splits(
+        synth.dataset, sun_positions(ts, site), synth.ghi_clear, mesh, params,
+        [synth.clear_true], split_days=(35,),
+    )
+    assert abs(res.omegas[0].estimated_pnom - 8000.0) / 8000.0 < 1e-9
 
 
 def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):

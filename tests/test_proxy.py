@@ -9,8 +9,9 @@ with these oracles.
 import numpy as np
 import pytest
 
-from pvghi import InputError, Orientation, ProxyParams, sun_positions
+from pvghi import InputError, Orientation, sun_positions
 from pvghi.proxy import (
+    I_MIN,
     IrradianceComponents,
     apply_iam,
     apply_temperature,
@@ -18,11 +19,11 @@ from pvghi.proxy import (
     disc_dni,
     efficiency,
     incidence_modifier,
-    proxy_gradient,
+    pressure_at_altitude,
     proxy_matrix,
     transpose_hay_davies,
 )
-from pvghi.solar import SolarPosition, extraterrestrial_normal
+from pvghi.solar import SolarPosition, angle_of_incidence, extraterrestrial_normal
 from pvghi.synth import make_timestamps
 
 
@@ -116,30 +117,36 @@ class TestDhi:
         assert got[0] == 0.0
 
 
+def transpose(ghi, dhi, dni, sp, orientation, e0):
+    """Library transposition with the plane's own angle of incidence."""
+    return transpose_hay_davies(
+        np.array([ghi]), np.array([dhi]), np.array([dni]), sp, orientation,
+        angle_of_incidence(sp, orientation), e0, albedo=0.2,
+    )
+
+
 class TestTransposition:
     def test_isotropic_limit_horizontal(self):
-        comp = transpose_hay_davies(
-            np.array([300.0]), np.array([300.0]), np.array([0.0]),
-            sp_single(40.0), Orientation(tilt=0.0, azimuth=0.0),
-            np.array([1367.0]), albedo=0.2,
+        comp = transpose(
+            300.0, 300.0, 0.0, sp_single(40.0), Orientation(tilt=0.0, azimuth=0.0),
+            np.array([1367.0]),
         )
         np.testing.assert_allclose(comp.i_d, 300.0)
         np.testing.assert_allclose(comp.i_b, 0.0)
         np.testing.assert_allclose(comp.i_g, 0.0)
 
     def test_ground_reflection_vertical(self):
-        comp = transpose_hay_davies(
-            np.array([1000.0]), np.array([200.0]), np.array([500.0]),
-            sp_single(40.0), Orientation(tilt=np.pi / 2, azimuth=np.pi),
-            np.array([1367.0]), albedo=0.2,
+        comp = transpose(
+            1000.0, 200.0, 500.0, sp_single(40.0), Orientation(tilt=np.pi / 2, azimuth=np.pi),
+            np.array([1367.0]),
         )
         np.testing.assert_allclose(comp.i_g, 100.0)
 
     def test_full_case_against_oracle(self):
-        comp = transpose_hay_davies(
-            np.array([800.0]), np.array([200.0]), np.array([750.0]),
+        comp = transpose(
+            800.0, 200.0, 750.0,
             sp_single(30.0), Orientation(tilt=np.deg2rad(30.0), azimuth=np.pi),
-            extraterrestrial_normal(np.array([172])), albedo=0.2,
+            extraterrestrial_normal(np.array([172])),
         )
         want = hay_davies_oracle(800, 200, 750, 30, 180, 30, 180, 172)
         # frozen: (750.0, 211.744, 10.718)
@@ -156,11 +163,11 @@ class TestTransposition:
             ghi = rng.uniform(0, 1000)
             dni = rng.uniform(0, 900)
             dhi = max(ghi - np.cos(np.deg2rad(40)) * dni, 0)
-            comp = transpose_hay_davies(
-                np.array([ghi]), np.array([dhi]), np.array([dni]),
+            comp = transpose(
+                ghi, dhi, dni,
                 sp_single(rng.uniform(0, 89)),
                 Orientation(tilt=rng.uniform(0, np.pi / 2), azimuth=rng.uniform(0, 2 * np.pi)),
-                np.array([1367.0]), albedo=0.2,
+                np.array([1367.0]),
             )
             assert comp.i_b >= 0 and comp.i_d >= 0 and comp.i_g >= 0
 
@@ -181,11 +188,6 @@ class TestIam:
         np.testing.assert_allclose(
             incidence_modifier(np.array([np.deg2rad(60.0)]), params), 0.95, atol=1e-12
         )
-
-    def test_cot_compat_form_diverges_at_normal(self):
-        params = ProxyParams(iam_form="cot")
-        # cot -> inf при aoi -> 0, clamped to zero: unphysical, kept for study
-        assert incidence_modifier(np.array([1e-6]), params)[0] == 0.0
 
 
 class TestTemperature:
@@ -230,26 +232,17 @@ def scene(site):
     return ts, sp, temp, orientations
 
 
-@pytest.fixture(scope="module")
-def tilted_scene(site):
-    ts = make_timestamps("2021-06-10T00:00:00", 1, 600)
-    sp = sun_positions(ts, site)
-    temp = np.full(len(ts), 20.0)
-    orientations = [Orientation(tilt=np.deg2rad(30), azimuth=np.pi)]
-    return ts, sp, temp, orientations
-
-
 class TestProxyMatrix:
 
     def test_zero_ghi_zero_matrix(self, scene, site, params):
         ts, sp, temp, orientations = scene
-        pm = proxy_matrix(np.zeros(len(ts)), sp, ts, temp, orientations, params)
+        pm = proxy_matrix(np.zeros(len(ts)), sp, ts, temp, orientations, params, site)
         assert np.all(pm.values == 0.0)
 
     def test_night_rows_zero(self, scene, site, params):
         ts, sp, temp, orientations = scene
         ghi = np.full(len(ts), 500.0)
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params)
+        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
         assert np.all(pm.values[~sp.daytime] == 0.0)
 
     def test_column_equals_scalar_chain(self, scene, site, params):
@@ -259,14 +252,14 @@ class TestProxyMatrix:
         ghi_t = 640.0
         ghi = np.zeros(len(ts))
         ghi[noon] = ghi_t
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params)
+        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
 
         from pvghi.solar import day_of_year
 
         zen_deg = float(np.rad2deg(sp.zenith[noon]))
         az_deg = float(np.rad2deg(sp.azimuth[noon]))
         doy = int(day_of_year(ts)[noon])
-        dni = disc_oracle(ghi_t, zen_deg, doy)
+        dni = disc_oracle(ghi_t, zen_deg, doy, pressure_at_altitude(site.altitude))
         dhi = max(ghi_t - np.cos(np.deg2rad(zen_deg)) * dni, 0.0)
         i_b, i_d, i_g = hay_davies_oracle(ghi_t, dhi, dni, zen_deg, az_deg, 0.0, 0.0, doy)
         iam = max(1 - params.k1 * (1 / np.cos(0.0 if zen_deg >= 90 else np.deg2rad(zen_deg)) - 1), 0)
@@ -275,7 +268,7 @@ class TestProxyMatrix:
         i_aoit = max(i_aoi * (1 + params.gamma * (t_cell - params.t_ref)), 0.0)
         r = np.log(i_aoit / params.i_stc)
         eta = min(max(params.k2 + params.k3 * r + params.k4 * r * r, 0.0), 1.0)
-        want = eta * i_aoit if i_aoit >= params.i_min else 0.0
+        want = eta * i_aoit if i_aoit >= I_MIN else 0.0
         np.testing.assert_allclose(pm.values[noon, 0], want, rtol=1e-9)
 
     def test_monotone_in_ghi_for_sun_facing(self, scene, site, params):
@@ -286,7 +279,7 @@ class TestProxyMatrix:
         for g in np.arange(0.0, clear, 50.0):
             ghi = np.zeros(len(ts))
             ghi[noon] = g
-            pm = proxy_matrix(ghi, sp, ts, temp, orientations, params)
+            pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
             val = pm.values[noon, 1]
             assert val >= last - 1e-9
             last = val
@@ -295,19 +288,17 @@ class TestProxyMatrix:
         ts, sp, temp, orientations = scene
         rng = np.random.default_rng(8)
         ghi = rng.uniform(0, 1.3 * 1000, len(ts))
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params)
+        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
         assert np.all(pm.values >= 0)
         assert np.all(pm.values <= 1.3 * 1367.0 * 1.033)
 
-    def test_deterministic_and_thread_invariant(self, scene, site, params):
+    def test_deterministic(self, scene, site, params):
         ts, sp, temp, orientations = scene
         rng = np.random.default_rng(9)
         ghi = rng.uniform(0, 900, len(ts))
-        a = proxy_matrix(ghi, sp, ts, temp, orientations, params).values
-        b = proxy_matrix(ghi, sp, ts, temp, orientations, params).values
-        c = proxy_matrix(ghi, sp, ts, temp, orientations, params, threads=4).values
+        a = proxy_matrix(ghi, sp, ts, temp, orientations, params, site).values
+        b = proxy_matrix(ghi, sp, ts, temp, orientations, params, site).values
         assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
 
     def test_time_separability_brute_force(self, site, params):
         ts = make_timestamps("2021-06-10T08:00:00", 10 * 600 / 86400, 600)
@@ -315,49 +306,15 @@ class TestProxyMatrix:
         temp = np.full(len(ts), 18.0)
         orientations = [Orientation(tilt=np.deg2rad(25), azimuth=np.pi)]
         base_ghi = np.full(len(ts), 420.0)
-        base = proxy_matrix(base_ghi, sp, ts, temp, orientations, params).values
+        base = proxy_matrix(base_ghi, sp, ts, temp, orientations, params, site).values
         for k in range(len(ts)):
             bumped_ghi = base_ghi.copy()
             bumped_ghi[k] += 77.0
-            bumped = proxy_matrix(bumped_ghi, sp, ts, temp, orientations, params).values
+            bumped = proxy_matrix(bumped_ghi, sp, ts, temp, orientations, params, site).values
             others = np.arange(len(ts)) != k
             assert np.array_equal(base[others], bumped[others])
 
     def test_length_mismatch_rejected(self, scene, site, params):
         ts, sp, temp, orientations = scene
         with pytest.raises(InputError):
-            proxy_matrix(np.zeros(3), sp, ts, temp, orientations, params)
-
-
-class TestProxyGradient:
-
-    def test_night_rows_zero(self, tilted_scene, params):
-        ts, sp, temp, orientations = tilted_scene
-        ghi = np.full(len(ts), 300.0)
-        grad = proxy_gradient(ghi, sp, ts, temp, orientations, params)
-        assert np.all(grad[~sp.daytime] == 0.0)
-
-    def test_matches_central_difference(self, tilted_scene, params):
-        # delta below the solver default so curvature truncation stays
-        # inside the comparison budget
-        ts, sp, temp, orientations = tilted_scene
-        rng = np.random.default_rng(10)
-        ghi = rng.uniform(50, 900, len(ts))
-        ghi[~sp.daytime] = 0.0
-        delta = 0.25
-        grad = proxy_gradient(ghi, sp, ts, temp, orientations, params, delta_ghi=delta)
-        up = proxy_matrix(ghi + delta / 2, sp, ts, temp, orientations, params).values
-        dn = proxy_matrix(np.maximum(ghi - delta / 2, 0), sp, ts, temp, orientations, params).values
-        central = (up - dn) / delta
-        # compare away from the low-irradiance cutoff where the chain is
-        # non-smooth and finite differences disagree by construction
-        smooth = (up > 20.0) & (dn > 20.0)
-        sig = (np.abs(grad) > 1e-3) & smooth
-        assert sig.sum() > 50
-        rel = np.abs(grad[sig] - central[sig]) / np.abs(central[sig])
-        assert rel.max() < 0.05
-
-    def test_invalid_delta(self, tilted_scene, params):
-        ts, sp, temp, orientations = tilted_scene
-        with pytest.raises(InputError):
-            proxy_gradient(np.zeros(len(ts)), sp, ts, temp, orientations, params, delta_ghi=0.0)
+            proxy_matrix(np.zeros(3), sp, ts, temp, orientations, params, site)

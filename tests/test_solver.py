@@ -258,18 +258,6 @@ class TestSeparabilityAndDeterminism:
         )
         assert np.array_equal(full, np.concatenate([lo, hi]))
 
-    def test_thread_count_invariance(self, site, mesh, params):
-        synth, sp, omegas = build_scene(site, mesh, params, days=3, seed=15)
-        runs = [
-            estimate(
-                synth.dataset, omegas, mesh.orientations, params, SolverConfig(),
-                threads=n,
-            ).ghi
-            for n in (1, 2, 4)
-        ]
-        assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], runs[2])
-
     def test_rerun_identical(self, site, mesh, params):
         synth, sp, omegas = build_scene(site, mesh, params, days=2, seed=16)
         a = estimate(synth.dataset, omegas, mesh.orientations, params, SolverConfig())

@@ -3,7 +3,7 @@
 import numpy as np
 
 from pvghi import sun_positions
-from pvghi.proxy import pressure_at_altitude, proxy_matrix
+from pvghi.proxy import proxy_matrix
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -26,7 +26,7 @@ def test_identity_configuration_matches_forward_model(site, mesh, params):
     assert np.array_equal(synth.ghi_true[sp.daytime], synth.ghi_clear[sp.daytime])
     pr = proxy_matrix(
         synth.ghi_true, sp, ts, synth.dataset.mean_temperature(), [south], params,
-        albedo=site.albedo, pressure=pressure_at_altitude(site.altitude),
+        site,
     ).values
     expected = pr[:, 0] * (8000.0 / (params.k2 * params.i_stc))
     np.testing.assert_allclose(synth.dataset.plants[0].power, expected, rtol=1e-12)

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 input error, 2 convergence shortfall.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -14,10 +14,19 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_run_config
-from .data import InputError, align, load_plant_csv, parse_timestamp, save_plant_csv
+from .data import (
+    InputError,
+    align,
+    expect,
+    load_plant_csv,
+    read_json,
+    read_series_csv,
+    save_plant_csv,
+    write_json,
+    write_series_csv,
+)
 from .metrics import block_average, normalized_rmse
 from .orientation import (
-    InsufficientDataError,
     generate_mesh,
     identify_with_splits,
     load_omegas,
@@ -36,6 +45,7 @@ from .synth import (
 )
 
 TRUTH_HEADER = "timestamp,ghi_wm2"
+ESTIMATE_HEADER = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged"
 
 
 def _load_dataset(cfg: RunConfig):
@@ -90,8 +100,6 @@ def cmd_estimate(args) -> int:
     dataset = _load_dataset(cfg)
     mesh = generate_mesh(cfg.orientation.subdivision)
     omega_path = Path(args.omega) if args.omega else cfg.output_dir / "omega.json"
-    if not omega_path.exists():
-        raise InputError(f"coefficient file not found: {omega_path}")
     omegas = load_omegas(omega_path, mesh)
     by_id = {oc.plant_id: oc for oc in omegas}
     try:
@@ -110,32 +118,22 @@ def cmd_estimate(args) -> int:
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "ghi_estimate.csv"
-    with open(out_path, "w") as fh:
-        fh.write("timestamp,ghi_est_wm2,n_plants_used,iterations,converged\n")
-        for k in range(len(result.timestamps)):
-            fh.write(
-                f"{np.datetime_as_string(result.timestamps[k], timezone='UTC')},"
-                f"{float(result.ghi[k])!r},{int(result.n_plants_used[k])},"
-                f"{int(result.state.iterations[k])},{int(result.converged[k])}\n"
-            )
+    write_series_csv(
+        out_path, ESTIMATE_HEADER, result.timestamps,
+        (result.ghi, result.n_plants_used, result.state.iterations, result.converged),
+    )
     diag_path = cfg.output_dir / "diagnostics.json"
     gate_counts = {
         p.plant_id: int((~result.gate[:, i]).sum())
         for i, p in enumerate(dataset.plants)
     }
-    with open(diag_path, "w") as fh:
-        json.dump(
-            {
-                "frobenius_error_history": result.state.err_history,
-                "objective_history": result.state.objective_history,
-                "gated_timesteps_per_plant": gate_counts,
-                "seconds_per_sample": result.seconds_per_sample,
-                "max_bound_violation": result.state.bound_violation,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(diag_path, {
+        "frobenius_error_history": result.state.err_history,
+        "objective_history": result.state.objective_history,
+        "gated_timesteps_per_plant": gate_counts,
+        "seconds_per_sample": result.seconds_per_sample,
+        "max_bound_violation": result.state.bound_violation,
+    })
     print(f"wrote {out_path}")
     print(f"wrote {diag_path}")
 
@@ -148,56 +146,82 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _spec_object(cls, raw, where: str, convert=None):
+    """``cls`` built from a JSON object keyed by its field names.
+
+    A value goes through ``convert[key]`` if given and must otherwise be
+    a number. Unknown keys and missing required ones are InputErrors.
+    """
+    fields = dataclasses.fields(cls)
+    keys = set(expect(raw, where, dict))
+    unknown = keys - {f.name for f in fields}
+    missing = {
+        f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING
+    } - keys
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise InputError(f"{where}: {problem} key(s) {', '.join(sorted(names))}")
+    convert = convert or {}
+    return cls(**{k: convert.get(k, expect)(v, f"{where}.{k}") for k, v in raw.items()})
+
+
+def _list_of(convert):
+    """Converter of a JSON list whose items ``convert`` turns into objects."""
+    return lambda raw, where: tuple(
+        convert(item, f"{where}[{i}]") for i, item in enumerate(expect(raw, where, list))
+    )
+
+
+def _spec_field(raw, where: str):
+    """One ``{tilt_deg, azimuth_deg, pnom_w}`` entry of a plant's fields."""
+    keys = ("tilt_deg", "azimuth_deg", "pnom_w")
+    if set(expect(raw, where, dict)) != set(keys):
+        raise InputError(f"{where}: expected exactly the keys {', '.join(keys)}")
+    tilt, azimuth, pnom = (expect(raw[k], f"{where}.{k}") for k in keys)
+    return Orientation(tilt=np.deg2rad(tilt), azimuth=np.deg2rad(azimuth)), float(pnom)
+
+
+def _spec_plant(raw, where: str) -> PlantSpec:
+    return _spec_object(PlantSpec, raw, where, {
+        "plant_id": lambda v, w: expect(v, w, str),
+        "fields": _list_of(_spec_field),
+        "shadows": _list_of(lambda v, w: _spec_object(ShadowSector, v, w)),
+        "curtailment_w": lambda v, w: None if v is None else expect(v, w),
+    })
+
+
+def _read_synth_spec(path, step_seconds: int):
+    """The SyntheticSpec and the timestamps of a ``pvghi synth`` JSON file.
+
+    Besides the SyntheticSpec fields, the file may give ``start`` (an
+    ISO-8601 instant) and ``days``.
+    """
+    raw = expect(read_json(path), str(path), dict)
+    try:
+        start = expect(raw.pop("start", "2015-06-01T00:00:00"), "start", str)
+        days = expect(raw.pop("days", 7), "days")
+        spec = _spec_object(SyntheticSpec, raw, "spec", {
+            "plants": _list_of(_spec_plant),
+            "cloud": lambda v, w: _spec_object(CloudModel, v, w),
+        })
+        ids = [p.plant_id for p in spec.plants]
+        if len(set(ids)) < len(ids):
+            raise InputError(f"spec.plants: plant_id repeated in {ids}")
+        try:
+            timestamps = make_timestamps(start, days, step_seconds)
+        except ValueError:
+            raise InputError(f"start: bad timestamp {start!r}") from None
+        if timestamps.size == 0:
+            raise InputError(f"days: {days} holds no {step_seconds} s sample")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return spec, timestamps
+
+
 def cmd_synth(args) -> int:
     cfg = load_run_config(args.config, require_plants=False)
     seed = args.seed if args.seed is not None else cfg.seed
-    with open(args.spec) as fh:
-        raw = json.load(fh)
-
-    plants = []
-    for p in raw["plants"]:
-        fields = tuple(
-            (
-                Orientation(
-                    tilt=np.deg2rad(f["tilt_deg"]), azimuth=np.deg2rad(f["azimuth_deg"])
-                ),
-                float(f["pnom_w"]),
-            )
-            for f in p["fields"]
-        )
-        shadows = tuple(
-            ShadowSector(
-                azimuth_min_deg=s["azimuth_min_deg"],
-                azimuth_max_deg=s["azimuth_max_deg"],
-                zenith_min_deg=s.get("zenith_min_deg", 0.0),
-                zenith_max_deg=s.get("zenith_max_deg", 90.0),
-                attenuation=s["attenuation"],
-                day_min=s.get("day_min", 1),
-                day_max=s.get("day_max", 366),
-            )
-            for s in p.get("shadows", ())
-        )
-        plants.append(
-            PlantSpec(
-                plant_id=p["plant_id"],
-                fields=fields,
-                shadows=shadows,
-                noise_rel=float(p.get("noise_rel", 0.0)),
-                curtailment_w=p.get("curtailment_w"),
-            )
-        )
-    cloud = CloudModel(**raw.get("cloud", {}))
-    spec = SyntheticSpec(
-        plants=tuple(plants),
-        cloud=cloud,
-        temperature_mean=float(raw.get("temperature_mean", 15.0)),
-        temperature_amplitude=float(raw.get("temperature_amplitude", 8.0)),
-    )
-    timestamps = make_timestamps(
-        raw.get("start", "2015-06-01T00:00:00"),
-        float(raw.get("days", 7)),
-        cfg.sampling_seconds,
-    )
+    spec, timestamps = _read_synth_spec(args.spec, cfg.sampling_seconds)
     synth = synthesize(
         spec, cfg.site, timestamps, seed=seed, params=cfg.proxy,
         linke_turbidity=cfg.solver.linke_turbidity,
@@ -207,45 +231,28 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for plant in synth.dataset.plants:
         save_plant_csv(plant, out / f"{plant.plant_id}.csv")
-    with open(out / "ghi_truth.csv", "w") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        for ts, g in zip(timestamps, synth.ghi_true):
-            fh.write(f"{np.datetime_as_string(ts, timezone='UTC')},{float(g)!r}\n")
-    with open(out / "clear_truth.csv", "w") as fh:
-        fh.write("timestamp,clear\n")
-        for ts, c in zip(timestamps, synth.clear_true):
-            fh.write(f"{np.datetime_as_string(ts, timezone='UTC')},{int(c)}\n")
+    write_series_csv(out / "ghi_truth.csv", TRUTH_HEADER, timestamps, (synth.ghi_true,))
+    write_series_csv(
+        out / "clear_truth.csv", "timestamp,clear", timestamps, (synth.clear_true,)
+    )
     print(f"wrote {len(spec.plants)} plant file(s) and truth series to {out}")
     return 0
 
 
-def _read_ghi_csv(path, value_column: str):
-    stamps, values = [], []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if value_column not in header:
-            raise InputError(f"{path}: no column {value_column!r}")
-        t_idx = header.index("timestamp")
-        v_idx = header.index(value_column)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) <= max(t_idx, v_idx) or not parts[t_idx]:
-                continue
-            stamps.append(parse_timestamp(parts[t_idx]))
-            values.append(float(parts[v_idx]))
-    return np.array(stamps, dtype="datetime64[s]"), np.array(values)
-
-
 def cmd_evaluate(args) -> int:
-    est_ts, est = _read_ghi_csv(args.est, "ghi_est_wm2")
-    ref_ts, ref = _read_ghi_csv(args.truth, "ghi_wm2")
+    est_ts, (est, *_) = read_series_csv(args.est, ESTIMATE_HEADER)
+    ref_ts, (ref,) = read_series_csv(args.truth, TRUTH_HEADER)
     common, ei, ri = np.intersect1d(
         est_ts.astype("int64"), ref_ts.astype("int64"), return_indices=True
     )
-    if common.size == 0:
-        raise InputError("estimate and truth share no timestamps")
-    timestamps = common.astype("datetime64[s]")
     est, ref = est[ei], ref[ri]
+    shared = np.isfinite(est) & np.isfinite(ref)
+    if not shared.any():
+        raise InputError(
+            f"{args.est} and {args.truth} share no timestamp where both are finite"
+        )
+    timestamps = common[shared].astype("datetime64[s]")
+    est, ref = est[shared], ref[shared]
 
     report = {}
     base = normalized_rmse(est, ref, timestamps)
@@ -257,18 +264,15 @@ def cmd_evaluate(args) -> int:
             report[f"agg_{minutes}min"] = _report_dict(normalized_rmse(est_b, ref_b))
 
     out_path = Path(args.output) if args.output else Path("metrics.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out_path, report)
 
     if base.daily is not None:
         daily_path = out_path.with_name(out_path.stem + "_daily.csv")
-        with open(daily_path, "w") as fh:
-            fh.write("date,bias_wm2,std_wm2,rmse_wm2\n")
-            for d, b, s, r in zip(
-                base.daily.dates, base.daily.bias, base.daily.std, base.daily.rmse
-            ):
-                fh.write(f"{d},{float(b)!r},{float(s)!r},{float(r)!r}\n")
+        daily = base.daily
+        write_series_csv(
+            daily_path, "date,bias_wm2,std_wm2,rmse_wm2", daily.dates,
+            (daily.bias, daily.std, daily.rmse),
+        )
         print(f"wrote {daily_path}")
     print(f"wrote {out_path}")
     for name, rep in report.items():
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InsufficientDataError, FileNotFoundError, KeyError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

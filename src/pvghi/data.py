@@ -1,4 +1,4 @@
-"""Site and plant time-series data model, CSV ingestion and alignment.
+"""Site and plant time-series data model, file formats and alignment.
 
 All timestamps are UTC instants on a uniform grid. Missing samples are
 represented as NaN and are excluded from every downstream fit; they are
@@ -8,13 +8,14 @@ never imputed.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-PLANT_CSV_HEADER = ("timestamp", "power_w", "temp_c")
+PLANT_CSV_HEADER = "timestamp,power_w,temp_c"
 
 
 class InputError(ValueError):
@@ -130,8 +131,8 @@ class AlignedDataset:
         return mean
 
 
-def parse_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 UTC timestamp to datetime64[s].
+def parse_timestamp(text: str) -> int:
+    """Seconds since 1970-01-01 UTC of an ISO-8601 timestamp.
 
     Naive stamps are taken as UTC; explicit offsets are converted.
     """
@@ -141,71 +142,123 @@ def parse_timestamp(text: str) -> np.datetime64:
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    dt = dt.astimezone(timezone.utc)
-    return np.datetime64(int(dt.timestamp()), "s")
+    return int(dt.timestamp())
 
 
 def _parse_float(text: str) -> float:
-    text = text.strip()
-    if not text:
-        return math.nan
     try:
         return float(text)
     except ValueError:
         return math.nan
 
 
+def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a timestamped CSV whose header line is exactly ``header``.
+
+    Returns the datetime64[s] stamps of the data rows and a float array
+    with one row per value column. Blank lines are skipped; empty or
+    unparseable numbers are NaN. A missing or unreadable file, another
+    header, a row with the wrong number of fields, a bad timestamp or no
+    data rows is an InputError naming the file.
+    """
+    try:
+        with open(path, newline="") as fh:
+            return _parse_series(path, header, csv.reader(fh))
+    except FileNotFoundError:
+        raise InputError(f"{path}: file not found") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot read ({exc})") from None
+
+
+def _parse_series(path, header: str, rows) -> tuple[np.ndarray, np.ndarray]:
+    rows = (row for row in rows if "".join(row).strip())
+    first = next(rows, None)
+    if first is None:
+        raise InputError(f"{path}: empty file")
+    if ",".join(h.strip() for h in first) != header:
+        raise InputError(f"{path}: expected header {header}")
+    n_fields = header.count(",") + 1
+    seconds, values = [], [[] for _ in range(n_fields - 1)]
+    for k, row in enumerate(rows, start=1):
+        if len(row) != n_fields:
+            raise InputError(
+                f"{path}: data row {k}: expected {n_fields} fields, got {len(row)}"
+            )
+        try:
+            seconds.append(parse_timestamp(row[0]))
+        except (ValueError, OverflowError):
+            raise InputError(f"{path}: data row {k}: bad timestamp {row[0]!r}") from None
+        for column, text in zip(values, row[1:]):
+            column.append(_parse_float(text))
+    if not seconds:
+        raise InputError(f"{path}: no data rows")
+    return np.array(seconds, dtype="datetime64[s]"), np.array(values, dtype=float)
+
+
+def write_series_csv(path, header: str, timestamps, columns) -> None:
+    """Write a timestamped CSV that ``read_series_csv`` reads back bit-exactly.
+
+    Stamps are written in ISO-8601 UTC at their own unit (a datetime64[D]
+    stamp is a date). Floats are written by ``repr`` and NaN as an empty
+    field; integer and boolean columns are written as integers. Lines
+    end in ``\\n``.
+    """
+    stamps = np.datetime_as_string(np.asarray(timestamps), timezone="UTC").tolist()
+    columns = [np.asarray(c) for c in columns]
+    is_int = [c.dtype.kind in "biu" for c in columns]
+    values = [c.astype(np.int64 if i else float).tolist() for c, i in zip(columns, is_int)]
+    # one row at a time, so no text copy of the whole file is held
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for stamp, *row in zip(stamps, *values):
+            text = (str(v) if i else "" if v != v else repr(v) for v, i in zip(row, is_int))
+            fh.write(",".join((stamp, *text)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    """Parse a JSON file; a missing, unreadable or invalid file is an InputError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: cannot read JSON ({exc})") from None
+
+
+def expect(value, where: str, kind=(int, float)):
+    """``value`` if it is a ``kind``, by default a number; booleans never are.
+
+    Checks one value read from a JSON file; anything else is an
+    InputError naming ``where``.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = getattr(kind, "__name__", "number")
+        raise InputError(f"{where}: expected {name}, got {value!r}")
+    return value
+
+
 def load_plant_csv(path, plant_id: str) -> PlantSeries:
     """Load one plant record from a ``timestamp,power_w,temp_c`` CSV.
 
-    Unparseable power or temperature fields become missing samples.
-    Raises InputError for a missing file, bad header, empty body or
-    non-monotonic timestamps.
+    Unparseable power or temperature fields and negative power become
+    missing samples; see ``read_series_csv`` for what is rejected.
     """
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise InputError(f"plant file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PLANT_CSV_HEADER:
-            raise InputError(
-                f"{path}: expected header {','.join(PLANT_CSV_HEADER)}"
-            )
-        stamps, power, temp = [], [], []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}: malformed row {row!r}")
-            try:
-                stamps.append(parse_timestamp(row[0]))
-            except ValueError:
-                raise InputError(f"{path}: bad timestamp {row[0]!r}") from None
-            power.append(_parse_float(row[1]))
-            temp.append(_parse_float(row[2]))
-    if not stamps:
-        raise InputError(f"{path}: no data rows")
-    p = np.array(power)
-    p[p < 0] = np.nan
-    return PlantSeries(plant_id, np.array(stamps), p, np.array(temp))
+    stamps, (power, temp) = read_series_csv(path, PLANT_CSV_HEADER)
+    power[power < 0] = np.nan
+    return PlantSeries(plant_id, stamps, power, temp)
 
 
 def save_plant_csv(series: PlantSeries, path) -> None:
     """Write a PlantSeries back out; round-trips numeric fields bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLANT_CSV_HEADER)
-        for ts, p, t in zip(series.timestamps, series.power, series.temperature):
-            writer.writerow([
-                np.datetime_as_string(ts, timezone="UTC"),
-                "" if math.isnan(p) else repr(float(p)),
-                "" if math.isnan(t) else repr(float(t)),
-            ])
+    write_series_csv(
+        path, PLANT_CSV_HEADER, series.timestamps, (series.power, series.temperature)
+    )
 
 
 def align(plants: list[PlantSeries], site: Site) -> AlignedDataset:

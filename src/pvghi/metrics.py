@@ -103,12 +103,14 @@ def block_average(
     """Average a series over aligned blocks of the given period.
 
     Only full blocks are kept; block timestamps are the block starts.
+    The sampling step is the smallest spacing, so a series with missing
+    samples removed keeps its step and loses only the blocks they fall in.
     """
     ts = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
     values = np.asarray(values, dtype=float)
     if len(ts) < 2:
         return values.copy(), np.asarray(timestamps)
-    step = int(ts[1] - ts[0])
+    step = int(np.diff(ts).min())
     per_block = period_seconds // step
     if per_block <= 1:
         return values.copy(), np.asarray(timestamps)

@@ -10,20 +10,27 @@ and shading.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .data import AlignedDataset, InputError, PlantSeries
+from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
 from .proxy import ProxyParams, proxy_matrix
 from .solar import Orientation, SolarPosition
 
 GMM_MIN_SAMPLES = 20
+GMM_MAX_ITER = 500         # EM iteration cap
+GMM_TOL = 1e-8             # EM stops once the log-likelihood gains less
+HUBER_C = 1.345            # Huber threshold in robust-scale units
+IRLS_MAX_OUTER = 50        # reweighting passes
+IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
+SPARSITY_FRAC = 0.01       # coefficients below this share of the largest are zeroed
+NORTH_TILT_CUTOFF_DEG = 15.0   # the mesh drops orientations tilted more than this
+NORTH_HALFWIDTH_DEG = 60.0     # and facing within this angle of north
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(InputError):
     """Not enough samples to fit."""
 
 
@@ -99,16 +106,13 @@ def _subdivide(verts, faces):
     return verts, new_faces
 
 
-def generate_mesh(
-    subdivision: int = 2,
-    north_tilt_cutoff_deg: float = 15.0,
-    north_halfwidth_deg: float = 60.0,
-) -> OrientationMesh:
+def generate_mesh(subdivision: int = 2) -> OrientationMesh:
     """Candidate orientations from a subdivided icosphere.
 
-    Upper hemisphere only; tilted orientations facing within the given
-    half-width of north are discarded since panels are not installed
-    there. The zenith direction appears exactly once with azimuth 0.
+    Upper hemisphere only; orientations tilted more than
+    NORTH_TILT_CUTOFF_DEG and facing within NORTH_HALFWIDTH_DEG of north
+    are discarded since panels are not installed there. The zenith
+    direction appears exactly once with azimuth 0.
     """
     if not 1 <= subdivision <= 4:
         raise InputError("subdivision must be in [1, 4]")
@@ -126,7 +130,7 @@ def generate_mesh(
         if tilt < np.deg2rad(0.5):
             tilt, azimuth = 0.0, 0.0
         from_north = np.rad2deg(min(azimuth, 2 * np.pi - azimuth))
-        if np.rad2deg(tilt) > north_tilt_cutoff_deg and from_north <= north_halfwidth_deg:
+        if np.rad2deg(tilt) > NORTH_TILT_CUTOFF_DEG and from_north <= NORTH_HALFWIDTH_DEG:
             continue
         selected.append(Orientation(tilt=min(tilt, np.pi / 2), azimuth=azimuth))
 
@@ -148,7 +152,7 @@ def generate_mesh(
     return OrientationMesh(orientations=tuple(kept), subdivision_level=subdivision)
 
 
-def fit_gmm2(samples, max_iter: int = 500, tol: float = 1e-8) -> Gmm2:
+def fit_gmm2(samples) -> Gmm2:
     """Fit a 2-component 1-D Gaussian mixture by EM.
 
     Deterministic start: means at the 25th/75th percentiles, shared
@@ -168,7 +172,7 @@ def fit_gmm2(samples, max_iter: int = 500, tol: float = 1e-8) -> Gmm2:
     w = np.array([0.5, 0.5])
     var_floor = (1e-6 * s0) ** 2
     ll_prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         var = np.maximum(sigma**2, var_floor)
         logp = (
             -0.5 * np.log(2 * np.pi * var)[:, None]
@@ -185,7 +189,7 @@ def fit_gmm2(samples, max_iter: int = 500, tol: float = 1e-8) -> Gmm2:
         sigma = np.sqrt(
             (resp * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / np.maximum(nk, 1e-300)
         )
-        if abs(ll - ll_prev) < tol:
+        if abs(ll - ll_prev) < GMM_TOL:
             break
         ll_prev = ll
 
@@ -255,10 +259,7 @@ def select_clear(
         if sel.sum() < GMM_MIN_SAMPLES:
             continue
         x = power[sel]
-        try:
-            fit = fit_gmm2(x)
-        except InsufficientDataError:
-            continue
+        fit = fit_gmm2(x)
         if fit.degenerate:
             continue
         if _looks_unimodal(fit):
@@ -286,10 +287,6 @@ def huber_loss(residuals: np.ndarray, scale: float, c: float) -> float:
 def identify_omega(
     power: np.ndarray,
     pr_clear: np.ndarray,
-    huber_c: float = 1.345,
-    max_outer: int = 50,
-    rtol: float = 1e-6,
-    sparsity_frac: float = 0.01,
     loss_history: list | None = None,
 ) -> np.ndarray:
     """Non-negative proxy coefficients by IRLS with a Huber loss.
@@ -299,7 +296,7 @@ def identify_omega(
     robustness scale is fixed from the initial non-negative fit so the
     reweighted objective decreases monotonically; ``loss_history``, when
     given, collects the loss per outer iteration. Entries below
-    ``sparsity_frac`` of the largest coefficient are zeroed.
+    SPARSITY_FRAC of the largest coefficient are zeroed.
     """
     y = np.asarray(power, dtype=float)
     a = np.asarray(pr_clear, dtype=float)
@@ -317,21 +314,21 @@ def identify_omega(
         cleaned = omega.copy()
     else:
         if loss_history is not None:
-            loss_history.append(huber_loss(y - a @ omega, scale, huber_c))
-        for _ in range(max_outer):
-            w = _huber_weights(y - a @ omega, scale, huber_c)
+            loss_history.append(huber_loss(y - a @ omega, scale, HUBER_C))
+        for _ in range(IRLS_MAX_OUTER):
+            w = _huber_weights(y - a @ omega, scale, HUBER_C)
             sw = np.sqrt(w)
             new_omega, _ = nnls(a * sw[:, None], y * sw)
             denom = max(np.linalg.norm(omega), 1e-12)
             step = np.linalg.norm(new_omega - omega) / denom
             omega = new_omega
             if loss_history is not None:
-                loss_history.append(huber_loss(y - a @ omega, scale, huber_c))
-            if step < rtol:
+                loss_history.append(huber_loss(y - a @ omega, scale, HUBER_C))
+            if step < IRLS_RTOL:
                 break
         cleaned = omega.copy()
     if cleaned.max(initial=0.0) > 0:
-        cleaned[cleaned < sparsity_frac * cleaned.max()] = 0.0
+        cleaned[cleaned < SPARSITY_FRAC * cleaned.max()] = 0.0
     return cleaned
 
 
@@ -369,7 +366,6 @@ def identify_with_splits(
     params: ProxyParams,
     clear_masks: list[np.ndarray],
     split_days: tuple[int, ...] = (365, 182, 121, 91, 73),
-    huber_c: float = 1.345,
 ) -> IdentificationResult:
     """Identify coefficients per plant, choosing the best temporal split.
 
@@ -377,7 +373,8 @@ def identify_with_splits(
     and scored by the clear-sample reconstruction RMSE (normalized per
     plant) over the whole dataset; the split with the lowest RMSE wins,
     longest split on ties. The exported coefficients per plant come from
-    that split's best-reconstructing fold.
+    that split's best-reconstructing fold. A plant whose exported
+    coefficients would all be zero raises InsufficientDataError.
     """
     span_days = int(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
@@ -409,9 +406,7 @@ def identify_with_splits(
             for fold_sel in folds:
                 rows = mask & fold_sel
                 if rows.sum() >= max(n_p, 30):
-                    carried = identify_omega(
-                        plant.power[rows], pr[rows], huber_c=huber_c
-                    )
+                    carried = identify_omega(plant.power[rows], pr[rows])
                 fits.append(carried)
             # folds before the first fit reuse the earliest available one
             first = next((f for f in fits if f is not None), None)
@@ -460,6 +455,10 @@ def identify_with_splits(
             )
             if rmse < best_rmse:
                 best_omega, best_rmse = omega, rmse
+        if best_omega is None or not best_omega.any():
+            raise InsufficientDataError(
+                f"{plant.plant_id}: identification left every orientation at zero"
+            )
         omegas.append(
             OmegaCoefficients(
                 plant_id=plant.plant_id,
@@ -502,36 +501,42 @@ def save_omegas(result: IdentificationResult, path) -> None:
             for oc in result.omegas
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_omegas(path, mesh: OrientationMesh) -> tuple[OmegaCoefficients, ...]:
-    """Read coefficients written by save_omegas back onto a mesh."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload["mesh_subdivision"] != mesh.subdivision_level:
+    """Read coefficients written by save_omegas back onto a mesh.
+
+    A file that does not parse, or a field read here that is missing or
+    of the wrong type, is an InputError naming the file.
+    """
+    payload = expect(read_json(path), str(path), dict)
+    subdivision = expect(payload.get("mesh_subdivision"), f"{path}: mesh_subdivision")
+    if subdivision != mesh.subdivision_level:
         raise InputError(
-            "coefficient file was built on a different mesh subdivision"
+            f"{path}: built on mesh subdivision {subdivision}, not {mesh.subdivision_level}"
         )
     lookup = {
         (round(float(np.rad2deg(o.tilt)), 6), round(float(np.rad2deg(o.azimuth)), 6)): j
         for j, o in enumerate(mesh.orientations)
     }
     out = []
-    for rec in payload["plants"]:
+    for i, rec in enumerate(expect(payload.get("plants"), f"{path}: plants", list)):
+        where = f"{path}: plants[{i}]"
         omega = np.zeros(len(mesh))
-        for entry in rec["coefficients"]:
-            key = (entry["tilt_deg"], entry["azimuth_deg"])
-            if key not in lookup:
-                raise InputError(f"{rec['plant_id']}: orientation {key} not on mesh")
-            omega[lookup[key]] = entry["omega_m2"]
-        out.append(
-            OmegaCoefficients(
-                plant_id=rec["plant_id"],
-                omega=omega,
-                estimated_pnom=float(rec["estimated_pnom_w"]),
+        expect(rec, where, dict)
+        for k, entry in enumerate(
+            expect(rec.get("coefficients"), f"{where}.coefficients", list)
+        ):
+            at = f"{where}.coefficients[{k}]"
+            tilt, azimuth, value = (
+                expect(expect(entry, at, dict).get(name), f"{at}.{name}")
+                for name in ("tilt_deg", "azimuth_deg", "omega_m2")
             )
-        )
+            if (tilt, azimuth) not in lookup:
+                raise InputError(f"{at}: orientation {(tilt, azimuth)} not on mesh")
+            omega[lookup[tilt, azimuth]] = value
+        plant_id = expect(rec.get("plant_id"), f"{where}.plant_id", str)
+        pnom = expect(rec.get("estimated_pnom_w"), f"{where}.estimated_pnom_w")
+        out.append(OmegaCoefficients(plant_id, omega, float(pnom)))
     return tuple(out)

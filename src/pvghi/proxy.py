@@ -66,7 +66,6 @@ class ProxyMatrix:
     """T x n_p matrix of simulated specific power, one column per orientation."""
 
     values: np.ndarray
-    orientations: tuple[Orientation, ...]
 
 
 def pressure_at_altitude(altitude_m: float) -> float:
@@ -228,4 +227,4 @@ def proxy_matrix(
         i_aoit = apply_temperature(i_aoi, t_ambient, params)
         values[:, j] = efficiency(i_aoit, params) * i_aoit
     values[~sp.daytime, :] = 0.0
-    return ProxyMatrix(values=values, orientations=tuple(orientations))
+    return ProxyMatrix(values=values)

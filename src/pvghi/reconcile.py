@@ -17,6 +17,10 @@ from scipy.ndimage import gaussian_filter
 from .data import PlantSeries
 from .solar import SolarPosition
 
+SHADOW_QUANTILE = 0.01        # low quantile of the relative error per bin
+SHADOW_MIN_SAMPLES = 10       # fewer samples leave a bin invalid
+SHADOW_POWER_FLOOR_FRAC = 0.02  # share of the rating below which samples are dropped
+
 
 @dataclass(frozen=True)
 class ShadowMap:
@@ -45,13 +49,10 @@ def build_shadow_map(
     pnom: float,
     sp: SolarPosition,
     bin_deg: float = 2.0,
-    quantile: float = 0.01,
-    min_samples: int = 10,
-    power_floor_frac: float = 0.02,
 ) -> ShadowMap:
     """Per-bin low quantile of (predicted clear power - measured) / measured.
 
-    Samples below ``power_floor_frac`` of the plant rating are dropped to
+    Samples below SHADOW_POWER_FLOOR_FRAC of the plant rating are dropped to
     guard the division. Shaded sun positions show up as elevated values
     because even the best observed samples fall short of the clear-sky
     prediction there.
@@ -65,7 +66,7 @@ def build_shadow_map(
     ok = (
         sp.daytime
         & np.isfinite(power)
-        & (power >= power_floor_frac * pnom)
+        & (power >= SHADOW_POWER_FLOOR_FRAC * pnom)
         & np.isfinite(estimated_clear_power)
     )
     if not ok.any():
@@ -85,11 +86,11 @@ def build_shadow_map(
     starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
     bounds = np.append(starts, len(flat_sorted))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < min_samples:
+        if hi - lo < SHADOW_MIN_SAMPLES:
             continue
         cell = flat_sorted[lo]
         values[cell // n_az, cell % n_az] = np.percentile(
-            rel_sorted[lo:hi], 100.0 * quantile
+            rel_sorted[lo:hi], 100.0 * SHADOW_QUANTILE
         )
         valid[cell // n_az, cell % n_az] = True
     return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)

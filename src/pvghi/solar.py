@@ -10,12 +10,11 @@ which is well inside the 0.2 deg accuracy budget of the downstream
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError, Site, parse_timestamp
+from .data import InputError, Site, read_series_csv
 
 SOLAR_CONSTANT = 1367.0  # W/m^2
 AIRMASS_NIGHT = np.inf  # sentinel for sun below horizon
@@ -178,34 +177,22 @@ def clearsky_ghi_ineichen(
     return ghi
 
 
-CLEARSKY_HEADER = ("timestamp", "ghi_clear_wm2")
-
-
 def load_clearsky_csv(path, timestamps: np.ndarray) -> np.ndarray:
-    """Read a clear-sky override CSV and map it onto the requested grid.
+    """Read a ``timestamp,ghi_clear_wm2`` override CSV onto the requested grid.
 
-    Every requested timestamp must be present in the file.
+    Every requested timestamp must be in the file with a finite value.
     """
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise InputError(f"clear-sky file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CLEARSKY_HEADER:
-            raise InputError(f"{path}: expected header {','.join(CLEARSKY_HEADER)}")
-        table = {}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            table[int(parse_timestamp(row[0]).astype("int64"))] = float(row[1])
-    wanted = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
-    missing = [t for t in wanted if t not in table]
-    if missing:
-        stamp = np.datetime64(int(missing[0]), "s")
-        raise InputError(f"{path}: missing {len(missing)} timestamps (first: {stamp})")
-    return np.array([table[t] for t in wanted], dtype=float)
+    stamps, (values,) = read_series_csv(path, "timestamp,ghi_clear_wm2")
+    table = dict(zip(stamps.astype("int64").tolist(), values.tolist()))
+    wanted = np.asarray(timestamps, dtype="datetime64[s]")
+    out = np.array([table.get(t, np.nan) for t in wanted.astype("int64").tolist()])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise InputError(
+            f"{path}: no finite value for {int(bad.sum())} requested timestamps "
+            f"(first: {wanted[bad][0]})"
+        )
+    return out
 
 
 def clearsky_ghi(

@@ -83,7 +83,9 @@ class ForwardModel:
 
     Only mesh columns carrying weight for at least one plant are
     evaluated; dropped columns multiply zero coefficients, so the
-    restriction is exact.
+    restriction is exact. A plant whose coefficients are all zero, or
+    whose rating is not a positive finite number, is an InputError: its
+    rating-normalized errors would otherwise swamp the objective.
     """
 
     def __init__(
@@ -99,17 +101,24 @@ class ForwardModel:
         weights = np.column_stack([oc.omega for oc in omegas])
         if weights.shape[0] != len(mesh_orientations):
             raise InputError("coefficient length does not match the mesh")
+        pnom = np.array([oc.estimated_pnom for oc in omegas], dtype=float)
+        unusable = [
+            oc.plant_id
+            for oc, rating in zip(omegas, pnom)
+            if not (oc.omega.any() and 0 < rating < np.inf)
+        ]
+        if unusable:
+            raise InputError(
+                f"plant(s) {', '.join(unusable)}: coefficients all zero or rating not "
+                "a positive finite number"
+            )
         support = np.flatnonzero(weights.any(axis=1))
-        if support.size == 0:
-            raise InputError("all coefficient vectors are zero")
         self.dataset = dataset
         self.params = params
         self.sp = sp
         self.orientations = [mesh_orientations[j] for j in support]
         self.weights = weights[support]
-        self.pnom = np.maximum(
-            np.array([oc.estimated_pnom for oc in omegas]), 1e-9
-        )
+        self.pnom = pnom
         self.power = dataset.power_matrix()
         self.temperature = dataset.mean_temperature()
 

@@ -255,3 +255,150 @@ def test_convergence_shortfall_exit_code(pipeline_dir, tmp_path):
     omega.write_text(json.dumps(payload))
     rc = main(["estimate", "--config", str(cfg), "--omega", str(omega)])
     assert rc == 2
+
+
+def test_estimate_csv_reads_as_the_benchmark_reads_it(pipeline_dir):
+    _, _, out = pipeline_dir
+    table = np.loadtxt(
+        out / "ghi_estimate.csv", delimiter=",", skiprows=1, usecols=(1, 4)
+    )
+    assert table.shape == (35 * 144, 2)
+    assert set(np.unique(table[:, 1])) <= {0.0, 1.0}
+
+
+def _stamp(minute):
+    return f"2015-05-01T{10 + minute // 60:02d}:{minute % 60:02d}:00Z"
+
+
+TINY_PLANT = "timestamp,power_w,temp_c\n" + "".join(
+    f"{_stamp(m)},1000.0,15.0\n" for m in (0, 10, 20)
+)
+TINY_ESTIMATE = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged\n" + "".join(
+    f"{_stamp(m)},500.0,2,3,1\n" for m in (0, 10, 20)
+)
+
+
+def _spec_text(edit):
+    spec = json.loads(json.dumps(SYNTH_SPEC))
+    edit(spec)
+    return json.dumps(spec)
+
+
+MALFORMED = {
+    "truth-no-timestamp-column": (
+        "evaluate", f"time,ghi_wm2\n{_stamp(0)},1.0\n"
+    ),
+    "truth-bad-timestamp": ("evaluate", "timestamp,ghi_wm2\nyesterday,1.0\n"),
+    "truth-short-row": (
+        "evaluate", f"timestamp,ghi_wm2\n{_stamp(0)},1.0\n{_stamp(10)}\n"
+    ),
+    "clearsky-short-row": (
+        "override", f"timestamp,ghi_clear_wm2\n{_stamp(0)},1.0\n{_stamp(10)}\n"
+    ),
+    "clearsky-non-numeric": (
+        "override",
+        f"timestamp,ghi_clear_wm2\n{_stamp(0)},1.0\n{_stamp(10)},bright\n{_stamp(20)},1.0\n",
+    ),
+    "clearsky-bad-timestamp": (
+        "override", "timestamp,ghi_clear_wm2\n2015-13-01T10:00:00Z,1.0\n"
+    ),
+    "spec-invalid-json": ("synth", '{"plants": [}'),
+    "spec-unknown-cloud-key": (
+        "synth", _spec_text(lambda s: s.update(cloud={"sigma": 0.3, "persistence": 0.9}))
+    ),
+    "spec-misspelled-noise": (
+        "synth", _spec_text(lambda s: s["plants"][0].update(noise=0.01))
+    ),
+    "spec-missing-azimuth": (
+        "synth", _spec_text(lambda s: s["plants"][0]["fields"][0].pop("azimuth_deg"))
+    ),
+    "spec-repeated-plant-id": (
+        "synth", _spec_text(lambda s: s["plants"][1].update(plant_id="south"))
+    ),
+    "spec-non-numeric-tilt": (
+        "synth", _spec_text(lambda s: s["plants"][0]["fields"][0].update(tilt_deg="flat"))
+    ),
+    "omega-invalid-json": ("estimate", '{"mesh_subdivision": 2,'),
+    "omega-no-plants": ("estimate", json.dumps({"mesh_subdivision": 2})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
+    command, content = MALFORMED[case]
+    bad = tmp_path / "malformed_input"
+    bad.write_text(content)
+    plant = tmp_path / "p.csv"
+    plant.write_text(TINY_PLANT)
+    estimate_csv = tmp_path / "est.csv"
+    estimate_csv.write_text(TINY_ESTIMATE)
+    body = CONFIG_TEMPLATE.format(plants_line=f"plants = {plant}")
+    if command == "override":
+        body = body.replace("output_dir = out", f"output_dir = out\nclearsky_override = {bad}")
+    config = tmp_path / "config.ini"
+    config.write_text(body)
+    argv = {
+        "evaluate": [
+            "evaluate", "--est", str(estimate_csv), "--truth", str(bad),
+            "--output", str(tmp_path / "metrics.json"),
+        ],
+        "override": ["identify", "--config", str(config)],
+        "synth": ["synth", "--config", str(config), "--spec", str(bad)],
+        "estimate": ["estimate", "--config", str(config), "--omega", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: ") and str(bad) in err[0], err[0]
+
+
+def test_zero_coefficient_plant_is_input_error(tmp_path, capsys):
+    for pid in ("good", "dead"):
+        (tmp_path / f"{pid}.csv").write_text(TINY_PLANT)
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants = good.csv, dead.csv"))
+    flat = {"tilt_deg": 0.0, "azimuth_deg": 0.0, "omega_m2": 8.0}
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps({
+        "mesh_subdivision": 2,
+        "plants": [
+            {"plant_id": "good", "coefficients": [flat], "estimated_pnom_w": 7536.0},
+            {"plant_id": "dead", "coefficients": [], "estimated_pnom_w": 7536.0},
+        ],
+    }))
+    assert main(["estimate", "--config", str(config), "--omega", str(omega)]) == 1
+    err = capsys.readouterr().err
+    assert "dead" in err and "good" not in err
+
+
+def test_evaluate_scores_only_shared_finite_samples(tmp_path):
+    minutes = range(0, 120, 10)
+    est = tmp_path / "est.csv"
+    est.write_text(
+        "timestamp,ghi_est_wm2,n_plants_used,iterations,converged\n"
+        + "".join(f"{_stamp(m)},{500.0 + 3 * m},2,3,1\n" for m in minutes)
+    )
+    # a gap at 10:10, no row at 11:00, and a row past the estimate's end
+    truth_rows = {m: f"{500.0 + m}" for m in minutes if m != 60}
+    truth_rows[10] = ""
+    truth_rows[120] = "700.0"
+    truth = tmp_path / "truth.csv"
+    truth.write_text(
+        "timestamp,ghi_wm2\n" + "".join(f"{_stamp(m)},{v}\n" for m, v in truth_rows.items())
+    )
+    report_path = tmp_path / "metrics.json"
+    rc = main([
+        "evaluate", "--est", str(est), "--truth", str(truth), "--output", str(report_path),
+    ])
+    assert rc == 0
+    shared = [m for m in minutes if m not in (10, 60)]
+    err = np.array([2.0 * m for m in shared])
+    report = json.loads(report_path.read_text())
+    assert report["native"]["n_samples"] == len(shared)
+    assert report["native"]["rmse_wm2"] == pytest.approx(float(np.sqrt(np.mean(err**2))))
+    # only the 30-min blocks 10:30 and 11:30 are complete
+    block_err = np.array([2.0 * (m + 10) for m in (30, 90)])
+    assert report["agg_30min"]["n_samples"] == 2
+    assert report["agg_30min"]["rmse_wm2"] == pytest.approx(
+        float(np.sqrt(np.mean(block_err**2)))
+    )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pvghi import InputError, PlantSeries, Site, align, load_plant_csv
-from pvghi.data import save_plant_csv
+from pvghi.data import read_series_csv, save_plant_csv, write_series_csv
 
 
 def write_csv(path, rows):
@@ -178,3 +178,20 @@ def test_align_single_plant_identity(site):
     ds = align([a], site)
     assert ds.n_steps == 8
     np.testing.assert_array_equal(ds.plants[0].power, a.power)
+
+
+def test_series_csv_roundtrip_nan_int_bool(tmp_path):
+    ts = np.datetime64("2021-06-01T10:00:00", "s") + np.arange(4) * np.timedelta64(600, "s")
+    floats = np.array([0.1, np.nan, -1.5e-300, 1234.5678901234567])
+    ints = np.array([0, 7, -3, 2**40])
+    flags = np.array([True, False, True, False])
+    path = tmp_path / "series.csv"
+    write_series_csv(path, "timestamp,x,n,flag", ts, (floats, ints, flags))
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.splitlines()[2] == b"2021-06-01T10:10:00Z,,7,0"
+    stamps, (x, n, flag) = read_series_csv(path, "timestamp,x,n,flag")
+    assert np.array_equal(stamps, ts)
+    assert x.tobytes() == floats.tobytes()
+    assert np.array_equal(n, ints)
+    assert np.array_equal(flag, flags)

@@ -10,10 +10,11 @@ from pvghi import (
     fit_gmm2,
     generate_mesh,
     identify_omega,
+    clearsky_ghi,
     select_clear,
     sun_positions,
 )
-from pvghi.data import PlantSeries
+from pvghi.data import AlignedDataset, PlantSeries
 from pvghi.orientation import (
     InsufficientDataError,
     identify_with_splits,
@@ -329,3 +330,15 @@ def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):
         assert a.plant_id == b.plant_id
         np.testing.assert_allclose(a.omega, b.omega, rtol=0, atol=0)
         assert a.estimated_pnom == b.estimated_pnom
+
+
+def test_identify_refuses_all_zero_coefficients(site, mesh, params):
+    ts = make_timestamps("2015-05-01T00:00:00", 7, 600)
+    sp = sun_positions(ts, site)
+    dead = PlantSeries("dead", ts, np.zeros(len(ts)), np.full(len(ts), 15.0))
+    dataset = AlignedDataset(ts, (dead,), site)
+    with pytest.raises(InsufficientDataError, match="dead"):
+        identify_with_splits(
+            dataset, sp, clearsky_ghi(ts, site), mesh, params, [sp.daytime],
+            split_days=(7,),
+        )

@@ -1,8 +1,9 @@
 """Grid initialization, descent refinement and the full estimation loop."""
 
 import numpy as np
+import pytest
 
-from pvghi import SolverConfig, estimate, sun_positions
+from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi.solver import ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
@@ -281,3 +282,20 @@ class TestMissingData:
         day = sp.daytime
         rmse = np.sqrt(np.mean((res.ghi[day] - synth.ghi_true[day]) ** 2))
         assert rmse < 5.0
+
+
+def test_forward_model_names_every_unusable_plant(site, mesh, params):
+    synth, sp, (p1, p2, p3, p4) = build_scene(site, mesh, params, days=1)
+    zero = OmegaCoefficients("p2", np.zeros_like(p2.omega), p2.estimated_pnom)
+    unrated = OmegaCoefficients("p4", p4.omega, float("nan"))
+    with pytest.raises(InputError, match="p2, p4"):
+        ForwardModel(synth.dataset, (p1, zero, p3, unrated), mesh.orientations, params, sp)
+
+
+@pytest.mark.parametrize("rating", [0.0, -1.0, float("inf")])
+def test_forward_model_rejects_bad_rating(site, mesh, params, rating):
+    synth, sp, omegas = build_scene(site, mesh, params, days=1)
+    bad = OmegaCoefficients("p3", omegas[2].omega, rating)
+    omegas = (*omegas[:2], bad, omegas[3])
+    with pytest.raises(InputError, match="p3"):
+        ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)

@@ -49,9 +49,15 @@ ESTIMATE_HEADER = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged"
 
 
 def _load_dataset(cfg: RunConfig):
-    plants = [
-        load_plant_csv(p, plant_id=p.stem) for p in cfg.plant_paths
-    ]
+    """The configured plants, each named by its file stem, aligned."""
+    seen = {}
+    for path in cfg.plant_paths:
+        if path.stem in seen:
+            raise InputError(
+                f"plants {seen[path.stem]} and {path} share the plant id {path.stem!r}"
+            )
+        seen[path.stem] = path
+    plants = [load_plant_csv(p, plant_id=p.stem) for p in cfg.plant_paths]
     return align(plants, cfg.site)
 
 
@@ -209,7 +215,7 @@ def _read_synth_spec(path, step_seconds: int):
             raise InputError(f"spec.plants: plant_id repeated in {ids}")
         try:
             timestamps = make_timestamps(start, days, step_seconds)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise InputError(f"start: bad timestamp {start!r}") from None
         if timestamps.size == 0:
             raise InputError(f"days: {days} holds no {step_seconds} s sample")

@@ -80,19 +80,16 @@ def build_shadow_map(
         n_az - 1,
     )
     flat = zen_idx * n_az + az_idx
-    order = np.argsort(flat, kind="stable")
+    order = np.lexsort((rel, flat))
     flat_sorted = flat[order]
-    rel_sorted = rel[order]
     starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
-    bounds = np.append(starts, len(flat_sorted))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < SHADOW_MIN_SAMPLES:
-            continue
-        cell = flat_sorted[lo]
-        values[cell // n_az, cell % n_az] = np.percentile(
-            rel_sorted[lo:hi], 100.0 * SHADOW_QUANTILE
-        )
-        valid[cell // n_az, cell % n_az] = True
+    counts = np.diff(np.append(starts, len(flat_sorted)))
+    full = counts >= SHADOW_MIN_SAMPLES
+    cells = flat_sorted[starts[full]]
+    values.flat[cells] = _sorted_quantile(
+        rel[order], starts[full], counts[full], SHADOW_QUANTILE
+    )
+    valid.flat[cells] = True
     return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
 
 
@@ -156,21 +153,46 @@ def tukey_gate_matrix(error_matrix: np.ndarray, k_q: float = 1.5) -> np.ndarray:
     the row's finite entries (linear-interpolated quartiles) are
     dropped. A row with two or fewer finite entries has meaningless
     quartiles and keeps everything. NaN entries (missing plants) are
-    kept as True and must be masked by the caller.
+    kept as True and must be masked by the caller. Both quartiles come
+    from one sort of the rows and equal numpy's linear ``nanpercentile``
+    of each row bit for bit.
     """
     e = np.asarray(error_matrix, dtype=float)
     keep = np.ones(e.shape, dtype=bool)
-    finite = np.isfinite(e)
-    enough = finite.sum(axis=1) > 2
-    if not enough.any():
+    rows = np.flatnonzero(np.isfinite(e).sum(axis=1) > 2)
+    if rows.size == 0:
         return keep
-    rows = np.flatnonzero(enough)
-    with np.errstate(invalid="ignore"):
-        q25 = np.nanpercentile(e[rows], 25.0, axis=1)
-        q75 = np.nanpercentile(e[rows], 75.0, axis=1)
-    iq = q75 - q25
-    lo = (q25 - k_q * iq)[:, None]
-    hi = (q75 + k_q * iq)[:, None]
     sub = e[rows]
+    ranked = np.sort(sub, axis=1).ravel()  # NaN sorts last in each row
+    starts = np.arange(rows.size) * e.shape[1]
+    counts = (~np.isnan(sub)).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        q25 = _sorted_quantile(ranked, starts, counts, 0.25)
+        q75 = _sorted_quantile(ranked, starts, counts, 0.75)
+        iq = q75 - q25
+        lo = (q25 - k_q * iq)[:, None]
+        hi = (q75 + k_q * iq)[:, None]
     keep[rows] = np.where(np.isfinite(sub), (sub >= lo) & (sub <= hi), True)
     return keep
+
+
+def _sorted_quantile(
+    ranked: np.ndarray, starts: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """Linear-interpolated q-quantile of sorted runs of a 1-D array.
+
+    Run i is ``ranked[starts[i] : starts[i] + counts[i]]``, sorted
+    ascending, with counts >= 2 and 0 <= q < 1. The steps are numpy's
+    for ``method="linear"``: virtual index (n - 1) * q, its floor and
+    fraction g, then a + (b - a) * g, or b - (b - a) * (1 - g) when
+    g >= 0.5. Each result therefore equals numpy's linear
+    ``percentile(run, 100 * q)`` bit for bit.
+    """
+    virtual = (counts - 1) * q
+    below = np.floor(virtual)
+    g = virtual - below
+    first = starts + below.astype(np.intp)
+    a = ranked[first]
+    b = ranked[first + 1]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)

@@ -17,6 +17,7 @@ a constant factor, so after m rejections the step is lambda0 * k^m.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +87,9 @@ class ForwardModel:
     restriction is exact. A plant whose coefficients are all zero, or
     whose rating is not a positive finite number, is an InputError: its
     rating-normalized errors would otherwise swamp the objective.
+
+    ``rows`` restricts the model to a subset of timesteps, so the solver
+    evaluates the chain only where the result still depends on it.
     """
 
     def __init__(
@@ -113,23 +117,55 @@ class ForwardModel:
                 "a positive finite number"
             )
         support = np.flatnonzero(weights.any(axis=1))
-        self.dataset = dataset
+        self.site = dataset.site
         self.params = params
-        self.sp = sp
         self.orientations = [mesh_orientations[j] for j in support]
         self.weights = weights[support]
         self.pnom = pnom
+        self.n_steps = dataset.n_steps
+        self.index = None  # rows of the full model; None means all of them
+        self.sp = sp
+        self.timestamps = dataset.timestamps
         self.power = dataset.power_matrix()
         self.temperature = dataset.mean_temperature()
 
+    def rows(self, idx: np.ndarray) -> ForwardModel:
+        """The model restricted to the timesteps ``idx`` of this model.
+
+        Every step of the chain is elementwise in time and ``plant_power``
+        keeps each row's position, so the restricted model's values equal
+        the matching rows of the full model's bit for bit.
+        """
+        sub = copy.copy(self)
+        sub.index = idx if self.index is None else self.index[idx]
+        sub.sp = SolarPosition(azimuth=self.sp.azimuth[idx], zenith=self.sp.zenith[idx])
+        sub.timestamps = self.timestamps[idx]
+        sub.power = self.power[idx]
+        sub.temperature = self.temperature[idx]
+        return sub
+
     def proxies(self, ghi: np.ndarray) -> np.ndarray:
         return proxy_matrix(
-            ghi, self.sp, self.dataset.timestamps, self.temperature,
-            self.orientations, self.params, self.dataset.site,
+            ghi, self.sp, self.timestamps, self.temperature,
+            self.orientations, self.params, self.site,
         ).values
 
+    def plant_power(self, pr: np.ndarray) -> np.ndarray:
+        """Plant powers ``pr @ weights`` for this model's rows.
+
+        BLAS may round a row's product differently by where the row sits
+        in the matrix (kernel tails, a matrix-vector call for one row), so
+        a restricted model multiplies its rows at their full-length
+        positions among zero rows.
+        """
+        if self.index is None:
+            return pr @ self.weights
+        placed = np.zeros((self.n_steps, pr.shape[1]))
+        placed[self.index] = pr
+        return (placed @ self.weights)[self.index]
+
     def errors_from(self, pr: np.ndarray) -> np.ndarray:
-        return (self.power - pr @ self.weights) / self.pnom[None, :]
+        return (self.power - self.plant_power(pr)) / self.pnom[None, :]
 
     def normalized_errors(self, ghi: np.ndarray) -> np.ndarray:
         return self.errors_from(self.proxies(ghi))
@@ -176,7 +212,7 @@ def objective_gradient(
     if errors is None:
         errors = model.errors_from(pr_base)
     pr_plus = model.proxies(np.asarray(ghi, float) + cfg.delta_ghi)
-    dpred = (pr_plus - pr_base) @ model.weights / cfg.delta_ghi
+    dpred = model.plant_power(pr_plus - pr_base) / cfg.delta_ghi
     derr = -dpred / model.pnom[None, :]
     w = _objective_weights(errors, trust, gate)
     mean = np.nansum(np.where(w > 0, w * errors, 0.0), axis=1)
@@ -196,26 +232,34 @@ def init_ghi(
     Each candidate is a scaled clear-sky profile; per timestep the
     candidate with the lowest weighted mean absolute error wins. Night
     steps are zero; daytime steps with no usable plant fall back to the
-    clear-sky value.
+    clear-sky value. The grid is evaluated on the daytime steps only.
     """
     ghi_max = cfg.k_safety * np.asarray(ghi_clear, float)
     day = model.sp.daytime & (ghi_max > 0)
     t_count = len(ghi_max)
+    rows = np.flatnonzero(day)
+    day_model = model.rows(rows)
+    day_trust = trust[rows]
+    day_max = ghi_max[rows]
 
-    best_score = np.full(t_count, np.inf)
-    best_ghi = np.zeros(t_count)
-    gate = np.ones_like(trust, dtype=bool)
-    any_data = np.zeros(t_count, dtype=bool)
+    best_score = np.full(rows.size, np.inf)
+    best_day = np.zeros(rows.size)
+    gate = np.ones_like(day_trust, dtype=bool)
+    day_data = np.zeros(rows.size, dtype=bool)
     for g in range(1, cfg.n_grid + 1):
-        cand = (g / cfg.n_grid) * ghi_max
-        errors = model.normalized_errors(cand)
-        w = _objective_weights(errors, trust, gate)
+        cand = (g / cfg.n_grid) * day_max
+        errors = day_model.normalized_errors(cand)
+        w = _objective_weights(errors, day_trust, gate)
         score = np.nansum(np.where(w > 0, w * np.abs(errors), 0.0), axis=1)
         has_data = w.sum(axis=1) > 0
-        any_data |= has_data
-        better = day & has_data & (score < best_score)
+        day_data |= has_data
+        better = has_data & (score < best_score)
         best_score[better] = score[better]
-        best_ghi[better] = cand[better]
+        best_day[better] = cand[better]
+    best_ghi = np.zeros(t_count)
+    best_ghi[rows] = best_day
+    any_data = np.zeros(t_count, dtype=bool)
+    any_data[rows] = day_data
 
     no_info = day & ~any_data
     best_ghi[no_info] = np.asarray(ghi_clear, float)[no_info]
@@ -256,7 +300,8 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap.
+    timestep is frozen or at the iteration cap. Each iteration evaluates
+    the chain on the still-active timesteps only.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
@@ -276,33 +321,35 @@ def refine_ghi(
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
+        rows = np.flatnonzero(active)
         grad = objective_gradient(
-            model, ghi, trust, gate, cfg, pr_base=pr, errors=errors
+            model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg,
+            pr_base=pr[rows], errors=errors[rows],
         )
         direction = np.sign(grad)
         direction[np.abs(grad) <= GRAD_FLOOR] = 0.0
+        moving = direction != 0.0
+        active[rows[~moving]] = False  # a flat gradient freezes the step
+        rows = rows[moving]
 
-        flat = active & (direction == 0.0)
-        active = active & ~flat
+        cand = np.clip(
+            ghi[rows] - lam[rows] * direction[moving], 0.0, state.ghi_max[rows]
+        )
+        sub = model.rows(rows)
+        pr_cand = sub.proxies(cand)
+        err_cand = sub.errors_from(pr_cand)
+        h_cand = objective_value(err_cand, trust[rows], gate[rows])
 
-        cand = np.clip(ghi - lam * direction, 0.0, state.ghi_max)
-        cand = np.where(active, cand, ghi)
-        pr_cand = model.proxies(cand)
-        err_cand = model.errors_from(pr_cand)
-        h_cand = objective_value(err_cand, trust, gate)
-
-        improved = active & (h_cand < h)
-        rejected = active & ~improved
-
-        ghi = np.where(improved, cand, ghi)
-        pr = np.where(improved[:, None], pr_cand, pr)
-        errors = np.where(improved[:, None], err_cand, errors)
-        h = np.where(improved, h_cand, h)
-        lam = np.where(rejected, lam * cfg.k_decay, lam)
-        iterations[active] += 1
-
-        frozen = active & (lam < LAMBDA_MIN)
-        active = active & ~frozen
+        improved = h_cand < h[rows]
+        kept = rows[improved]
+        ghi[kept] = cand[improved]
+        pr[kept] = pr_cand[improved]
+        errors[kept] = err_cand[improved]
+        h[kept] = h_cand[improved]
+        rejected = rows[~improved]
+        lam[rejected] = lam[rejected] * cfg.k_decay
+        iterations[rows] += 1
+        active[rows[lam[rows] < LAMBDA_MIN]] = False
 
         bound_violation = max(
             bound_violation,

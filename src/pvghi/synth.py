@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AlignedDataset, InputError, PlantSeries, Site
+from .data import AlignedDataset, InputError, PlantSeries, Site, parse_timestamp
 from .proxy import ProxyParams, proxy_matrix
 from .solar import clearsky_ghi, sun_positions
 
@@ -92,7 +92,12 @@ class SyntheticDataset:
 
 
 def make_timestamps(start: str, days: float, step_seconds: int) -> np.ndarray:
-    t0 = np.datetime64(start, "s")
+    """UTC datetime64[s] stamps every ``step_seconds`` for ``days`` days.
+
+    ``start`` is read like a CSV timestamp (``data.parse_timestamp``):
+    a naive stamp is UTC and an explicit offset is converted.
+    """
+    t0 = np.datetime64(parse_timestamp(start), "s")
     n = int(days * 86400 / step_seconds)
     return t0 + np.arange(n) * np.timedelta64(step_seconds, "s")
 

@@ -402,3 +402,17 @@ def test_evaluate_scores_only_shared_finite_samples(tmp_path):
     assert report["agg_30min"]["rmse_wm2"] == pytest.approx(
         float(np.sqrt(np.mean(block_err**2)))
     )
+
+
+def test_repeated_plant_id_is_input_error(tmp_path, capsys):
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "good.csv").write_text(TINY_PLANT)
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants = a/good.csv, b/good.csv"))
+    for command in ("identify", "estimate"):
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "good.csv") in err
+        assert str(tmp_path / "b" / "good.csv") in err
+        assert "Traceback" not in err

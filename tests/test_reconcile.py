@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvghi import (
     build_shadow_map,
@@ -13,6 +15,7 @@ from pvghi import (
 from pvghi.data import PlantSeries
 from pvghi.reconcile import ShadowMap, lookup_map, tukey_gate_matrix
 from pvghi.proxy import proxy_matrix
+from pvghi.solar import SolarPosition
 from pvghi.synth import PlantSpec, ShadowSector, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
 
@@ -250,3 +253,76 @@ class TestTukey:
         assert keep[0]
         assert not keep[4]
 
+
+
+def test_shadow_map_bins_match_numpy_percentile():
+    rng = np.random.default_rng(18)
+    n = 4000
+    sp = SolarPosition(
+        azimuth=rng.uniform(0.0, 2 * np.pi, n),
+        zenith=np.deg2rad(rng.choice(
+            [10.0, 10.5, 33.0, 45.0, 61.0, 89.9, 120.0], n,
+            p=[0.2, 0.2, 0.2, 0.02, 0.2, 0.08, 0.1],
+        )),
+    )
+    power = rng.uniform(0.0, 1000.0, n)
+    power[rng.random(n) < 0.05] = np.nan
+    clear = np.round(power * rng.uniform(0.8, 1.5, n), 1)  # rounding makes ties
+    stamps = np.datetime64("2015-05-01", "s") + np.arange(n) * np.timedelta64(60, "s")
+    plant = PlantSeries("p", stamps, power, np.full(n, 15.0))
+    shadow = build_shadow_map(plant, clear, 1000.0, sp, bin_deg=20.0)
+
+    ok = sp.daytime & np.isfinite(power) & (power >= 0.02 * 1000.0)
+    rel = (clear[ok] - power[ok]) / power[ok]
+    zen = np.minimum(np.rad2deg(sp.zenith[ok]) // 20.0, shadow.n_zenith - 1)
+    az = np.minimum(np.rad2deg(sp.azimuth[ok]) // 20.0, shadow.n_azimuth - 1)
+    sizes = set()
+    for i in range(shadow.n_zenith):
+        for j in range(shadow.n_azimuth):
+            cell = rel[(zen == i) & (az == j)]
+            assert shadow.valid[i, j] == (cell.size >= 10)
+            if cell.size >= 10:
+                assert shadow.values[i, j] == np.percentile(cell, 1.0)
+                sizes.add(cell.size)
+    # bins on both sides of the interpolation's g = 0.5 switch, and a thin one
+    assert min(sizes) < 50 < max(sizes)
+    assert not shadow.valid.all()
+
+
+def reference_gate(e: np.ndarray, k_q: float = 1.5) -> np.ndarray:
+    """The Tukey gate with quartiles from numpy's own nanpercentile."""
+    keep = np.ones(e.shape, dtype=bool)
+    rows = np.isfinite(e).sum(axis=1) > 2
+    if rows.any():
+        sub = e[rows]
+        with np.errstate(invalid="ignore"):
+            q25 = np.nanpercentile(sub, 25.0, axis=1)
+            q75 = np.nanpercentile(sub, 75.0, axis=1)
+            lo = (q25 - k_q * (q75 - q25))[:, None]
+            hi = (q75 + k_q * (q75 - q25))[:, None]
+        keep[rows] = np.where(np.isfinite(sub), (sub >= lo) & (sub <= hi), True)
+    return keep
+
+
+@st.composite
+def error_matrices(draw):
+    """NaN-laced (T, n) matrices with ties, constant rows and sparse rows."""
+    n = draw(st.integers(3, 16))
+    t = draw(st.integers(1, 12))
+    entries = st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from([-0.5, 0.0, 1.0, 2.5]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    e = draw(arrays(np.float64, (t, n), elements=entries))
+    for row in draw(st.lists(st.integers(0, t - 1), max_size=3)):
+        e[row] = e[row, 0]
+    for row in draw(st.lists(st.integers(0, t - 1), max_size=3)):
+        e[row, draw(st.integers(0, 2)):] = np.nan
+    return e
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(error_matrices(), st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+def test_gate_matches_reference_percentile(e, k_q):
+    np.testing.assert_array_equal(tukey_gate_matrix(e, k_q), reference_gate(e, k_q))

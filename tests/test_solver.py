@@ -5,7 +5,8 @@ import pytest
 
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
-from pvghi.solver import ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
+from pvghi import solver
+from pvghi.solver import GATE_ROUNDS, ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
 
@@ -299,3 +300,67 @@ def test_forward_model_rejects_bad_rating(site, mesh, params, rating):
     omegas = (*omegas[:2], bad, omegas[3])
     with pytest.raises(InputError, match="p3"):
         ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
+
+
+THREE_PLANTS = {
+    "p1": ((26.57, 180.0, 8000.0),),
+    "p2": ((43.65, 94.39, 4000.0), (43.65, 265.61, 4500.0)),
+    "p3": ((0.0, 0.0, 10000.0),),
+}
+
+
+def three_plant_scene(site, mesh, params, days, seed):
+    fields = {
+        pid: tuple((mesh_vertex(mesh, tilt, az), pnom) for tilt, az, pnom in f)
+        for pid, f in THREE_PLANTS.items()
+    }
+    return build_scene(site, mesh, params, days=days, seed=seed, plants=fields)
+
+
+def test_restricted_model_matches_full_rows(site, mesh, params):
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=2, seed=19)
+    model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
+    ghi = 0.8 * synth.ghi_clear
+    pr = model.proxies(ghi)
+    errors = model.errors_from(pr)
+    rng = np.random.default_rng(19)
+    t_count = len(ghi)
+    for m in (1, 2, 3, 5, 9, 17, t_count // 2 + 1):
+        idx = np.sort(rng.choice(t_count, m, replace=False))
+        sub = model.rows(idx)
+        np.testing.assert_array_equal(sub.proxies(ghi[idx]), pr[idx])
+        np.testing.assert_array_equal(sub.errors_from(pr[idx]), errors[idx])
+        half = sub.rows(np.arange(0, m, 2))
+        np.testing.assert_array_equal(half.errors_from(pr[idx[::2]]), errors[idx[::2]])
+
+
+def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkeypatch):
+    """Grid candidates cover the daytime steps, descent the active ones.
+
+    Full-length evaluations remain for the shadow maps' clear-sky power,
+    the grid winner and the start of each refine round. A step whose
+    gradient is flat costs one gradient evaluation without an iteration,
+    at most once per round.
+    """
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
+    rows_seen = []
+    chain = solver.proxy_matrix
+
+    def counting(ghi, *args):
+        rows_seen.append(len(ghi))
+        return chain(ghi, *args)
+
+    monkeypatch.setattr(solver, "proxy_matrix", counting)
+    cfg = SolverConfig()
+    res = estimate(synth.dataset, omegas, mesh.orientations, params, cfg)
+    t_count = len(res.ghi)
+    day = int((sp.daytime & (res.ghi_clear > 0)).sum())
+    assert 0 < day < t_count
+    assert rows_seen[: cfg.n_grid + 2] == [t_count] + [day] * cfg.n_grid + [t_count]
+    fixed = (2 + GATE_ROUNDS) * t_count
+    flat = GATE_ROUNDS * day
+    bound = cfg.n_grid * day + 2 * int(res.state.iterations.sum()) + fixed + flat
+    assert sum(rows_seen) <= bound
+    loops = sum(len(h) - 1 for h in res.state.objective_history)
+    full_length = (2 + cfg.n_grid + GATE_ROUNDS + 2 * loops) * t_count
+    assert sum(rows_seen) < full_length / 2

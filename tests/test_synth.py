@@ -1,5 +1,7 @@
 """Synthetic generator: determinism, forward-model identity, gates and caps."""
 
+import warnings
+
 import numpy as np
 
 from pvghi import sun_positions
@@ -110,3 +112,20 @@ def test_noise_applied_and_nonnegative(site, mesh):
     b = synthesize(noisy, site, ts, seed=4)
     assert not np.array_equal(a.dataset.plants[0].power, b.dataset.plants[0].power)
     assert np.all(b.dataset.plants[0].power >= 0.0)
+
+
+def test_start_is_read_like_a_csv_timestamp():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        naive = make_timestamps("2015-05-01T00:00:00", 1, 600)
+        zulu = make_timestamps("2015-05-01T00:00:00Z", 1, 600)
+        utc = make_timestamps("2015-05-01T00:00:00+00:00", 1, 600)
+        plus2 = make_timestamps("2015-05-01T00:00:00+02:00", 1, 600)
+    step = np.timedelta64(600, "s")
+    assert naive.dtype == np.dtype("datetime64[s]")
+    np.testing.assert_array_equal(
+        naive, np.datetime64("2015-05-01T00:00:00", "s") + np.arange(144) * step
+    )
+    np.testing.assert_array_equal(zulu, naive)
+    np.testing.assert_array_equal(utc, naive)
+    np.testing.assert_array_equal(plus2, naive - np.timedelta64(2, "h"))

@@ -20,7 +20,7 @@ from .solar import (
     relative_airmass,
     sun_positions,
 )
-from .proxy import ProxyMatrix, ProxyParams, proxy_matrix
+from .proxy import ForwardChain, ProxyMatrix, ProxyParams, forward_chain, proxy_matrix
 from .orientation import (
     OmegaCoefficients,
     OrientationMesh,
@@ -46,6 +46,7 @@ __all__ = [
     "AlignedDataset",
     "CloudModel",
     "EstimationState",
+    "ForwardChain",
     "InputError",
     "MetricReport",
     "OmegaCoefficients",
@@ -71,6 +72,7 @@ __all__ = [
     "estimate_nominal_power",
     "extraterrestrial_normal",
     "fit_gmm2",
+    "forward_chain",
     "generate_mesh",
     "identify_omega",
     "identify_with_splits",

@@ -1,9 +1,9 @@
 """Run configuration: one INI file carries every tunable of a run.
 
 Unknown sections or keys are rejected so typos cannot silently fall
-back to defaults, and a value that does not parse is an input error
-naming its section and key. Paths are resolved relative to the config
-file. ``[run] threads`` is accepted for compatibility and ignored: runs
+back to defaults, and a value that does not parse or is out of the
+range it needs is an input error naming its section and key. Paths are
+resolved relative to the config file. ``[run] threads`` is accepted for compatibility and ignored: runs
 are single-threaded.
 """
 
@@ -13,29 +13,28 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import InputError, Site
+import numpy as np
+
+from .data import InputError, SettingError, Site, check_settings
 from .proxy import ProxyParams
 from .solver import SolverConfig
-
-_KNOWN_KEYS = {
-    "site": {"latitude", "longitude", "altitude", "albedo", "sampling_seconds"},
-    "paths": {"plants", "clearsky_override", "output_dir"},
-    "proxy": {"k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4"},
-    "orientation": {"subdivision", "split_candidates", "gmm_bin_deg"},
-    "reconciliation": {"bin_deg", "bandwidth_deg", "floor", "k_q"},
-    "solver": {
-        "n_grid", "k_safety", "delta_ghi", "lambda0", "k_decay",
-        "max_iterations", "use_trust", "use_gate", "linke_turbidity",
-    },
-    "run": {"seed", "threads"},
-}
 
 
 @dataclass(frozen=True)
 class OrientationConfig:
+    """Identification settings; a value out of range is a SettingError."""
+
     subdivision: int = 2
     split_candidates: tuple[int, ...] = (365, 182, 121, 91, 73)
     gmm_bin_deg: float = 5.0
+
+    def __post_init__(self):
+        check_settings(self, (
+            ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
+            ("split_candidates", len(self.split_candidates) > 0
+             and all(d >= 1 for d in self.split_candidates), "one or more positive day counts"),
+            ("gmm_bin_deg", 0.0 < self.gmm_bin_deg < np.inf, "finite and positive"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,73 @@ def _getbool(section, key, default):
     raise InputError(f"[{section.name}] {key}: expected a boolean, got {raw!r}")
 
 
+def _getsplits(section, key, default):
+    raw = section.get(key, "")
+    if not raw.strip():
+        return default
+    try:
+        return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
+    except ValueError:
+        raise InputError(
+            f"[{section.name}] {key}: expected integers, got {raw!r}"
+        ) from None
+
+
+# settings field -> (INI section, key, reader)
+_PROXY_KEYS = {
+    name: ("proxy", name, _getfloat)
+    for name in ("k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4")
+}
+_ORIENTATION_KEYS = {
+    "subdivision": ("orientation", "subdivision", _getint),
+    "split_candidates": ("orientation", "split_candidates", _getsplits),
+    "gmm_bin_deg": ("orientation", "gmm_bin_deg", _getfloat),
+}
+_SOLVER_KEYS = {
+    "n_grid": ("solver", "n_grid", _getint),
+    "k_safety": ("solver", "k_safety", _getfloat),
+    "delta_ghi": ("solver", "delta_ghi", _getfloat),
+    "lambda0": ("solver", "lambda0", _getfloat),
+    "k_decay": ("solver", "k_decay", _getfloat),
+    "max_iterations": ("solver", "max_iterations", _getint),
+    "use_trust": ("solver", "use_trust", _getbool),
+    "use_gate": ("solver", "use_gate", _getbool),
+    "linke_turbidity": ("solver", "linke_turbidity", _getfloat),
+    "trust_bin_deg": ("reconciliation", "bin_deg", _getfloat),
+    "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg", _getfloat),
+    "trust_floor": ("reconciliation", "floor", _getfloat),
+    "k_q": ("reconciliation", "k_q", _getfloat),
+}
+_KNOWN_KEYS = {
+    "site": {"latitude", "longitude", "altitude", "albedo", "sampling_seconds"},
+    "paths": {"plants", "clearsky_override", "output_dir"},
+    "run": {"seed", "threads"},
+}
+for _section, _key, _ in (
+    *_PROXY_KEYS.values(), *_ORIENTATION_KEYS.values(), *_SOLVER_KEYS.values()
+):
+    _KNOWN_KEYS.setdefault(_section, set()).add(_key)
+
+
+def _settings(cls, parser, keys):
+    """``cls`` from the INI values present, its defaults for the rest.
+
+    A value that does not parse or is out of range is an InputError
+    naming its section and key.
+    """
+    defaults = cls()
+    values = {
+        name: read(parser[section], key, getattr(defaults, name))
+        for name, (section, key, read) in keys.items()
+        if parser.has_option(section, key)
+    }
+    try:
+        return cls(**values)
+    except SettingError as err:
+        section, key, _ = keys[err.field]
+        raise InputError(f"[{section}] {key}: {err.reason}") from None
+
+
 def load_run_config(path, require_plants: bool = True) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -107,6 +173,8 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
         albedo=_getfloat(s, "albedo", 0.2),
     )
     sampling_seconds = _getint(s, "sampling_seconds", 600)
+    if sampling_seconds < 1:
+        raise InputError(f"[site] sampling_seconds: must be >= 1, got {sampling_seconds}")
 
     base = path.parent
     paths = parser["paths"] if "paths" in parser else {}
@@ -130,55 +198,9 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
             raise InputError(f"clear-sky override not found: {override}")
     output_dir = (base / paths.get("output_dir", "out")).resolve()
 
-    prox = parser["proxy"] if "proxy" in parser else {}
-    defaults = ProxyParams()
-    proxy = ProxyParams(
-        k1=_getfloat(prox, "k1", defaults.k1),
-        phi=_getfloat(prox, "phi", defaults.phi),
-        gamma=_getfloat(prox, "gamma", defaults.gamma),
-        t_ref=_getfloat(prox, "t_ref", defaults.t_ref),
-        i_stc=_getfloat(prox, "i_stc", defaults.i_stc),
-        k2=_getfloat(prox, "k2", defaults.k2),
-        k3=_getfloat(prox, "k3", defaults.k3),
-        k4=_getfloat(prox, "k4", defaults.k4),
-    )
-
-    orient_sec = parser["orientation"] if "orientation" in parser else {}
-    splits = orient_sec.get("split_candidates", "")
-    try:
-        split_candidates = (
-            tuple(int(x.strip()) for x in splits.split(",") if x.strip())
-            if splits
-            else OrientationConfig().split_candidates
-        )
-    except ValueError:
-        raise InputError(
-            f"[orientation] split_candidates: expected integers, got {splits!r}"
-        ) from None
-    orientation = OrientationConfig(
-        subdivision=_getint(orient_sec, "subdivision", 2),
-        split_candidates=split_candidates,
-        gmm_bin_deg=_getfloat(orient_sec, "gmm_bin_deg", 5.0),
-    )
-
-    solver_sec = parser["solver"] if "solver" in parser else {}
-    recon_sec = parser["reconciliation"] if "reconciliation" in parser else {}
-    sdef = SolverConfig()
-    solver = SolverConfig(
-        n_grid=_getint(solver_sec, "n_grid", sdef.n_grid),
-        k_safety=_getfloat(solver_sec, "k_safety", sdef.k_safety),
-        delta_ghi=_getfloat(solver_sec, "delta_ghi", sdef.delta_ghi),
-        lambda0=_getfloat(solver_sec, "lambda0", sdef.lambda0),
-        k_decay=_getfloat(solver_sec, "k_decay", sdef.k_decay),
-        max_iterations=_getint(solver_sec, "max_iterations", sdef.max_iterations),
-        use_trust=_getbool(solver_sec, "use_trust", sdef.use_trust),
-        use_gate=_getbool(solver_sec, "use_gate", sdef.use_gate),
-        linke_turbidity=_getfloat(solver_sec, "linke_turbidity", sdef.linke_turbidity),
-        trust_bin_deg=_getfloat(recon_sec, "bin_deg", sdef.trust_bin_deg),
-        trust_bandwidth_deg=_getfloat(recon_sec, "bandwidth_deg", sdef.trust_bandwidth_deg),
-        trust_floor=_getfloat(recon_sec, "floor", sdef.trust_floor),
-        k_q=_getfloat(recon_sec, "k_q", sdef.k_q),
-    )
+    proxy = _settings(ProxyParams, parser, _PROXY_KEYS)
+    orientation = _settings(OrientationConfig, parser, _ORIENTATION_KEYS)
+    solver = _settings(SolverConfig, parser, _SOLVER_KEYS)
 
     run_sec = parser["run"] if "run" in parser else {}
     return RunConfig(

@@ -22,6 +22,25 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+class SettingError(InputError):
+    """A setting outside the range it needs; ``field`` names it."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def check_settings(settings, needs) -> None:
+    """Raise a SettingError for the first ``(field, ok, need)`` that is not ok.
+
+    Write each ``ok`` as a chained comparison, which NaN fails.
+    """
+    for field, ok, need in needs:
+        if not ok:
+            raise SettingError(field, f"must be {need}, got {getattr(settings, field)!r}")
+
+
 @dataclass(frozen=True)
 class Site:
     """Geographic location and ground properties of the neighborhood."""

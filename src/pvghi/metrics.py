@@ -115,11 +115,8 @@ def block_average(
     if per_block <= 1:
         return values.copy(), np.asarray(timestamps)
     anchor = (ts - ts[0]) // period_seconds
-    n_blocks = int(anchor[-1]) + 1
-    out_vals, out_ts = [], []
-    for b in range(n_blocks):
-        sel = anchor == b
-        if sel.sum() == per_block:
-            out_vals.append(values[sel].mean())
-            out_ts.append(ts[sel][0])
-    return np.array(out_vals), np.array(out_ts, dtype="int64").astype("datetime64[s]")
+    first = np.flatnonzero(np.diff(anchor, prepend=-1))  # each block's first sample
+    counts = np.diff(first, append=len(ts))
+    starts = first[counts == per_block]
+    means = values[starts[:, None] + np.arange(per_block)].mean(axis=1)
+    return means, ts[starts].astype("datetime64[s]")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
-from .proxy import ProxyParams, proxy_matrix
+from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .solar import Orientation, SolarPosition
 
 GMM_MIN_SAMPLES = 20
@@ -351,11 +351,12 @@ class IdentificationResult:
     report: SplitReport
 
 
-def _fold_edges(timestamps: np.ndarray, length_days: int) -> list[np.ndarray]:
+def _fold_edges(timestamps: np.ndarray, length_days: int, rows: np.ndarray) -> list[np.ndarray]:
+    """Fold membership of the timesteps ``rows``; folds start at the first timestamp."""
     start = timestamps[0].astype("int64")
     day = ((timestamps.astype("int64") - start) // 86400).astype(int)
     fold = day // length_days
-    return [fold == k for k in range(int(fold.max()) + 1)]
+    return [fold[rows] == k for k in range(int(fold.max()) + 1)]
 
 
 def identify_with_splits(
@@ -375,6 +376,9 @@ def identify_with_splits(
     longest split on ties. The exported coefficients per plant come from
     that split's best-reconstructing fold. A plant whose exported
     coefficients would all be zero raises InsufficientDataError.
+
+    Only clear samples with finite power are fitted or scored, so the
+    proxy matrix is built on the union of those timesteps alone.
     """
     span_days = int(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
@@ -387,26 +391,33 @@ def identify_with_splits(
             f"{sorted(split_days)}"
         )
 
+    fitted = [m & np.isfinite(p.power) for m, p in zip(clear_masks, dataset.plants)]
+    union = np.flatnonzero(np.logical_or.reduce(fitted))
     pr = proxy_matrix(
-        ghi_clear, sp, dataset.timestamps, dataset.mean_temperature(),
-        mesh.orientations, params, dataset.site,
+        np.asarray(ghi_clear, dtype=float)[union],
+        forward_chain(
+            SolarPosition(azimuth=sp.azimuth[union], zenith=sp.zenith[union]),
+            dataset.timestamps[union], dataset.mean_temperature()[union],
+            mesh.orientations, params, dataset.site,
+        ),
     ).values
     n_p = pr.shape[1]
+    masks = [m[union] for m in fitted]
+    powers = [p.power[union] for p in dataset.plants]
 
     rmse_per_split: list[float] = []
     fold_fits: dict[int, list[list[np.ndarray | None]]] = {}
     for length in usable:
-        folds = _fold_edges(dataset.timestamps, length)
+        folds = _fold_edges(dataset.timestamps, length, union)
         per_plant: list[list[np.ndarray | None]] = []
         sq_sum, n_sq = 0.0, 0
-        for i, plant in enumerate(dataset.plants):
-            mask = clear_masks[i] & np.isfinite(plant.power)
+        for plant, mask, power in zip(dataset.plants, masks, powers):
             fits: list[np.ndarray | None] = []
             carried: np.ndarray | None = None
             for fold_sel in folds:
                 rows = mask & fold_sel
                 if rows.sum() >= max(n_p, 30):
-                    carried = identify_omega(plant.power[rows], pr[rows])
+                    carried = identify_omega(power[rows], pr[rows])
                 fits.append(carried)
             # folds before the first fit reuse the earliest available one
             first = next((f for f in fits if f is not None), None)
@@ -421,7 +432,7 @@ def identify_with_splits(
                 rows = mask & fold_sel
                 if not rows.any():
                     continue
-                err = (plant.power[rows] - pr[rows] @ omega) / pnom
+                err = (power[rows] - pr[rows] @ omega) / pnom
                 sq_sum += float((err**2).sum())
                 n_sq += int(rows.sum())
         rmse_per_split.append(np.sqrt(sq_sum / max(n_sq, 1)))
@@ -439,9 +450,8 @@ def identify_with_splits(
     best_len = max(usable[k] for k in tied)
 
     omegas = []
-    folds = _fold_edges(dataset.timestamps, best_len)
-    for i, plant in enumerate(dataset.plants):
-        mask = clear_masks[i] & np.isfinite(plant.power)
+    folds = _fold_edges(dataset.timestamps, best_len, union)
+    for i, (plant, mask, power) in enumerate(zip(dataset.plants, masks, powers)):
         best_omega, best_rmse = None, np.inf
         for fold_sel, omega in zip(folds, fold_fits[best_len][i]):
             if omega is None:
@@ -451,7 +461,7 @@ def identify_with_splits(
                 continue
             pnom = max(estimate_nominal_power(omega, params), 1e-9)
             rmse = float(
-                np.sqrt(np.mean(((plant.power[rows] - pr[rows] @ omega) / pnom) ** 2))
+                np.sqrt(np.mean(((power[rows] - pr[rows] @ omega) / pnom) ** 2))
             )
             if rmse < best_rmse:
                 best_omega, best_rmse = omega, rmse

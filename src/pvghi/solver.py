@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AlignedDataset, InputError
+from .data import AlignedDataset, InputError, check_settings
 from .orientation import OmegaCoefficients
-from .proxy import ProxyParams, proxy_matrix
+from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import (
     build_shadow_map,
     smooth_threshold_map,
@@ -35,8 +35,16 @@ from .reconcile import (
 from .solar import SolarPosition, sun_positions, clearsky_ghi
 
 
+ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
+LAMBDA_MIN = 0.05      # W/m^2, a timestep freezes once its step is below this
+GRAD_FLOOR = 1e-9      # gradients at or below this count as flat
+GATE_ROUNDS = 2        # outlier-gate refresh passes
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver and reconciliation settings; a value out of range is a SettingError."""
+
     n_grid: int = 30                 # grid-search resolution
     k_safety: float = 1.3            # clear-sky multiplier bounding GHI
     delta_ghi: float = 1.0           # W/m^2, forward-difference step
@@ -52,18 +60,20 @@ class SolverConfig:
     linke_turbidity: float = 3.0
 
     def __post_init__(self):
-        if self.n_grid < 2:
-            raise InputError("n_grid must be >= 2")
-        if not 0.0 < self.k_decay < 1.0:
-            raise InputError("k_decay must be in (0, 1)")
-        if self.delta_ghi <= 0:
-            raise InputError("delta_ghi must be positive")
-
-
-ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
-LAMBDA_MIN = 0.05      # W/m^2, a timestep freezes once its step is below this
-GRAD_FLOOR = 1e-9      # gradients at or below this count as flat
-GATE_ROUNDS = 2        # outlier-gate refresh passes
+        inf = np.inf
+        check_settings(self, (
+            ("n_grid", 2 <= self.n_grid, ">= 2"),
+            ("k_safety", 1.0 <= self.k_safety < inf, "finite and >= 1"),
+            ("delta_ghi", 0.0 < self.delta_ghi < inf, "finite and positive"),
+            ("lambda0", LAMBDA_MIN <= self.lambda0 < inf, f"finite and >= {LAMBDA_MIN}"),
+            ("k_decay", 0.0 < self.k_decay < 1.0, "in (0, 1)"),
+            ("max_iterations", 1 <= self.max_iterations, ">= 1"),
+            ("trust_floor", 0.0 < self.trust_floor < inf, "finite and positive"),
+            ("trust_bandwidth_deg", 0.0 <= self.trust_bandwidth_deg < inf, "finite and >= 0"),
+            ("trust_bin_deg", 0.0 < self.trust_bin_deg < inf, "finite and positive"),
+            ("k_q", 0.0 <= self.k_q < inf, "finite and >= 0"),
+            ("linke_turbidity", 1.0 <= self.linke_turbidity < inf, "finite and >= 1"),
+        ))
 
 
 @dataclass
@@ -88,6 +98,7 @@ class ForwardModel:
     whose rating is not a positive finite number, is an InputError: its
     rating-normalized errors would otherwise swamp the objective.
 
+    The GHI-independent part of the chain is built once, as ``chain``.
     ``rows`` restricts the model to a subset of timesteps, so the solver
     evaluates the chain only where the result still depends on it.
     """
@@ -117,17 +128,15 @@ class ForwardModel:
                 "a positive finite number"
             )
         support = np.flatnonzero(weights.any(axis=1))
-        self.site = dataset.site
-        self.params = params
-        self.orientations = [mesh_orientations[j] for j in support]
         self.weights = weights[support]
         self.pnom = pnom
         self.n_steps = dataset.n_steps
         self.index = None  # rows of the full model; None means all of them
-        self.sp = sp
-        self.timestamps = dataset.timestamps
+        self.chain = forward_chain(
+            sp, dataset.timestamps, dataset.mean_temperature(),
+            [mesh_orientations[j] for j in support], params, dataset.site,
+        )
         self.power = dataset.power_matrix()
-        self.temperature = dataset.mean_temperature()
 
     def rows(self, idx: np.ndarray) -> ForwardModel:
         """The model restricted to the timesteps ``idx`` of this model.
@@ -138,17 +147,12 @@ class ForwardModel:
         """
         sub = copy.copy(self)
         sub.index = idx if self.index is None else self.index[idx]
-        sub.sp = SolarPosition(azimuth=self.sp.azimuth[idx], zenith=self.sp.zenith[idx])
-        sub.timestamps = self.timestamps[idx]
+        sub.chain = self.chain.rows(idx)
         sub.power = self.power[idx]
-        sub.temperature = self.temperature[idx]
         return sub
 
     def proxies(self, ghi: np.ndarray) -> np.ndarray:
-        return proxy_matrix(
-            ghi, self.sp, self.timestamps, self.temperature,
-            self.orientations, self.params, self.site,
-        ).values
+        return proxy_matrix(ghi, self.chain).values
 
     def plant_power(self, pr: np.ndarray) -> np.ndarray:
         """Plant powers ``pr @ weights`` for this model's rows.
@@ -235,7 +239,7 @@ def init_ghi(
     clear-sky value. The grid is evaluated on the daytime steps only.
     """
     ghi_max = cfg.k_safety * np.asarray(ghi_clear, float)
-    day = model.sp.daytime & (ghi_max > 0)
+    day = model.chain.daytime & (ghi_max > 0)
     t_count = len(ghi_max)
     rows = np.flatnonzero(day)
     day_model = model.rows(rows)
@@ -305,7 +309,7 @@ def refine_ghi(
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
-    day = model.sp.daytime & (state.ghi_max > 0)
+    day = model.chain.daytime & (state.ghi_max > 0)
 
     pr = model.proxies(ghi)
     errors = model.errors_from(pr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AlignedDataset, InputError, PlantSeries, Site, parse_timestamp
-from .proxy import ProxyParams, proxy_matrix
+from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .solar import clearsky_ghi, sun_positions
 
 
@@ -140,7 +140,8 @@ def synthesize(
     plant_rngs = rng.spawn(len(spec.plants))
     for p_spec, p_rng in zip(spec.plants, plant_rngs):
         orientations = [o for o, _ in p_spec.fields]
-        pr = proxy_matrix(ghi_true, sp, timestamps, temp, orientations, params, site).values
+        chain = forward_chain(sp, timestamps, temp, orientations, params, site)
+        pr = proxy_matrix(ghi_true, chain).values
         coeffs = np.array(
             [pnom / (params.k2 * params.i_stc) for _, pnom in p_spec.fields]
         )

@@ -25,15 +25,15 @@ from pvghi.proxy import (
     apply_temperature,
     disc_dni,
     efficiency,
+    forward_chain,
     incidence_modifier,
     proxy_matrix,
-    transpose_hay_davies,
 )
-from pvghi.solar import SolarPosition, angle_of_incidence, extraterrestrial_normal
+from pvghi.solar import SolarPosition, extraterrestrial_normal
 from pvghi.solver import ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
 from pvghi.synth import PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
-from test_proxy import disc_oracle, hay_davies_oracle
+from test_proxy import chain_at, disc_oracle, hay_davies_oracle, transpose
 
 
 def report(criterion, ok, detail):
@@ -129,8 +129,8 @@ def test_criterion_3_orientation_recovery(site, mesh, params):
     synth = synthesize(spec, site, ts, seed=11)
     sp = sun_positions(ts, site)
     pr_clear = proxy_matrix(
-        synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-        mesh.orientations, params, site,
+        synth.ghi_clear,
+        forward_chain(sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site),
     ).values
 
     plant = synth.dataset.plants[0]
@@ -346,17 +346,14 @@ def test_criterion_9_forward_chain_oracles(params):
     checks = {}
 
     sp45 = SolarPosition(azimuth=np.array([np.pi]), zenith=np.array([np.deg2rad(45.0)]))
-    got = float(disc_dni(np.array([600.0]), sp45, np.array([180]))[0])
+    got = float(disc_dni(np.array([600.0]), chain_at(sp45, np.array([180])))[0])
     checks["DISC"] = abs(got - disc_oracle(600.0, 45.0, 180)) < 1.0
 
     from pvghi import Orientation
 
     sp30 = SolarPosition(azimuth=np.array([np.pi]), zenith=np.array([np.deg2rad(30.0)]))
     plane = Orientation(tilt=np.deg2rad(30.0), azimuth=np.pi)
-    comp = transpose_hay_davies(
-        np.array([800.0]), np.array([200.0]), np.array([750.0]), sp30, plane,
-        angle_of_incidence(sp30, plane), extraterrestrial_normal(np.array([172])), albedo=0.2,
-    )
+    comp = transpose(800.0, 200.0, 750.0, sp30, plane, extraterrestrial_normal(np.array([172])))
     want = hay_davies_oracle(800, 200, 750, 30, 180, 30, 180, 172)
     checks["Hay-Davies"] = (
         abs(float(comp.i_b[0]) - want[0]) < 1.0

@@ -157,18 +157,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("n_grid", "abc"), ("k_safety", "high")])
+SECTION_OF = {"gmm_bin_deg": "orientation", "bin_deg": "reconciliation"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_grid", "abc"), ("k_safety", "high"),
+    # parse, but out of the range the setting needs
+    ("k_safety", "0"), ("k_safety", "nan"), ("lambda0", "nan"), ("delta_ghi", "nan"),
+    ("gmm_bin_deg", "0"), ("gmm_bin_deg", "nan"), ("gmm_bin_deg", "-5"), ("bin_deg", "0"),
+])
 def test_bad_config_value_is_input_error(tmp_path, capsys, key, value):
+    section = SECTION_OF.get(key, "solver")
+    body = CONFIG_TEMPLATE.format(plants_line="plants =")
+    if f"[{section}]\n" in body:
+        body = body.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    else:
+        body += f"\n[{section}]\n{key} = {value}\n"
     config = tmp_path / "config.ini"
-    config.write_text(
-        CONFIG_TEMPLATE.format(plants_line="plants =") + f"\n[solver]\n{key} = {value}\n"
-    )
+    config.write_text(body)
     spec_path = tmp_path / "synth.json"
     spec_path.write_text(json.dumps(SYNTH_SPEC))
     rc = main(["synth", "--config", str(config), "--spec", str(spec_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "[solver]" in err and key in err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"[{section}] {key}" in err
 
 
 def test_missing_config_errors(tmp_path):

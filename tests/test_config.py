@@ -1,9 +1,12 @@
 """Run-configuration parsing and validation."""
 
+from dataclasses import fields
+
 import pytest
 
-from pvghi import InputError
-from pvghi.config import load_run_config
+from pvghi import InputError, ProxyParams, SolverConfig
+from pvghi.config import OrientationConfig, load_run_config
+from pvghi.data import SettingError
 
 
 def write_config(tmp_path, body):
@@ -92,3 +95,24 @@ def test_bad_boolean_rejected(tmp_path):
     body = MINIMAL + "\n[solver]\nuse_trust = maybe\n"
     with pytest.raises(InputError, match="boolean"):
         load_run_config(write_config(tmp_path, body), require_plants=False)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name)
+    for cls in (ProxyParams, OrientationConfig, SolverConfig)
+    for f in fields(cls)
+    if f.type == "float"
+])
+def test_nan_setting_rejected(cls, name):
+    with pytest.raises(SettingError) as info:
+        cls(**{name: float("nan")})
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("extra, where", [
+    ("[orientation]\nsplit_candidates = 30, 0\n", r"\[orientation\] split_candidates"),
+    ("sampling_seconds = 0\n", r"\[site\] sampling_seconds"),
+])
+def test_out_of_range_setting_names_section_and_key(tmp_path, extra, where):
+    with pytest.raises(InputError, match=where + ": must be"):
+        load_run_config(write_config(tmp_path, MINIMAL + extra), require_plants=False)

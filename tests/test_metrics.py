@@ -104,6 +104,50 @@ def test_block_average_partial_block_dropped():
     assert len(avg) == 3  # the trailing 1-sample block is dropped
 
 
+def block_average_loop(values, timestamps, period_seconds):
+    """Reference: one pass over the whole series per block."""
+    ts = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
+    per_block = period_seconds // int(np.diff(ts).min())
+    anchor = (ts - ts[0]) // period_seconds
+    out_vals, out_ts = [], []
+    for b in range(int(anchor[-1]) + 1):
+        sel = anchor == b
+        if sel.sum() == per_block:
+            out_vals.append(values[sel].mean())
+            out_ts.append(ts[sel][0])
+    return np.array(out_vals), np.array(out_ts, dtype="int64").astype("datetime64[s]")
+
+
+def assert_same_blocks(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_block_average_matches_block_loop():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        step = int(rng.choice([60, 300, 600, 900]))
+        n = int(rng.integers(3, 400))
+        kept = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        ts = make_ts(n, step=step, start="2021-06-01T00:07:00")[kept]
+        vals = rng.normal(500.0, 200.0, len(ts))
+        spacing = int(np.diff(ts).min().astype(int))
+        for period in (2 * step, 1800, 3600, 10800, 86400):
+            if period // spacing > 1:
+                assert_same_blocks(
+                    block_average(vals, ts, period), block_average_loop(vals, ts, period)
+                )
+
+
+def test_block_average_without_a_full_block():
+    ts = make_ts(5, step=600)
+    vals = np.arange(5, dtype=float)
+    got = block_average(vals, ts, 3600)
+    assert len(got[0]) == 0
+    assert_same_blocks(got, block_average_loop(vals, ts, 3600))
+
+
 def test_aggregation_never_increases_nrmse_on_ar1_errors():
     rng = np.random.default_rng(21)
     n = 4320  # 30 days at 10 min

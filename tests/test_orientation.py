@@ -1,5 +1,7 @@
 """Mesh generation, clear-sky selection and coefficient identification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pvghi import (
     select_clear,
     sun_positions,
 )
+from pvghi import orientation
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi.orientation import (
     InsufficientDataError,
@@ -21,7 +24,7 @@ from pvghi.orientation import (
     load_omegas,
     save_omegas,
 )
-from pvghi.proxy import proxy_matrix
+from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -111,8 +114,8 @@ def clear_scene(site, mesh, params):
     synth = synthesize(spec, site, ts, seed=11)
     sp = sun_positions(ts, site)
     pr_clear = proxy_matrix(
-        synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-        mesh.orientations, params, site,
+        synth.ghi_clear,
+        forward_chain(sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site),
     ).values
     return synth, sp, pr_clear, south, east, west
 
@@ -237,8 +240,10 @@ class TestNominalPower:
         synth = synthesize(spec, site, ts, seed=3)
         sp = sun_positions(ts, site)
         pr_clear = proxy_matrix(
-            synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-            mesh.orientations, params, site,
+            synth.ghi_clear,
+            forward_chain(
+                sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site
+            ),
         ).values
         mask = select_clear(synth.dataset.plants[0], sp)
         omega = identify_omega(synth.dataset.plants[0].power[mask], pr_clear[mask])
@@ -342,3 +347,50 @@ def test_identify_refuses_all_zero_coefficients(site, mesh, params):
             dataset, sp, clearsky_ghi(ts, site), mesh, params, [sp.daytime],
             split_days=(7,),
         )
+
+
+def test_identify_builds_the_proxy_on_clear_finite_rows(
+    clear_scene, site, mesh, params, monkeypatch
+):
+    """The proxy covers exactly the union of the clear samples with finite power.
+
+    No other row is read: clear-sky GHI outside that union changes no
+    coefficient and no split score.
+    """
+    synth, sp, _, _, _, _ = clear_scene
+    masks = [select_clear(p, sp) for p in synth.dataset.plants]
+    single, ew = synth.dataset.plants
+    power = single.power.copy()
+    power[::7] = np.nan
+    dataset = AlignedDataset(synth.dataset.timestamps, (replace(single, power=power), ew), site)
+    union = (masks[0] & np.isfinite(power)) | (masks[1] & np.isfinite(ew.power))
+    assert 0 < union.sum() < (masks[0] | masks[1]).sum()
+
+    stamps_seen, rows_seen = [], []
+    chain, stage = orientation.forward_chain, orientation.proxy_matrix
+
+    def recording_chain(sp_, timestamps, *args):
+        stamps_seen.append(timestamps)
+        return chain(sp_, timestamps, *args)
+
+    def recording_stage(ghi, *args):
+        rows_seen.append(len(ghi))
+        return stage(ghi, *args)
+
+    monkeypatch.setattr(orientation, "forward_chain", recording_chain)
+    monkeypatch.setattr(orientation, "proxy_matrix", recording_stage)
+    res = identify_with_splits(
+        dataset, sp, synth.ghi_clear, mesh, params, masks, split_days=(45, 15),
+    )
+    assert len(stamps_seen) == 1
+    np.testing.assert_array_equal(stamps_seen[0], synth.dataset.timestamps[union])
+    assert rows_seen == [int(union.sum())]
+
+    garbage = synth.ghi_clear.copy()
+    garbage[~union] = np.nan
+    again = identify_with_splits(
+        dataset, sp, garbage, mesh, params, masks, split_days=(45, 15),
+    )
+    assert again.report == res.report
+    for a, b in zip(res.omegas, again.omegas):
+        np.testing.assert_array_equal(a.omega, b.omega)

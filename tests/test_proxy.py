@@ -6,24 +6,28 @@ is vectorized and structured differently. Frozen values were computed
 with these oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pvghi import InputError, Orientation, sun_positions
+from pvghi import InputError, Orientation, Site, sun_positions
 from pvghi.proxy import (
     I_MIN,
     IrradianceComponents,
+    ProxyParams,
     apply_iam,
     apply_temperature,
     dhi_from,
     disc_dni,
     efficiency,
+    forward_chain,
     incidence_modifier,
     pressure_at_altitude,
     proxy_matrix,
     transpose_hay_davies,
 )
-from pvghi.solar import SolarPosition, angle_of_incidence, extraterrestrial_normal
+from pvghi.solar import SolarPosition, extraterrestrial_normal
 from pvghi.synth import make_timestamps
 
 
@@ -70,15 +74,24 @@ def sp_single(zen_deg, az_deg=180.0):
     )
 
 
+def chain_at(sp, doy, orientations=()):
+    """Sea-level chain for the sun positions ``sp`` on the days of year ``doy``."""
+    days = (np.asarray(doy) - 1).astype("timedelta64[D]")
+    ts = np.datetime64("2015-01-01T12:00:00") + days
+    return forward_chain(
+        sp, ts, np.full(len(ts), 20.0), orientations, ProxyParams(), Site(0.0, 0.0)
+    )
+
+
 class TestDisc:
     def test_zero_ghi(self):
-        assert disc_dni(np.array([0.0]), sp_single(45.0), np.array([180]))[0] == 0.0
+        assert disc_dni(np.array([0.0]), chain_at(sp_single(45.0), np.array([180])))[0] == 0.0
 
     def test_zenith_cutoff(self):
-        assert disc_dni(np.array([50.0]), sp_single(89.0), np.array([180]))[0] == 0.0
+        assert disc_dni(np.array([50.0]), chain_at(sp_single(89.0), np.array([180])))[0] == 0.0
 
     def test_against_oracle_frozen_case(self):
-        got = disc_dni(np.array([600.0]), sp_single(45.0), np.array([180]))[0]
+        got = disc_dni(np.array([600.0]), chain_at(sp_single(45.0), np.array([180])))[0]
         assert abs(got - 526.722) < 1.0  # frozen from the scalar oracle
         assert abs(got - disc_oracle(600.0, 45.0, 180)) < 1e-9
 
@@ -88,7 +101,7 @@ class TestDisc:
             ghi = float(rng.uniform(0, 1100))
             zen = float(rng.uniform(0, 89.9))
             doy = int(rng.integers(1, 366))
-            got = disc_dni(np.array([ghi]), sp_single(zen), np.array([doy]))[0]
+            got = disc_dni(np.array([ghi]), chain_at(sp_single(zen), np.array([doy])))[0]
             want = disc_oracle(ghi, zen, doy)
             assert abs(got - want) < 1.0, (ghi, zen, doy)
 
@@ -98,31 +111,29 @@ class TestDisc:
         zen = rng.uniform(0, 88, 500)
         doy = rng.integers(1, 366, 500)
         sp = SolarPosition(azimuth=np.zeros(500), zenith=np.deg2rad(zen))
-        dni = disc_dni(ghi, sp, doy)
+        dni = disc_dni(ghi, chain_at(sp, doy))
         assert np.all(dni >= 0)
         assert np.all(dni <= extraterrestrial_normal(doy) + 1e-9)
 
 
 class TestDhi:
     def test_hand_case(self):
-        got = dhi_from(np.array([500.0]), sp_single(60.0), np.array([400.0]))
+        got = dhi_from(np.array([500.0]), chain_at(sp_single(60.0), [1]), np.array([400.0]))
         np.testing.assert_allclose(got, 300.0, atol=1e-9)
 
     def test_all_diffuse(self):
-        got = dhi_from(np.array([321.0]), sp_single(30.0), np.array([0.0]))
+        got = dhi_from(np.array([321.0]), chain_at(sp_single(30.0), [1]), np.array([0.0]))
         np.testing.assert_allclose(got, 321.0)
 
     def test_clamped(self):
-        got = dhi_from(np.array([100.0]), sp_single(0.0), np.array([200.0]))
+        got = dhi_from(np.array([100.0]), chain_at(sp_single(0.0), [1]), np.array([200.0]))
         assert got[0] == 0.0
 
 
 def transpose(ghi, dhi, dni, sp, orientation, e0):
-    """Library transposition with the plane's own angle of incidence."""
-    return transpose_hay_davies(
-        np.array([ghi]), np.array([dhi]), np.array([dni]), sp, orientation,
-        angle_of_incidence(sp, orientation), e0, albedo=0.2,
-    )
+    """Library transposition on a chain of the one plane, with the given e0."""
+    chain = replace(chain_at(sp, [1], [orientation]), e0=e0, albedo=0.2)
+    return transpose_hay_davies(np.array([ghi]), np.array([dhi]), np.array([dni]), chain, 0)
 
 
 class TestTransposition:
@@ -175,12 +186,12 @@ class TestTransposition:
 class TestIam:
     def test_normal_incidence(self, params):
         comp = IrradianceComponents(*(np.array([v]) for v in (0, 0, 600.0, 100.0, 10.0)))
-        got = apply_iam(comp, np.array([0.0]), params)
+        got = apply_iam(comp, incidence_modifier(np.array([0.0]), params))
         np.testing.assert_allclose(got, 600.0 + 0.95 * 110.0)
 
     def test_grazing_kills_beam(self, params):
         comp = IrradianceComponents(*(np.array([v]) for v in (0, 0, 600.0, 100.0, 0.0)))
-        got = apply_iam(comp, np.array([np.deg2rad(92.0)]), params)
+        got = apply_iam(comp, incidence_modifier(np.array([np.deg2rad(92.0)]), params))
         np.testing.assert_allclose(got, 0.95 * 100.0)
 
     def test_sixty_degrees(self, params):
@@ -236,13 +247,14 @@ class TestProxyMatrix:
 
     def test_zero_ghi_zero_matrix(self, scene, site, params):
         ts, sp, temp, orientations = scene
-        pm = proxy_matrix(np.zeros(len(ts)), sp, ts, temp, orientations, params, site)
+        chain = forward_chain(sp, ts, temp, orientations, params, site)
+        pm = proxy_matrix(np.zeros(len(ts)), chain)
         assert np.all(pm.values == 0.0)
 
     def test_night_rows_zero(self, scene, site, params):
         ts, sp, temp, orientations = scene
         ghi = np.full(len(ts), 500.0)
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
+        pm = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site))
         assert np.all(pm.values[~sp.daytime] == 0.0)
 
     def test_column_equals_scalar_chain(self, scene, site, params):
@@ -252,7 +264,7 @@ class TestProxyMatrix:
         ghi_t = 640.0
         ghi = np.zeros(len(ts))
         ghi[noon] = ghi_t
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
+        pm = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site))
 
         from pvghi.solar import day_of_year
 
@@ -279,7 +291,7 @@ class TestProxyMatrix:
         for g in np.arange(0.0, clear, 50.0):
             ghi = np.zeros(len(ts))
             ghi[noon] = g
-            pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
+            pm = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site))
             val = pm.values[noon, 1]
             assert val >= last - 1e-9
             last = val
@@ -288,7 +300,7 @@ class TestProxyMatrix:
         ts, sp, temp, orientations = scene
         rng = np.random.default_rng(8)
         ghi = rng.uniform(0, 1.3 * 1000, len(ts))
-        pm = proxy_matrix(ghi, sp, ts, temp, orientations, params, site)
+        pm = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site))
         assert np.all(pm.values >= 0)
         assert np.all(pm.values <= 1.3 * 1367.0 * 1.033)
 
@@ -296,8 +308,8 @@ class TestProxyMatrix:
         ts, sp, temp, orientations = scene
         rng = np.random.default_rng(9)
         ghi = rng.uniform(0, 900, len(ts))
-        a = proxy_matrix(ghi, sp, ts, temp, orientations, params, site).values
-        b = proxy_matrix(ghi, sp, ts, temp, orientations, params, site).values
+        a = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site)).values
+        b = proxy_matrix(ghi, forward_chain(sp, ts, temp, orientations, params, site)).values
         assert np.array_equal(a, b)
 
     def test_time_separability_brute_force(self, site, params):
@@ -306,15 +318,39 @@ class TestProxyMatrix:
         temp = np.full(len(ts), 18.0)
         orientations = [Orientation(tilt=np.deg2rad(25), azimuth=np.pi)]
         base_ghi = np.full(len(ts), 420.0)
-        base = proxy_matrix(base_ghi, sp, ts, temp, orientations, params, site).values
+        chain = forward_chain(sp, ts, temp, orientations, params, site)
+        base = proxy_matrix(base_ghi, chain).values
         for k in range(len(ts)):
             bumped_ghi = base_ghi.copy()
             bumped_ghi[k] += 77.0
-            bumped = proxy_matrix(bumped_ghi, sp, ts, temp, orientations, params, site).values
+            bumped = proxy_matrix(bumped_ghi, chain).values
             others = np.arange(len(ts)) != k
             assert np.array_equal(base[others], bumped[others])
+
+    def test_restricted_chain_matches_full_rows(self, scene, site, params):
+        """Restricting a chain, once or twice, or building it on the rows
+        directly, gives the full chain's rows bit for bit."""
+        ts, sp, temp, orientations = scene
+        planes = [*orientations, Orientation(tilt=np.pi / 2, azimuth=np.deg2rad(250.0))]
+        chain = forward_chain(sp, ts, temp, planes, params, site)
+        rng = np.random.default_rng(10)
+        ghi = rng.uniform(0, 1000, len(ts))
+        full = proxy_matrix(ghi, chain).values
+        for m in (1, 2, 7, 40, len(ts) // 2 + 1, len(ts)):
+            idx = np.sort(rng.choice(len(ts), m, replace=False))
+            sub = chain.rows(idx)
+            np.testing.assert_array_equal(proxy_matrix(ghi[idx], sub).values, full[idx])
+            half = np.arange(0, m, 2)
+            np.testing.assert_array_equal(
+                proxy_matrix(ghi[idx[half]], sub.rows(half)).values, full[idx[half]]
+            )
+            direct = forward_chain(
+                SolarPosition(azimuth=sp.azimuth[idx], zenith=sp.zenith[idx]),
+                ts[idx], temp[idx], planes, params, site,
+            )
+            np.testing.assert_array_equal(proxy_matrix(ghi[idx], direct).values, full[idx])
 
     def test_length_mismatch_rejected(self, scene, site, params):
         ts, sp, temp, orientations = scene
         with pytest.raises(InputError):
-            proxy_matrix(np.zeros(3), sp, ts, temp, orientations, params, site)
+            proxy_matrix(np.zeros(3), forward_chain(sp, ts, temp, orientations, params, site))

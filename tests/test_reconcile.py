@@ -14,7 +14,7 @@ from pvghi import (
 )
 from pvghi.data import PlantSeries
 from pvghi.reconcile import ShadowMap, lookup_map, tukey_gate_matrix
-from pvghi.proxy import proxy_matrix
+from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
 from pvghi.synth import PlantSpec, ShadowSector, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
@@ -41,8 +41,8 @@ def shadow_scene(site, mesh, params):
     synth = synthesize(spec, site, ts, seed=21)
     sp = sun_positions(ts, site)
     pr = proxy_matrix(
-        synth.ghi_clear, sp, ts, synth.dataset.mean_temperature(),
-        mesh.orientations, params, site,
+        synth.ghi_clear,
+        forward_chain(sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site),
     ).values
     omega = true_omega(mesh, ((south, 8000.0),), "x", params)
     pred_clear = pr @ omega.omega

@@ -5,7 +5,7 @@ import pytest
 
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
-from pvghi import solver
+from pvghi import proxy, solver
 from pvghi.solver import GATE_ROUNDS, ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
@@ -364,3 +364,24 @@ def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkey
     loops = sum(len(h) - 1 for h in res.state.objective_history)
     full_length = (2 + cfg.n_grid + GATE_ROUNDS + 2 * loops) * t_count
     assert sum(rows_seen) < full_length / 2
+
+
+def test_estimate_computes_each_plane_once(site, mesh, params, monkeypatch):
+    """The GHI-independent geometry is built once per used orientation.
+
+    Every forward evaluation of the solve reuses it, so the angle of
+    incidence runs once per plane and not once per plane and evaluation.
+    """
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
+    planes = []
+    aoi = proxy.angle_of_incidence
+
+    def counting(sp_, orientation):
+        planes.append(orientation)
+        return aoi(sp_, orientation)
+
+    monkeypatch.setattr(proxy, "angle_of_incidence", counting)
+    estimate(synth.dataset, omegas, mesh.orientations, params, SolverConfig())
+    used = [o for j, o in enumerate(mesh.orientations) if any(oc.omega[j] for oc in omegas)]
+    assert len(used) == 4
+    assert planes == used

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 
 from pvghi import sun_positions
-from pvghi.proxy import proxy_matrix
+from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -27,8 +27,8 @@ def test_identity_configuration_matches_forward_model(site, mesh, params):
     sp = sun_positions(ts, site)
     assert np.array_equal(synth.ghi_true[sp.daytime], synth.ghi_clear[sp.daytime])
     pr = proxy_matrix(
-        synth.ghi_true, sp, ts, synth.dataset.mean_temperature(), [south], params,
-        site,
+        synth.ghi_true,
+        forward_chain(sp, ts, synth.dataset.mean_temperature(), [south], params, site),
     ).values
     expected = pr[:, 0] * (8000.0 / (params.k2 * params.i_stc))
     np.testing.assert_allclose(synth.dataset.plants[0].power, expected, rtol=1e-12)

@@ -25,10 +25,10 @@ from .orientation import (
     OmegaCoefficients,
     OrientationMesh,
     estimate_nominal_power,
-    fit_gmm2,
     generate_mesh,
     identify_omega,
     identify_with_splits,
+    refine_clear,
     select_clear,
 )
 from .reconcile import (
@@ -71,7 +71,6 @@ __all__ = [
     "estimate",
     "estimate_nominal_power",
     "extraterrestrial_normal",
-    "fit_gmm2",
     "forward_chain",
     "generate_mesh",
     "identify_omega",
@@ -80,6 +79,7 @@ __all__ = [
     "load_plant_csv",
     "normalized_rmse",
     "proxy_matrix",
+    "refine_clear",
     "refine_ghi",
     "relative_airmass",
     "select_clear",

@@ -30,6 +30,7 @@ from .orientation import (
     generate_mesh,
     identify_with_splits,
     load_omegas,
+    refine_clear,
     save_omegas,
     select_clear,
 )
@@ -70,10 +71,10 @@ def cmd_identify(args) -> int:
         linke_turbidity=cfg.solver.linke_turbidity,
     )
     mesh = generate_mesh(cfg.orientation.subdivision)
-    masks = [
-        select_clear(p, sp, bin_deg=cfg.orientation.gmm_bin_deg)
-        for p in dataset.plants
-    ]
+    masks = refine_clear(
+        dataset, sp, ghi_clear, mesh, cfg.proxy,
+        [select_clear(p, sp, bin_deg=cfg.orientation.clear_bin_deg) for p in dataset.plants],
+    )
     result = identify_with_splits(
         dataset, sp, ghi_clear, mesh, cfg.proxy, masks,
         split_days=cfg.orientation.split_candidates,

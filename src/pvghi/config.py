@@ -3,8 +3,8 @@
 Unknown sections or keys are rejected so typos cannot silently fall
 back to defaults, and a value that does not parse or is out of the
 range it needs is an input error naming its section and key. Paths are
-resolved relative to the config file. ``[run] threads`` is accepted for compatibility and ignored: runs
-are single-threaded.
+resolved relative to the config file. ``[run] threads`` is accepted for
+compatibility and ignored: runs are single-threaded.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ class OrientationConfig:
 
     subdivision: int = 2
     split_candidates: tuple[int, ...] = (365, 182, 121, 91, 73)
-    gmm_bin_deg: float = 5.0
+    clear_bin_deg: float = 5.0
 
     def __post_init__(self):
         check_settings(self, (
             ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
             ("split_candidates", len(self.split_candidates) > 0
              and all(d >= 1 for d in self.split_candidates), "one or more positive day counts"),
-            ("gmm_bin_deg", 0.0 < self.gmm_bin_deg < np.inf, "finite and positive"),
+            ("clear_bin_deg", 0.0 < self.clear_bin_deg < np.inf, "finite and positive"),
         ))
 
 
@@ -99,7 +99,7 @@ _PROXY_KEYS = {
 _ORIENTATION_KEYS = {
     "subdivision": ("orientation", "subdivision", _getint),
     "split_candidates": ("orientation", "split_candidates", _getsplits),
-    "gmm_bin_deg": ("orientation", "gmm_bin_deg", _getfloat),
+    "clear_bin_deg": ("orientation", "clear_bin_deg", _getfloat),
 }
 _SOLVER_KEYS = {
     "n_grid": ("solver", "n_grid", _getint),

@@ -2,10 +2,11 @@
 
 A plant's power signal is explained as a non-negative combination of
 simulated unit-panel signals ("proxies") on a fixed mesh of candidate
-orientations. Fitting only clear-sky samples, selected per sun-position
-bin from the bimodal power distribution, removes the unknown cloud
-attenuation; a robust loss absorbs the residual clear-sky model error
-and shading.
+orientations. Fitting only clear-sky samples removes the unknown cloud
+attenuation: a power envelope per sun-position bin seeds them, and
+refits of the forward model keep the samples it explains at one clear
+level. A robust loss absorbs the residual clear-sky model error and
+shading.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from scipy.optimize import nnls
 
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
 from .proxy import ProxyParams, forward_chain, proxy_matrix
+from .reconcile import binned_quantile
 from .solar import Orientation, SolarPosition
 
-GMM_MIN_SAMPLES = 20
-GMM_MAX_ITER = 500         # EM iteration cap
-GMM_TOL = 1e-8             # EM stops once the log-likelihood gains less
+ENVELOPE_MIN_SAMPLES = 5   # a sun-position bin with fewer samples selects none
+ENVELOPE_QUANTILE = 0.95   # a bin's clear power level
+ENVELOPE_FRAC = 0.9        # share of that level a clear sample reaches
+REFINE_ROUNDS = 4          # fit-and-reselect passes of the refinement
+REFINE_MIN_FRAC = 0.05     # predicted power below this share of the rating is not compared
+REFINE_BAND = 0.04         # relative distance from the plant's clear ratio that is kept
 HUBER_C = 1.345            # Huber threshold in robust-scale units
 IRLS_MAX_OUTER = 50        # reweighting passes
 IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
@@ -41,19 +46,6 @@ class OrientationMesh:
 
     def __len__(self) -> int:
         return len(self.orientations)
-
-
-@dataclass(frozen=True)
-class Gmm2:
-    """Two-component 1-D Gaussian mixture, components ordered by mean."""
-
-    mu1: float
-    sigma1: float
-    w1: float
-    mu2: float
-    sigma2: float
-    w2: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -152,122 +144,96 @@ def generate_mesh(subdivision: int = 2) -> OrientationMesh:
     return OrientationMesh(orientations=tuple(kept), subdivision_level=subdivision)
 
 
-def fit_gmm2(samples) -> Gmm2:
-    """Fit a 2-component 1-D Gaussian mixture by EM.
-
-    Deterministic start: means at the 25th/75th percentiles, shared
-    sample standard deviation, equal weights. Zero-variance input yields
-    a degenerate single-component result.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < GMM_MIN_SAMPLES:
-        raise InsufficientDataError(f"need >= {GMM_MIN_SAMPLES} samples, got {x.size}")
-    s0 = float(x.std())
-    if s0 <= 1e-12 * max(float(np.abs(x).max()), 1.0) or not np.isfinite(s0):
-        m = float(x[0])
-        return Gmm2(m, 0.0, 1.0, m, 0.0, 0.0, degenerate=True)
-
-    mu = np.percentile(x, [25.0, 75.0]).astype(float)
-    sigma = np.array([s0, s0])
-    w = np.array([0.5, 0.5])
-    var_floor = (1e-6 * s0) ** 2
-    ll_prev = -np.inf
-    for _ in range(GMM_MAX_ITER):
-        var = np.maximum(sigma**2, var_floor)
-        logp = (
-            -0.5 * np.log(2 * np.pi * var)[:, None]
-            - 0.5 * (x[None, :] - mu[:, None]) ** 2 / var[:, None]
-            + np.log(np.maximum(w, 1e-300))[:, None]
-        )
-        top = logp.max(axis=0)
-        lse = top + np.log(np.exp(logp - top).sum(axis=0))
-        ll = float(lse.sum())
-        resp = np.exp(logp - lse)
-        nk = resp.sum(axis=1)
-        w = nk / x.size
-        mu = (resp * x).sum(axis=1) / np.maximum(nk, 1e-300)
-        sigma = np.sqrt(
-            (resp * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / np.maximum(nk, 1e-300)
-        )
-        if abs(ll - ll_prev) < GMM_TOL:
-            break
-        ll_prev = ll
-
-    order = np.argsort(mu)
-    mu, sigma, w = mu[order], sigma[order], w[order]
-    # weight collapse: report the surviving component in both slots so the
-    # "largest mean" selection degrades gracefully
-    if w[0] < 1e-3 or w[1] < 1e-3:
-        hi = int(np.argmax(w))
-        return Gmm2(
-            float(mu[hi]), float(sigma[hi]), 1.0,
-            float(mu[hi]), float(sigma[hi]), 0.0,
-            degenerate=False,
-        )
-    return Gmm2(
-        float(mu[0]), float(sigma[0]), float(w[0]),
-        float(mu[1]), float(sigma[1]), float(w[1]),
-        degenerate=False,
-    )
-
-
-def _bin_indices(sp: SolarPosition, bin_deg: float):
-    az = np.rad2deg(np.mod(sp.azimuth, 2 * np.pi))
-    zen = np.rad2deg(sp.zenith)
-    return (az // bin_deg).astype(int), (zen // bin_deg).astype(int)
-
-
-UNIMODAL_REL_GAP = 0.12
-
-
-def _looks_unimodal(fit: Gmm2) -> bool:
-    """Whether the fitted components describe one cluster, not two modes.
-
-    Separation between the component means below ~12% of the clear
-    level means the "cloudy" mode is only haze depth; splitting a bin
-    there throws away good samples while the robust regression absorbs
-    haze anyway.
-    """
-    if fit.w2 == 0.0:
-        return True
-    if fit.mu2 <= 0:
-        return True
-    return (fit.mu2 - fit.mu1) <= UNIMODAL_REL_GAP * fit.mu2
-
-
 def select_clear(
     plant: PlantSeries, sp: SolarPosition, bin_deg: float = 5.0
 ) -> np.ndarray:
-    """Boolean clear-sky mask for one plant.
+    """Boolean clear-sky seed mask for one plant, from its power envelope.
 
-    Power samples are grouped by sun-position bin; within each bin the
-    samples inside one standard deviation of the larger-mean mixture
-    component are marked clear. A bin whose distribution has no cloudy
-    mode (all-clear weather) falls back to one standard deviation
-    around the pooled mean. Bins with too few samples or a degenerate
-    fit contribute nothing. Night and missing samples are never clear.
+    Daytime samples with power are grouped by (zenith, azimuth) bin of
+    ``bin_deg`` degrees. In a bin with at least ENVELOPE_MIN_SAMPLES of
+    them, a sample is clear when its power reaches ENVELOPE_FRAC of the
+    bin's ENVELOPE_QUANTILE quantile. Smaller bins, night and missing
+    samples are never clear. ``refine_clear`` narrows the seed with the
+    forward model.
     """
     power = plant.power
-    valid = sp.daytime & np.isfinite(power)
+    rows = np.flatnonzero(sp.daytime & np.isfinite(power))
     mask = np.zeros(len(power), dtype=bool)
-    if not valid.any():
-        return mask
-    az_bin, zen_bin = _bin_indices(sp, bin_deg)
-    keys = az_bin * 1000 + zen_bin
-    for key in np.unique(keys[valid]):
-        sel = valid & (keys == key)
-        if sel.sum() < GMM_MIN_SAMPLES:
-            continue
-        x = power[sel]
-        fit = fit_gmm2(x)
-        if fit.degenerate:
-            continue
-        if _looks_unimodal(fit):
-            mu, sigma = float(x.mean()), float(x.std())
-        else:
-            mu, sigma = fit.mu2, fit.sigma2
-        mask[sel] = (x >= mu - sigma) & (x <= mu + sigma)
+    n_az = int(np.ceil(360.0 / bin_deg))
+    az = np.minimum(
+        (np.rad2deg(np.mod(sp.azimuth[rows], 2 * np.pi)) // bin_deg).astype(int), n_az - 1
+    )
+    zen = (np.rad2deg(sp.zenith[rows]) // bin_deg).astype(int)
+    keys = zen * n_az + az
+    x = power[rows]
+    cells, level = binned_quantile(keys, x, ENVELOPE_QUANTILE, ENVELOPE_MIN_SAMPLES)
+    at = np.searchsorted(cells, keys)
+    binned = at < len(cells)
+    binned[binned] = cells[at[binned]] == keys[binned]
+    mask[rows[binned]] = x[binned] >= ENVELOPE_FRAC * level[at[binned]]
     return mask
+
+
+def refine_clear(
+    dataset: AlignedDataset,
+    sp: SolarPosition,
+    ghi_clear: np.ndarray,
+    mesh: OrientationMesh,
+    params: ProxyParams,
+    masks: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Clear-sky masks the forward model explains at one clear level.
+
+    Per plant, REFINE_ROUNDS times: fit the whole period on the current
+    mask (``identify_omega``), predict clear power P^ from the proxy at
+    clear-sky GHI, and keep the daytime samples with P^ above
+    REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
+    REFINE_BAND of the plant's 90th-percentile ratio r90. Hazy or
+    partly cloudy samples that an envelope takes for clear fall below
+    r90 and drop out. A plant whose mask holds fewer than
+    max(mesh size, 30) samples, or whose fit is all zero, raises
+    InsufficientDataError naming it.
+    """
+    day = np.flatnonzero(sp.daytime)
+    pr = proxy_matrix(
+        np.asarray(ghi_clear, dtype=float)[day],
+        forward_chain(
+            SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day]),
+            dataset.timestamps[day], dataset.mean_temperature()[day],
+            mesh.orientations, params, dataset.site,
+        ),
+    ).values
+    n_min = max(len(mesh), 30)
+
+    def enough(plant_id, keep):
+        if keep.sum() < n_min:
+            raise InsufficientDataError(
+                f"{plant_id}: {int(keep.sum())} clear samples, need >= {n_min}"
+            )
+        return keep
+
+    refined = []
+    for plant, seed in zip(dataset.plants, masks):
+        power = plant.power[day]
+        finite = np.isfinite(power)
+        keep = seed[day] & finite
+        for _ in range(REFINE_ROUNDS):
+            enough(plant.plant_id, keep)
+            omega = identify_omega(power[keep], pr[keep])
+            if not omega.any():
+                raise InsufficientDataError(
+                    f"{plant.plant_id}: the clear-sky fit left every orientation at zero"
+                )
+            predicted = pr @ omega
+            keep = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
+            ratio = np.zeros_like(power)
+            ratio[keep] = power[keep] / predicted[keep]
+            r90 = np.percentile(ratio[keep], 90.0) if keep.any() else 0.0
+            keep &= np.abs(ratio - r90) <= REFINE_BAND * r90
+        mask = np.zeros(dataset.n_steps, dtype=bool)
+        mask[day] = enough(plant.plant_id, keep)
+        refined.append(mask)
+    return refined
 
 
 def _huber_weights(residuals: np.ndarray, scale: float, c: float) -> np.ndarray:

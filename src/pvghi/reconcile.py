@@ -79,18 +79,32 @@ def build_shadow_map(
         (np.rad2deg(np.mod(sp.azimuth[ok], 2 * np.pi)) // bin_deg).astype(int),
         n_az - 1,
     )
-    flat = zen_idx * n_az + az_idx
-    order = np.lexsort((rel, flat))
-    flat_sorted = flat[order]
-    starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
-    counts = np.diff(np.append(starts, len(flat_sorted)))
-    full = counts >= SHADOW_MIN_SAMPLES
-    cells = flat_sorted[starts[full]]
-    values.flat[cells] = _sorted_quantile(
-        rel[order], starts[full], counts[full], SHADOW_QUANTILE
+    cells, quantiles = binned_quantile(
+        zen_idx * n_az + az_idx, rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
     )
+    values.flat[cells] = quantiles
     valid.flat[cells] = True
     return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
+
+
+def binned_quantile(
+    keys: np.ndarray, values: np.ndarray, q: float, min_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear q-quantile of ``values`` per non-negative integer key.
+
+    Returns the keys holding at least ``min_count`` (>= 2) samples, in
+    ascending order, and their quantiles. One ``lexsort`` groups and
+    ranks every bin at once; each quantile equals numpy's linear
+    ``percentile(values[keys == key], 100 * q)`` bit for bit.
+    """
+    order = np.lexsort((values, keys))
+    ranked_keys = keys[order]
+    starts = np.flatnonzero(np.diff(ranked_keys, prepend=-1))
+    counts = np.diff(np.append(starts, len(ranked_keys)))
+    full = counts >= min_count
+    return ranked_keys[starts[full]], _sorted_quantile(
+        values[order], starts[full], counts[full], q
+    )
 
 
 def smooth_threshold_map(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import AlignedDataset, InputError, PlantSeries, Site, parse_timestamp
 from .proxy import ProxyParams, forward_chain, proxy_matrix
-from .solar import clearsky_ghi, sun_positions
+from .solar import clearsky_ghi, day_of_year, sun_positions
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def synthesize(
     ghi_true = clear * att
     ghi_true[~sp.daytime] = 0.0
 
-    doy = (timestamps.astype("datetime64[D]") - timestamps.astype("datetime64[Y]")).astype(int) + 1
+    doy = day_of_year(timestamps)
     hour = (timestamps.astype("int64") % 86400) / 3600.0
     temp = spec.temperature_mean + spec.temperature_amplitude * np.sin(
         2 * np.pi * (hour - 9.0) / 24.0

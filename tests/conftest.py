@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pvghi import (
     OmegaCoefficients,
@@ -9,6 +10,10 @@ from pvghi import (
     generate_mesh,
 )
 from pvghi.synth import make_timestamps
+
+# Property tests draw the same examples on every run and keep none on disk.
+settings.register_profile("pvghi", derandomize=True, database=None, deadline=None)
+settings.load_profile("pvghi")
 
 
 @pytest.fixture(scope="session")

@@ -157,14 +157,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-SECTION_OF = {"gmm_bin_deg": "orientation", "bin_deg": "reconciliation"}
+SECTION_OF = {"clear_bin_deg": "orientation", "bin_deg": "reconciliation"}
 
 
 @pytest.mark.parametrize("key, value", [
     ("n_grid", "abc"), ("k_safety", "high"),
     # parse, but out of the range the setting needs
     ("k_safety", "0"), ("k_safety", "nan"), ("lambda0", "nan"), ("delta_ghi", "nan"),
-    ("gmm_bin_deg", "0"), ("gmm_bin_deg", "nan"), ("gmm_bin_deg", "-5"), ("bin_deg", "0"),
+    ("clear_bin_deg", "0"), ("clear_bin_deg", "nan"), ("clear_bin_deg", "-5"), ("bin_deg", "0"),
 ])
 def test_bad_config_value_is_input_error(tmp_path, capsys, key, value):
     section = SECTION_OF.get(key, "solver")

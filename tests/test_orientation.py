@@ -4,22 +4,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvghi import (
     InputError,
     Site,
     estimate_nominal_power,
-    fit_gmm2,
     generate_mesh,
     identify_omega,
     clearsky_ghi,
+    refine_clear,
     select_clear,
     sun_positions,
 )
 from pvghi import orientation
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi.orientation import (
+    IdentificationResult,
     InsufficientDataError,
+    OmegaCoefficients,
+    SplitReport,
     identify_with_splits,
     load_omegas,
     save_omegas,
@@ -34,6 +39,7 @@ from pvghi.synth import (
     synthesize,
 )
 from conftest import mesh_vertex
+from test_acceptance import standard_fields
 
 
 class TestMesh:
@@ -69,33 +75,6 @@ class TestMesh:
             generate_mesh(0)
         with pytest.raises(InputError):
             generate_mesh(5)
-
-
-class TestGmm:
-    def test_separated_modes_recovered(self):
-        rng = np.random.default_rng(12)
-        x = np.concatenate([rng.normal(0, 1, 500), rng.normal(10, 1, 500)])
-        fit = fit_gmm2(x)
-        assert not fit.degenerate
-        assert abs(fit.mu1 - 0.0) < 0.3
-        assert abs(fit.mu2 - 10.0) < 0.3
-        assert fit.mu1 <= fit.mu2
-
-    def test_identical_samples_degenerate(self):
-        fit = fit_gmm2(np.full(50, 3.7))
-        assert fit.degenerate
-        assert fit.w1 == 1.0
-        assert fit.mu1 == 3.7
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            fit_gmm2(np.arange(10))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        x = np.concatenate([rng.normal(0, 1, 100), rng.normal(5, 2, 100)])
-        a, b = fit_gmm2(x), fit_gmm2(x)
-        assert a == b
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +141,65 @@ class TestSelectClear:
         holed = PlantSeries(plant.plant_id, plant.timestamps, power, plant.temperature)
         mask = select_clear(holed, sp)
         assert not mask[::2].any()
+
+
+class TestRefineClear:
+    @pytest.mark.parametrize("seed", [117, 126])
+    def test_fresh_weather_rates_unshaded_plants(self, mesh, params, seed):
+        """Steady haze that a per-bin power split takes for clear sky.
+
+        On these two scenes a two-mode split of each bin rated every
+        plant 14-24 % high; the refined masks hold them within 1 %.
+        """
+        site = Site(latitude=47.5, longitude=7.5, altitude=1500.0)
+        ts = make_timestamps("2015-05-01T00:00:00", 45, 600)
+        fields = standard_fields(mesh)
+        spec = SyntheticSpec(
+            plants=tuple(PlantSpec(pid, f, noise_rel=0.01) for pid, f in fields.items())
+        )
+        synth = synthesize(spec, site, ts, seed=seed)
+        sp = sun_positions(ts, site)
+        masks = refine_clear(
+            synth.dataset, sp, synth.ghi_clear, mesh, params,
+            [select_clear(p, sp) for p in synth.dataset.plants],
+        )
+        res = identify_with_splits(
+            synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
+            split_days=(45, 30, 15),
+        )
+        for oc in res.omegas:
+            true_pnom = sum(pnom for _, pnom in fields[oc.plant_id])
+            assert abs(oc.estimated_pnom - true_pnom) / true_pnom < 0.05, oc.plant_id
+
+    def test_masks_are_clear_daytime_samples_with_power(self, clear_scene, mesh, params):
+        synth, sp, _, _, _, _ = clear_scene
+        seeds = [select_clear(p, sp) for p in synth.dataset.plants]
+        refined = refine_clear(synth.dataset, sp, synth.ghi_clear, mesh, params, seeds)
+        for plant, mask in zip(synth.dataset.plants, refined):
+            assert not mask[~sp.daytime].any()
+            assert np.isfinite(plant.power[mask]).all()
+            assert (mask & synth.clear_true).sum() / mask.sum() >= 0.9
+
+    def test_dead_plant_named(self, clear_scene, mesh, params):
+        synth, sp, _, _, _, _ = clear_scene
+        single, _ = synth.dataset.plants
+        dead = replace(single, plant_id="dead", power=np.zeros(len(single.power)))
+        dataset = AlignedDataset(synth.dataset.timestamps, (single, dead), synth.dataset.site)
+        seeds = [select_clear(p, sp) for p in dataset.plants]
+        with pytest.raises(InsufficientDataError, match="dead"):
+            refine_clear(dataset, sp, synth.ghi_clear, mesh, params, seeds)
+
+    def test_plant_too_short_for_a_mask_named(self, clear_scene, mesh, params):
+        """Two days of data leave every 5-degree bin below its sample floor."""
+        synth, sp, _, _, _, _ = clear_scene
+        single, _ = synth.dataset.plants
+        power = np.full(len(single.power), np.nan)
+        power[-288:] = single.power[-288:]
+        late = replace(single, plant_id="late", power=power)
+        dataset = AlignedDataset(synth.dataset.timestamps, (single, late), synth.dataset.site)
+        seeds = [select_clear(p, sp) for p in dataset.plants]
+        with pytest.raises(InsufficientDataError, match="late"):
+            refine_clear(dataset, sp, synth.ghi_clear, mesh, params, seeds)
 
 
 class TestIdentifyOmega:
@@ -265,14 +303,14 @@ def season_scene(site, mesh, params):
 
 
 class TestSplits:
+    """Split scoring on the generator's clear mask, apart from the selector."""
 
     def test_seasonal_shading_prefers_short_split(self, season_scene, site, mesh, params):
         south, ts, sp, shadow = season_scene
         spec = SyntheticSpec(plants=(PlantSpec("sh", ((south, 8000.0),), shadows=shadow),))
         synth = synthesize(spec, site, ts, seed=5)
-        masks = [select_clear(p, sp) for p in synth.dataset.plants]
         res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
+            synth.dataset, sp, synth.ghi_clear, mesh, params, [synth.clear_true],
             split_days=(300, 75),
         )
         table = dict(zip(res.report.split_days, res.report.pv_rmse))
@@ -283,9 +321,8 @@ class TestSplits:
         south, ts, sp, _ = season_scene
         spec = SyntheticSpec(plants=(PlantSpec("cl", ((south, 8000.0),)),))
         synth = synthesize(spec, site, ts, seed=5)
-        masks = [select_clear(p, sp) for p in synth.dataset.plants]
         res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
+            synth.dataset, sp, synth.ghi_clear, mesh, params, [synth.clear_true],
             split_days=(300, 75),
         )
         assert res.report.chosen_split == 300
@@ -335,6 +372,33 @@ def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):
         assert a.plant_id == b.plant_id
         np.testing.assert_allclose(a.omega, b.omega, rtol=0, atol=0)
         assert a.estimated_pnom == b.estimated_pnom
+
+
+@pytest.fixture(scope="module")
+def omega_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "omega.json"
+
+
+@given(st.data())
+def test_omega_roundtrip_is_exact(omega_file, mesh, data):
+    """Any sparse non-negative coefficients come back bit for bit."""
+    coefficient = st.one_of(
+        st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-300), st.sampled_from([1e6, 5e-324])
+    )
+    omegas = tuple(
+        OmegaCoefficients(
+            f"p{i}",
+            data.draw(arrays(np.float64, len(mesh), elements=coefficient)),
+            data.draw(st.floats(1e-6, 1e9)),
+        )
+        for i in range(data.draw(st.integers(1, 3)))
+    )
+    save_omegas(IdentificationResult(omegas, mesh, SplitReport((45,), (0.1,), 45)), omega_file)
+    loaded = load_omegas(omega_file, mesh)
+    assert [oc.plant_id for oc in loaded] == [oc.plant_id for oc in omegas]
+    for a, b in zip(omegas, loaded):
+        np.testing.assert_array_equal(b.omega, a.omega)
+        assert b.estimated_pnom == a.estimated_pnom
 
 
 def test_identify_refuses_all_zero_coefficients(site, mesh, params):

@@ -7,13 +7,14 @@ from hypothesis.extra.numpy import arrays
 
 from pvghi import (
     build_shadow_map,
+    select_clear,
     smooth_threshold_map,
     sun_positions,
     trust_weights,
     tukey_gate,
 )
 from pvghi.data import PlantSeries
-from pvghi.reconcile import ShadowMap, lookup_map, tukey_gate_matrix
+from pvghi.reconcile import ShadowMap, binned_quantile, lookup_map, tukey_gate_matrix
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
 from pvghi.synth import PlantSpec, ShadowSector, SyntheticSpec, make_timestamps, synthesize
@@ -288,6 +289,28 @@ def test_shadow_map_bins_match_numpy_percentile():
     assert min(sizes) < 50 < max(sizes)
     assert not shadow.valid.all()
 
+    # the clear-sky envelope bins every daytime sample with power the
+    # same way and selects at 0.9 x each bin's 95th percentile
+    day = sp.daytime & np.isfinite(power)
+    x = power[day]
+    keys = (
+        (np.rad2deg(sp.zenith[day]) // 20.0).astype(int) * 18
+        + (np.rad2deg(sp.azimuth[day]) // 20.0).astype(int)
+    )
+    cells, level = binned_quantile(keys, x, 0.95, 5)
+    selected = select_clear(plant, sp, bin_deg=20.0)[day]
+    thin = 0
+    for key in np.unique(keys):
+        cell = x[keys == key]
+        if cell.size < 5:
+            thin += 1
+            assert key not in cells and not selected[keys == key].any()
+            continue
+        p95 = np.percentile(cell, 95.0)
+        assert level[cells == key] == p95
+        np.testing.assert_array_equal(selected[keys == key], cell >= 0.9 * p95)
+    assert thin > 0 and len(cells) > 0
+
 
 def reference_gate(e: np.ndarray, k_q: float = 1.5) -> np.ndarray:
     """The Tukey gate with quartiles from numpy's own nanpercentile."""
@@ -322,7 +345,32 @@ def error_matrices(draw):
     return e
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(error_matrices(), st.sampled_from([0.0, 0.5, 1.5, 3.0]))
 def test_gate_matches_reference_percentile(e, k_q):
     np.testing.assert_array_equal(tukey_gate_matrix(e, k_q), reference_gate(e, k_q))
+
+
+@given(st.data())
+def test_trust_rows_sum_to_one(data):
+    """Any maps, valid or not, finite or not, give positive weights summing to 1."""
+    bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
+    shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
+    value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from([np.nan, np.inf, 0.0]))
+    maps = [
+        ShadowMap(
+            values=data.draw(arrays(np.float64, shape, elements=value)),
+            valid=data.draw(arrays(np.bool_, shape)),
+            bin_deg=bin_deg,
+        )
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    t = data.draw(st.integers(1, 20))
+    sp = SolarPosition(
+        azimuth=data.draw(arrays(np.float64, t, elements=st.floats(-7.0, 7.0))),
+        zenith=data.draw(arrays(np.float64, t, elements=st.floats(0.0, np.pi))),
+    )
+    w = trust_weights(maps, sp, floor=data.draw(st.floats(1e-3, 1.0)))
+    assert w.shape == (t, len(maps))
+    assert (w > 0).all()
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)

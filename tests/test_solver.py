@@ -1,7 +1,11 @@
 """Grid initialization, descent refinement and the full estimation loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
@@ -385,3 +389,28 @@ def test_estimate_computes_each_plane_once(site, mesh, params, monkeypatch):
     used = [o for j, o in enumerate(mesh.orientations) if any(oc.omega[j] for oc in omegas)]
     assert len(used) == 4
     assert planes == used
+
+
+@pytest.fixture(scope="module")
+def day_scene(site, mesh, params):
+    return build_scene(site, mesh, params, days=1, step=1800)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_estimate_stays_within_bounds(day_scene, mesh, params, data):
+    """0 <= GHI <= k_safety x clear-sky, whatever the plants report."""
+    synth, _, omegas = day_scene
+    ds = synth.dataset
+    scale = data.draw(arrays(
+        np.float64, (ds.n_steps, ds.n_plants),
+        elements=st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, np.nan, 50.0])),
+    ))
+    plants = tuple(replace(p, power=p.power * scale[:, i]) for i, p in enumerate(ds.plants))
+    k_safety = data.draw(st.sampled_from([1.0, 1.3, 2.0]))
+    res = estimate(
+        AlignedDataset(ds.timestamps, plants, ds.site), omegas, mesh.orientations, params,
+        SolverConfig(k_safety=k_safety), ghi_clear=synth.ghi_clear,
+    )
+    assert (res.ghi >= 0.0).all()
+    assert (res.ghi <= k_safety * synth.ghi_clear).all()

@@ -226,8 +226,7 @@ def refine_clear(
                 )
             predicted = pr @ omega
             keep = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
-            ratio = np.zeros_like(power)
-            ratio[keep] = power[keep] / predicted[keep]
+            ratio = np.divide(power, predicted, out=np.zeros_like(power), where=keep)
             r90 = np.percentile(ratio[keep], 90.0) if keep.any() else 0.0
             keep &= np.abs(ratio - r90) <= REFINE_BAND * r90
         mask = np.zeros(dataset.n_steps, dtype=bool)

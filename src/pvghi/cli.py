@@ -71,9 +71,10 @@ def cmd_identify(args) -> int:
         linke_turbidity=cfg.solver.linke_turbidity,
     )
     mesh = generate_mesh(cfg.orientation.subdivision)
+    bin_deg = cfg.orientation.clear_bin_deg
     masks = refine_clear(
         dataset, sp, ghi_clear, mesh, cfg.proxy,
-        [select_clear(p, sp, bin_deg=cfg.orientation.clear_bin_deg) for p in dataset.plants],
+        [select_clear(p, sp, bin_deg=bin_deg) for p in dataset.plants], bin_deg=bin_deg,
     )
     result = identify_with_splits(
         dataset, sp, ghi_clear, mesh, cfg.proxy, masks,

@@ -18,7 +18,7 @@ from scipy.optimize import nnls
 
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
 from .proxy import ProxyParams, forward_chain, proxy_matrix
-from .reconcile import binned_quantile
+from .reconcile import binned_quantile, sun_bin_keys
 from .solar import Orientation, SolarPosition
 
 ENVELOPE_MIN_SAMPLES = 5   # a sun-position bin with fewer samples selects none
@@ -27,6 +27,7 @@ ENVELOPE_FRAC = 0.9        # share of that level a clear sample reaches
 REFINE_ROUNDS = 4          # fit-and-reselect passes of the refinement
 REFINE_MIN_FRAC = 0.05     # predicted power below this share of the rating is not compared
 REFINE_BAND = 0.04         # relative distance from the plant's clear ratio that is kept
+REFINE_DAY_FRAC = 0.5      # kept share of a daylight period's seed that makes its sky clear
 HUBER_C = 1.345            # Huber threshold in robust-scale units
 IRLS_MAX_OUTER = 50        # reweighting passes
 IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
@@ -104,7 +105,9 @@ def generate_mesh(subdivision: int = 2) -> OrientationMesh:
     Upper hemisphere only; orientations tilted more than
     NORTH_TILT_CUTOFF_DEG and facing within NORTH_HALFWIDTH_DEG of north
     are discarded since panels are not installed there. The zenith
-    direction appears exactly once with azimuth 0.
+    direction appears exactly once with azimuth 0: it is the only vertex
+    within 0.5 degrees of the pole, and the subdivision makes every
+    vertex once.
     """
     if not 1 <= subdivision <= 4:
         raise InputError("subdivision must be in [1, 4]")
@@ -126,22 +129,8 @@ def generate_mesh(subdivision: int = 2) -> OrientationMesh:
             continue
         selected.append(Orientation(tilt=min(tilt, np.pi / 2), azimuth=azimuth))
 
-    # drop duplicates closer than 1 degree great-circle (the zenith vertex
-    # collapse above can only produce exact duplicates, but be safe)
-    kept: list[Orientation] = []
-    for o in selected:
-        dup = False
-        for p in kept:
-            cosd = np.cos(o.tilt) * np.cos(p.tilt) + np.sin(o.tilt) * np.sin(
-                p.tilt
-            ) * np.cos(o.azimuth - p.azimuth)
-            if np.arccos(np.clip(cosd, -1, 1)) < np.deg2rad(1.0):
-                dup = True
-                break
-        if not dup:
-            kept.append(o)
-    kept.sort(key=lambda o: (o.tilt, o.azimuth))
-    return OrientationMesh(orientations=tuple(kept), subdivision_level=subdivision)
+    selected.sort(key=lambda o: (o.tilt, o.azimuth))
+    return OrientationMesh(orientations=tuple(selected), subdivision_level=subdivision)
 
 
 def select_clear(
@@ -158,19 +147,13 @@ def select_clear(
     """
     power = plant.power
     rows = np.flatnonzero(sp.daytime & np.isfinite(power))
-    mask = np.zeros(len(power), dtype=bool)
-    n_az = int(np.ceil(360.0 / bin_deg))
-    az = np.minimum(
-        (np.rad2deg(np.mod(sp.azimuth[rows], 2 * np.pi)) // bin_deg).astype(int), n_az - 1
-    )
-    zen = (np.rad2deg(sp.zenith[rows]) // bin_deg).astype(int)
-    keys = zen * n_az + az
+    keys = sun_bin_keys(sp, rows, bin_deg)
     x = power[rows]
     cells, level = binned_quantile(keys, x, ENVELOPE_QUANTILE, ENVELOPE_MIN_SAMPLES)
-    at = np.searchsorted(cells, keys)
-    binned = at < len(cells)
-    binned[binned] = cells[at[binned]] == keys[binned]
-    mask[rows[binned]] = x[binned] >= ENVELOPE_FRAC * level[at[binned]]
+    level_of = np.full(keys.max(initial=0) + 1, np.inf)
+    level_of[cells] = level
+    mask = np.zeros(len(power), dtype=bool)
+    mask[rows] = x >= ENVELOPE_FRAC * level_of[keys]
     return mask
 
 
@@ -181,18 +164,24 @@ def refine_clear(
     mesh: OrientationMesh,
     params: ProxyParams,
     masks: list[np.ndarray],
+    bin_deg: float = 5.0,
 ) -> list[np.ndarray]:
     """Clear-sky masks the forward model explains at one clear level.
 
-    Per plant, REFINE_ROUNDS times: fit the whole period on the current
-    mask (``identify_omega``), predict clear power P^ from the proxy at
-    clear-sky GHI, and keep the daytime samples with P^ above
-    REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
-    REFINE_BAND of the plant's 90th-percentile ratio r90. Hazy or
-    partly cloudy samples that an envelope takes for clear fall below
-    r90 and drop out. A plant whose mask holds fewer than
-    max(mesh size, 30) samples, or whose fit is all zero, raises
-    InsufficientDataError naming it.
+    Per plant, up to REFINE_ROUNDS times and until the mask stops
+    changing: fit the whole period on the mask (``identify_omega``),
+    predict clear power P^ from the proxy at clear-sky GHI, and keep the
+    daytime samples with P^ above REFINE_MIN_FRAC of the fitted rating
+    whose ratio P / P^ lies within REFINE_BAND of the plant's
+    90th-percentile ratio r90; haze that an envelope takes for clear
+    falls below it. Haze belongs to the hour, a shade to the sun
+    position: a daylight period with at least REFINE_DAY_FRAC of its
+    seed kept is clear, and where such clear seed samples in a
+    ``bin_deg`` sun bin have a 90th-percentile ratio below the band,
+    those within REFINE_BAND of it are kept too, so a seasonal shade
+    stays visible to ``identify_with_splits``. A mask below max(mesh
+    size, 30) samples or an all-zero fit raises InsufficientDataError
+    naming the plant.
     """
     day = np.flatnonzero(sp.daytime)
     pr = proxy_matrix(
@@ -203,6 +192,11 @@ def refine_clear(
             mesh.orientations, params, dataset.site,
         ),
     ).values
+    # the daylight period of each daytime row counts the sunrises so far
+    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
+    n_periods = int(period.max(initial=0)) + 1
+    keys = sun_bin_keys(sp, day, bin_deg)
+    n_keys = int(keys.max(initial=0)) + 1
     n_min = max(len(mesh), 30)
 
     def enough(plant_id, keep):
@@ -216,19 +210,37 @@ def refine_clear(
     for plant, seed in zip(dataset.plants, masks):
         power = plant.power[day]
         finite = np.isfinite(power)
-        keep = seed[day] & finite
+        seeded = keep = seed[day] & finite
         for _ in range(REFINE_ROUNDS):
             enough(plant.plant_id, keep)
             omega = identify_omega(power[keep], pr[keep])
-            if not omega.any():
+            used = np.flatnonzero(omega)
+            if not used.size:
                 raise InsufficientDataError(
                     f"{plant.plant_id}: the clear-sky fit left every orientation at zero"
                 )
-            predicted = pr @ omega
-            keep = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
-            ratio = np.divide(power, predicted, out=np.zeros_like(power), where=keep)
-            r90 = np.percentile(ratio[keep], 90.0) if keep.any() else 0.0
-            keep &= np.abs(ratio - r90) <= REFINE_BAND * r90
+            predicted = pr[:, used] @ omega[used]
+            band = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
+            ratio = np.divide(power, predicted, out=np.zeros_like(power), where=band)
+            r90 = np.percentile(ratio[band], 90.0) if band.any() else 0.0
+            band &= np.abs(ratio - r90) <= REFINE_BAND * r90
+            clear_sky = seeded & (
+                np.bincount(period[seeded & band], minlength=n_periods)
+                >= REFINE_DAY_FRAC * np.bincount(period[seeded], minlength=n_periods)
+            )[period]
+            cells, level = binned_quantile(
+                keys[clear_sky], ratio[clear_sky], 0.9, ENVELOPE_MIN_SAMPLES
+            )
+            short = level < (1.0 - REFINE_BAND) * r90
+            shade_of = np.zeros(n_keys)
+            shade_of[cells[short]] = level[short]
+            shade = shade_of[keys]
+            refit = band | (
+                clear_sky & (shade > 0) & (np.abs(ratio - shade) <= REFINE_BAND * shade)
+            )
+            if np.array_equal(refit, keep):
+                break
+            keep = refit
         mask = np.zeros(dataset.n_steps, dtype=bool)
         mask[day] = enough(plant.plant_id, keep)
         refined.append(mask)

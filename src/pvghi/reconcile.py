@@ -57,10 +57,9 @@ def build_shadow_map(
     because even the best observed samples fall short of the clear-sky
     prediction there.
     """
-    n_zen = int(np.ceil(90.0 / bin_deg))
-    n_az = int(np.ceil(360.0 / bin_deg))
-    values = np.full((n_zen, n_az), np.nan)
-    valid = np.zeros((n_zen, n_az), dtype=bool)
+    shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
+    values = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
 
     power = plant.power
     ok = (
@@ -72,19 +71,27 @@ def build_shadow_map(
     if not ok.any():
         return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
     rel = (estimated_clear_power[ok] - power[ok]) / power[ok]
-    zen_idx = np.minimum(
-        (np.rad2deg(sp.zenith[ok]) // bin_deg).astype(int), n_zen - 1
-    )
-    az_idx = np.minimum(
-        (np.rad2deg(np.mod(sp.azimuth[ok], 2 * np.pi)) // bin_deg).astype(int),
-        n_az - 1,
-    )
     cells, quantiles = binned_quantile(
-        zen_idx * n_az + az_idx, rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
+        sun_bin_keys(sp, ok, bin_deg), rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
     )
     values.flat[cells] = quantiles
     valid.flat[cells] = True
     return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
+
+
+def sun_bin_keys(sp: SolarPosition, rows, bin_deg: float) -> np.ndarray:
+    """Flat index ``zen * n_az + az`` of each sun position's ``bin_deg`` bin.
+
+    It indexes a ShadowMap's ``values``; zenith past 90 degrees falls in
+    the last zenith bin.
+    """
+    n_zen = int(np.ceil(90.0 / bin_deg))
+    n_az = int(np.ceil(360.0 / bin_deg))
+    zenith = np.atleast_1d(sp.zenith)[rows]
+    azimuth = np.atleast_1d(sp.azimuth)[rows]
+    zen = np.minimum((np.rad2deg(zenith) // bin_deg).astype(int), n_zen - 1)
+    az = np.minimum((np.rad2deg(np.mod(azimuth, 2 * np.pi)) // bin_deg).astype(int), n_az - 1)
+    return zen * n_az + az
 
 
 def binned_quantile(
@@ -130,12 +137,10 @@ def smooth_threshold_map(
 
 def lookup_map(shadow: ShadowMap, sp: SolarPosition, floor: float = 0.02) -> np.ndarray:
     """Map values at each sun position; invalid or night bins give the floor."""
-    zen_deg = np.rad2deg(np.atleast_1d(sp.zenith))
-    az_deg = np.rad2deg(np.mod(np.atleast_1d(sp.azimuth), 2 * np.pi))
-    zen_idx = np.clip((zen_deg // shadow.bin_deg).astype(int), 0, shadow.n_zenith - 1)
-    az_idx = np.clip((az_deg // shadow.bin_deg).astype(int), 0, shadow.n_azimuth - 1)
-    vals = shadow.values[zen_idx, az_idx]
-    ok = shadow.valid[zen_idx, az_idx] & (zen_deg < 90.0) & np.isfinite(vals)
+    keys = sun_bin_keys(sp, slice(None), shadow.bin_deg)
+    vals = shadow.values.flat[keys]
+    day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
+    ok = shadow.valid.flat[keys] & day & np.isfinite(vals)
     return np.where(ok, vals, floor)
 
 

@@ -303,29 +303,49 @@ def season_scene(site, mesh, params):
 
 
 class TestSplits:
-    """Split scoring on the generator's clear mask, apart from the selector."""
+    @staticmethod
+    def split_report(season_scene, site, mesh, params, shaded, true_mask=False):
+        """Split search on the selector's masks, or on the generator's clear mask."""
+        south, ts, sp, shadow = season_scene
+        spec = SyntheticSpec(
+            plants=(PlantSpec("p", ((south, 8000.0),), shadows=shadow if shaded else ()),)
+        )
+        synth = synthesize(spec, site, ts, seed=5)
+        if true_mask:
+            masks = [synth.clear_true]
+        else:
+            seeds = [select_clear(p, sp) for p in synth.dataset.plants]
+            masks = refine_clear(synth.dataset, sp, synth.ghi_clear, mesh, params, seeds)
+        res = identify_with_splits(
+            synth.dataset, sp, synth.ghi_clear, mesh, params, masks, split_days=(300, 75),
+        )
+        return res.report
 
     def test_seasonal_shading_prefers_short_split(self, season_scene, site, mesh, params):
-        south, ts, sp, shadow = season_scene
-        spec = SyntheticSpec(plants=(PlantSpec("sh", ((south, 8000.0),), shadows=shadow),))
-        synth = synthesize(spec, site, ts, seed=5)
-        res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, [synth.clear_true],
-            split_days=(300, 75),
-        )
-        table = dict(zip(res.report.split_days, res.report.pv_rmse))
+        report = self.split_report(season_scene, site, mesh, params, shaded=True)
+        table = dict(zip(report.split_days, report.pv_rmse))
         assert table[75] < table[300]
-        assert res.report.chosen_split == 75
+        assert report.chosen_split == 75
 
     def test_unshaded_ties_to_longest(self, season_scene, site, mesh, params):
-        south, ts, sp, _ = season_scene
-        spec = SyntheticSpec(plants=(PlantSpec("cl", ((south, 8000.0),)),))
-        synth = synthesize(spec, site, ts, seed=5)
-        res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, [synth.clear_true],
-            split_days=(300, 75),
+        report = self.split_report(season_scene, site, mesh, params, shaded=False)
+        assert report.chosen_split == 300
+
+    def test_true_mask_seasonal_shading_prefers_short_split(
+        self, season_scene, site, mesh, params
+    ):
+        report = self.split_report(
+            season_scene, site, mesh, params, shaded=True, true_mask=True
         )
-        assert res.report.chosen_split == 300
+        table = dict(zip(report.split_days, report.pv_rmse))
+        assert table[75] < table[300]
+        assert report.chosen_split == 75
+
+    def test_true_mask_unshaded_ties_to_longest(self, season_scene, site, mesh, params):
+        report = self.split_report(
+            season_scene, site, mesh, params, shaded=False, true_mask=True
+        )
+        assert report.chosen_split == 300
 
     def test_short_dataset_rejected(self, site, mesh, params):
         south = mesh_vertex(mesh, 26.57, 180.0)

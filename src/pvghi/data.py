@@ -10,12 +10,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 PLANT_CSV_HEADER = "timestamp,power_w,temp_c"
+# the stamps datetime can hold, so parse_timestamp reads every one of them
+DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
 
 
 class InputError(ValueError):
@@ -190,28 +193,64 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_series(path, header: str, rows) -> tuple[np.ndarray, np.ndarray]:
-    rows = (row for row in rows if "".join(row).strip())
-    first = next(rows, None)
-    if first is None:
+    rows = [row for row in rows if "".join(row).strip()]
+    if not rows:
         raise InputError(f"{path}: empty file")
-    if ",".join(h.strip() for h in first) != header:
+    if ",".join(h.strip() for h in rows[0]) != header:
         raise InputError(f"{path}: expected header {header}")
+    body = rows[1:]
     n_fields = header.count(",") + 1
-    seconds, values = [], [[] for _ in range(n_fields - 1)]
-    for k, row in enumerate(rows, start=1):
+    for k, row in enumerate(body, start=1):
         if len(row) != n_fields:
             raise InputError(
                 f"{path}: data row {k}: expected {n_fields} fields, got {len(row)}"
             )
-        try:
-            seconds.append(parse_timestamp(row[0]))
-        except (ValueError, OverflowError):
-            raise InputError(f"{path}: data row {k}: bad timestamp {row[0]!r}") from None
-        for column, text in zip(values, row[1:]):
-            column.append(_parse_float(text))
-    if not seconds:
+    if not body:
         raise InputError(f"{path}: no data rows")
-    return np.array(seconds, dtype="datetime64[s]"), np.array(values, dtype=float)
+    stamps, *columns = zip(*body)
+    values = [_parse_column(column) for column in columns]
+    return _parse_stamps(path, stamps), np.array(values, dtype=float)
+
+
+def _parse_stamps(path, stamps) -> np.ndarray:
+    """The stamps as ``parse_timestamp`` reads them, as datetime64[s].
+
+    A column wholly in the form ``write_series_csv`` writes
+    (``YYYY-MM-DDTHH:MM:SSZ``) is parsed by numpy in one call: formatting
+    the result back gives every stamp unchanged only for that form. Any
+    other column is read row by row, and the first bad stamp is named by
+    its data row.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns of a zone it drops
+        try:
+            fast = np.array([text[:-1] for text in stamps], dtype="datetime64[s]")
+        except ValueError:
+            fast = None
+    if (
+        fast is not None
+        and np.datetime_as_string(fast, timezone="UTC").tolist() == list(stamps)
+        and DATETIME_RANGE[0] <= fast.min()
+        and fast.max() <= DATETIME_RANGE[1]
+    ):
+        return fast
+    seconds = []
+    try:
+        for text in stamps:
+            seconds.append(parse_timestamp(text))
+    except (ValueError, OverflowError):
+        k = len(seconds) + 1
+        raise InputError(f"{path}: data row {k}: bad timestamp {stamps[k - 1]!r}") from None
+    return np.array(seconds, dtype="datetime64[s]")
+
+
+def _parse_column(texts) -> np.ndarray:
+    """The numbers of one column in one pass; only a column holding an
+    empty or bad field is read field by field, with NaN for those."""
+    try:
+        return np.array(texts, dtype=float)
+    except ValueError:
+        return np.array([_parse_float(text) for text in texts])
 
 
 def write_series_csv(path, header: str, timestamps, columns) -> None:

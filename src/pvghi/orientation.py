@@ -31,6 +31,8 @@ REFINE_DAY_FRAC = 0.5      # kept share of a daylight period's seed that makes i
 HUBER_C = 1.345            # Huber threshold in robust-scale units
 IRLS_MAX_OUTER = 50        # reweighting passes
 IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
+GRAM_COND_MAX = 1e12       # (max/min diagonal of the Gram's Cholesky factor)^2 above
+                           # which a pass is solved by NNLS on the weighted rows
 SPARSITY_FRAC = 0.01       # coefficients below this share of the largest are zeroed
 NORTH_TILT_CUTOFF_DEG = 15.0   # the mesh drops orientations tilted more than this
 NORTH_HALFWIDTH_DEG = 60.0     # and facing within this angle of north
@@ -261,6 +263,37 @@ def huber_loss(residuals: np.ndarray, scale: float, c: float) -> float:
     return float(np.where(u <= c, quad, lin).sum())
 
 
+def _weighted_nnls(
+    a: np.ndarray, y: np.ndarray, w: np.ndarray, gram: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """argmin over omega >= 0 of sum(w * (y - a @ omega)**2), weights in (0, 1].
+
+    ``gram`` and ``rhs`` are a.T @ a and a.T @ y; the rows with w < 1 are
+    taken out of them in proportion 1 - w, giving G = a.T W a and
+    b = a.T W y. With G = L L.T, |L.T omega - L^-1 b|^2 differs from the
+    weighted objective by a constant, so NNLS on the K x K factor has
+    the same minimiser as on the n x K rows. A Gram that is not
+    positive definite, or whose Cholesky diagonal spreads beyond
+    GRAM_COND_MAX, is solved on the weighted rows instead.
+    """
+    out = np.flatnonzero(w < 1.0)
+    if out.size:
+        shrink = np.sqrt(1.0 - w[out])
+        a_out = a[out] * shrink[:, None]
+        gram = gram - a_out.T @ a_out
+        rhs = rhs - a_out.T @ (shrink * y[out])
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        low = None
+    if low is not None:
+        diag = np.diag(low)
+        if (diag.max() / diag.min()) ** 2 <= GRAM_COND_MAX:
+            return nnls(low.T, np.linalg.solve(low, rhs))[0]
+    sw = np.sqrt(w)
+    return nnls(a * sw[:, None], y * sw)[0]
+
+
 def identify_omega(
     power: np.ndarray,
     pr_clear: np.ndarray,
@@ -272,8 +305,9 @@ def identify_omega(
     matrix rows for the same samples, built from clear-sky GHI. The
     robustness scale is fixed from the initial non-negative fit so the
     reweighted objective decreases monotonically; ``loss_history``, when
-    given, collects the loss per outer iteration. Entries below
-    SPARSITY_FRAC of the largest coefficient are zeroed.
+    given, collects the loss per outer iteration. Every pass is solved
+    on the K x K Gram (``_weighted_nnls``), formed once per call. Entries
+    below SPARSITY_FRAC of the largest coefficient are zeroed.
     """
     y = np.asarray(power, dtype=float)
     a = np.asarray(pr_clear, dtype=float)
@@ -283,30 +317,28 @@ def identify_omega(
         raise InsufficientDataError(
             f"need >= {a.shape[1]} clear samples, got {len(y)}"
         )
-    omega, _ = nnls(a, y)
+    gram, rhs = a.T @ a, a.T @ y
+    omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs)
     resid = y - a @ omega
     mad = np.median(np.abs(resid - np.median(resid)))
     scale = mad / 0.6745
-    if scale <= max(1e-9, 1e-9 * max(y.max(initial=0.0), 1.0)):
-        cleaned = omega.copy()
-    else:
+    if scale > max(1e-9, 1e-9 * max(y.max(initial=0.0), 1.0)):
         if loss_history is not None:
-            loss_history.append(huber_loss(y - a @ omega, scale, HUBER_C))
+            loss_history.append(huber_loss(resid, scale, HUBER_C))
         for _ in range(IRLS_MAX_OUTER):
-            w = _huber_weights(y - a @ omega, scale, HUBER_C)
-            sw = np.sqrt(w)
-            new_omega, _ = nnls(a * sw[:, None], y * sw)
+            w = _huber_weights(resid, scale, HUBER_C)
+            new_omega = _weighted_nnls(a, y, w, gram, rhs)
             denom = max(np.linalg.norm(omega), 1e-12)
             step = np.linalg.norm(new_omega - omega) / denom
             omega = new_omega
+            resid = y - a @ omega
             if loss_history is not None:
-                loss_history.append(huber_loss(y - a @ omega, scale, HUBER_C))
+                loss_history.append(huber_loss(resid, scale, HUBER_C))
             if step < IRLS_RTOL:
                 break
-        cleaned = omega.copy()
-    if cleaned.max(initial=0.0) > 0:
-        cleaned[cleaned < SPARSITY_FRAC * cleaned.max()] = 0.0
-    return cleaned
+    if omega.max(initial=0.0) > 0:
+        omega[omega < SPARSITY_FRAC * omega.max()] = 0.0
+    return omega
 
 
 def estimate_nominal_power(omega: np.ndarray, params: ProxyParams) -> float:

@@ -304,8 +304,9 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap. Each iteration evaluates
-    the chain on the still-active timesteps only.
+    timestep is frozen or at the iteration cap. Each iteration restricts
+    the model once, to the still-active timesteps, and the candidate step
+    to the moving ones among them.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
@@ -326,8 +327,9 @@ def refine_ghi(
         if not active.any():
             break
         rows = np.flatnonzero(active)
+        sub = model.rows(rows)
         grad = objective_gradient(
-            model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg,
+            sub, ghi[rows], trust[rows], gate[rows], cfg,
             pr_base=pr[rows], errors=errors[rows],
         )
         direction = np.sign(grad)
@@ -335,11 +337,12 @@ def refine_ghi(
         moving = direction != 0.0
         active[rows[~moving]] = False  # a flat gradient freezes the step
         rows = rows[moving]
+        if not moving.all():
+            sub = sub.rows(np.flatnonzero(moving))
 
         cand = np.clip(
             ghi[rows] - lam[rows] * direction[moving], 0.0, state.ghi_max[rows]
         )
-        sub = model.rows(rows)
         pr_cand = sub.proxies(cand)
         err_cand = sub.errors_from(pr_cand)
         h_cand = objective_value(err_cand, trust[rows], gate[rows])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,54 @@ def test_series_csv_roundtrip_nan_int_bool(tmp_path):
     assert x.tobytes() == floats.tobytes()
     assert np.array_equal(n, ints)
     assert np.array_equal(flag, flags)
+
+
+def test_bad_number_mid_column_is_nan_in_that_cell_only(tmp_path):
+    p = write_csv(
+        tmp_path / "p.csv",
+        [
+            "2021-06-01T10:00:00Z,1200.5,18.2",
+            "2021-06-01T10:10:00Z,bright,18.4",
+            "2021-06-01T10:20:00Z,1250.25,",
+            "2021-06-01T10:30:00Z,1300.0,18.8",
+        ],
+    )
+    stamps, (power, temp) = read_series_csv(p, "timestamp,power_w,temp_c")
+    assert len(stamps) == 4
+    np.testing.assert_array_equal(power, [1200.5, np.nan, 1250.25, 1300.0])
+    np.testing.assert_array_equal(temp, [18.2, 18.4, np.nan, 18.8])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["not-a-time", "2021-06-01T10:10:00+25:00", "2021-06-01T10:10:00X", "0000-01-01T00:00:00Z"],
+)
+def test_bad_stamp_after_blank_lines_names_its_data_row(tmp_path, bad):
+    p = tmp_path / "p.csv"
+    p.write_text(
+        "timestamp,power_w,temp_c\n\n"
+        "2021-06-01T10:00:00Z,1,2\n\n   \n"
+        f"{bad},1,2\n"
+        "2021-06-01T10:20:00Z,1,2\n"
+    )
+    with pytest.raises(InputError, match=re.escape(f"data row 2: bad timestamp {bad!r}")):
+        read_series_csv(p, "timestamp,power_w,temp_c")
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        ["2021-06-01T10:00:00Z", "2021-06-01T10:10:00Z", "9999-12-31T23:59:59Z"],
+        ["2021-06-01T12:00:00+02:00", "2021-06-01T12:10:00+02:00"],
+        ["2021-06-01T10:00:01", "2021-06-01T10:10:01"],
+        ["2021-06-01T10:00:00Z", "2021-06-01T12:10:00+02:00", "2021-06-01T10:20:00z"],
+        ["0001-01-01T00:00:00Z", " 2021-06-01T10:10:00Z", "2021-06-01 10:20:00Z"],
+    ],
+)
+def test_stamps_read_as_parse_timestamp_reads_them(tmp_path, stamps):
+    from pvghi.data import parse_timestamp
+
+    p = write_csv(tmp_path / "p.csv", [f"{s},1,2" for s in stamps])
+    got, _ = read_series_csv(p, "timestamp,power_w,temp_c")
+    assert got.dtype == np.dtype("datetime64[s]")
+    assert got.astype("int64").tolist() == [parse_timestamp(s) for s in stamps]

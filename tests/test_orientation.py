@@ -1,6 +1,7 @@
 """Mesh generation, clear-sky selection and coefficient identification."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +261,66 @@ class TestIdentifyOmega:
             mask = select_clear(plant, sp)
             omega = identify_omega(plant.power[mask], pr_clear[mask])
             assert np.all(omega >= 0.0)
+
+
+def random_fit(seed, n, k, tie=None):
+    """A non-negative n x k proxy block and a noisy power with outliers.
+
+    With ``tie`` set, column 1 is column 0 times 1 + tie * N(0, 1) per
+    row: 0 duplicates it, 1e-9 leaves the Gram too ill-conditioned for
+    the factor path, 1e-4 stays on it.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, k))
+    if tie is not None:
+        a[:, 1] = a[:, 0] * (1.0 + tie * rng.standard_normal(n))
+    y = a @ rng.exponential(size=k) * (1.0 + 0.05 * rng.standard_normal(n))
+    y[rng.random(n) < 0.1] *= 0.3
+    return a, y, rng
+
+
+def weighted_objective(a, y, w, omega):
+    return float(np.sum(w * (y - a @ omega) ** 2))
+
+
+class TestGramSolve:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 12),
+        rows_per_column=st.integers(3, 40),
+        tie=st.sampled_from([None, 1e-4, 1e-6, 1e-9, 0.0]),
+    )
+    def test_matches_nnls_on_the_weighted_rows(self, seed, k, rows_per_column, tie):
+        a, y, rng = random_fit(seed, k * rows_per_column, k, tie)
+        w = np.where(rng.random(len(y)) < 0.5, 1.0, rng.uniform(0.01, 1.0, len(y)))
+        got = orientation._weighted_nnls(a, y, w, a.T @ a, a.T @ y)
+        sw = np.sqrt(w)
+        want = orientation.nnls(a * sw[:, None], y * sw)[0]
+        assert np.all(got >= 0.0)
+        f_got, f_want = (weighted_objective(a, y, w, om) for om in (got, want))
+        assert abs(f_got - f_want) <= 1e-9 * f_want
+
+    @pytest.mark.parametrize("tie", [0.0, 1e-9])
+    def test_singular_gram_falls_back_to_the_rows(self, tie):
+        a, y, _ = random_fit(7, 200, 6, tie)
+        with mock.patch.object(orientation, "nnls", wraps=orientation.nnls) as spy:
+            orientation._weighted_nnls(a, y, np.ones(len(y)), a.T @ a, a.T @ y)
+        assert [c.args[0].shape for c in spy.call_args_list] == [a.shape]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 10),
+        rows_per_column=st.integers(5, 40),
+    )
+    def test_loss_history_non_increasing(self, seed, k, rows_per_column):
+        a, y, _ = random_fit(seed, k * rows_per_column, k)
+        history = []
+        with mock.patch.object(orientation, "nnls", wraps=orientation.nnls) as spy:
+            identify_omega(y, a, loss_history=history)
+        assert len(history) >= 2
+        # every pass ran on the K x K factor
+        assert all(c.args[0].shape == (k, k) for c in spy.call_args_list)
+        assert np.all(np.diff(history) <= 1e-12 * history[0])
 
 
 class TestNominalPower:

@@ -178,7 +178,12 @@ class ForwardModel:
 def _objective_weights(
     errors: np.ndarray, trust: np.ndarray, gate: np.ndarray
 ) -> np.ndarray:
-    """Per-entry weights, renormalized over available (kept) plants."""
+    """Per-entry weights, renormalized over available (kept) plants.
+
+    Only where ``errors`` is finite matters. The proxies are finite, so
+    errors are finite exactly where power is, whatever the GHI: the
+    weights are fixed for a given trust and gate.
+    """
     avail = np.isfinite(errors) & gate
     w = np.where(avail, trust, 0.0)
     total = w.sum(axis=1, keepdims=True)
@@ -187,13 +192,37 @@ def _objective_weights(
     return w
 
 
+def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-timestep sum of ``w * values`` over the entries with weight.
+
+    Entries without weight, missing ones among them, contribute nothing,
+    so no NaN reaches the sum.
+    """
+    return np.where(w > 0, w * values, 0.0).sum(axis=1)
+
+
+def _gradient(
+    model: ForwardModel,
+    ghi: np.ndarray,
+    w: np.ndarray,
+    cfg: SolverConfig,
+    pr_base: np.ndarray,
+    errors: np.ndarray,
+) -> np.ndarray:
+    """Forward-difference gradient of |weighted mean error| at fixed weights."""
+    pr_plus = model.proxies(np.asarray(ghi, float) + cfg.delta_ghi)
+    dpred = model.plant_power(pr_plus - pr_base) / cfg.delta_ghi
+    derr = -dpred / model.pnom[None, :]
+    mean = _weighted_sum(w, errors)
+    sign = np.where(np.abs(mean) > ZERO_MEAN_TOL, np.sign(mean), 0.0)
+    return sign * _weighted_sum(w, derr)
+
+
 def objective_value(
     errors: np.ndarray, trust: np.ndarray, gate: np.ndarray
 ) -> np.ndarray:
     """Per-timestep objective: |weighted mean normalized error|."""
-    w = _objective_weights(errors, trust, gate)
-    mean = np.nansum(np.where(w > 0, w * errors, 0.0), axis=1)
-    return np.abs(mean)
+    return np.abs(_weighted_sum(_objective_weights(errors, trust, gate), errors))
 
 
 def objective_gradient(
@@ -215,14 +244,8 @@ def objective_gradient(
         pr_base = model.proxies(ghi)
     if errors is None:
         errors = model.errors_from(pr_base)
-    pr_plus = model.proxies(np.asarray(ghi, float) + cfg.delta_ghi)
-    dpred = model.plant_power(pr_plus - pr_base) / cfg.delta_ghi
-    derr = -dpred / model.pnom[None, :]
     w = _objective_weights(errors, trust, gate)
-    mean = np.nansum(np.where(w > 0, w * errors, 0.0), axis=1)
-    dmean = np.nansum(np.where(w > 0, w * derr, 0.0), axis=1)
-    sign = np.where(np.abs(mean) > ZERO_MEAN_TOL, np.sign(mean), 0.0)
-    return sign * dmean
+    return _gradient(model, ghi, w, cfg, pr_base, errors)
 
 
 def init_ghi(
@@ -248,16 +271,13 @@ def init_ghi(
 
     best_score = np.full(rows.size, np.inf)
     best_day = np.zeros(rows.size)
-    gate = np.ones_like(day_trust, dtype=bool)
-    day_data = np.zeros(rows.size, dtype=bool)
+    # errors are finite where power is, so power fixes every candidate's weights
+    w = _objective_weights(day_model.power, day_trust, np.ones_like(day_trust, dtype=bool))
+    day_data = w.sum(axis=1) > 0
     for g in range(1, cfg.n_grid + 1):
         cand = (g / cfg.n_grid) * day_max
-        errors = day_model.normalized_errors(cand)
-        w = _objective_weights(errors, day_trust, gate)
-        score = np.nansum(np.where(w > 0, w * np.abs(errors), 0.0), axis=1)
-        has_data = w.sum(axis=1) > 0
-        day_data |= has_data
-        better = has_data & (score < best_score)
+        score = _weighted_sum(w, np.abs(day_model.normalized_errors(cand)))
+        better = day_data & (score < best_score)
         best_score[better] = score[better]
         best_day[better] = cand[better]
     best_ghi = np.zeros(t_count)
@@ -304,9 +324,14 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap. Each iteration restricts
-    the model once, to the still-active timesteps, and the candidate step
-    to the moving ones among them.
+    timestep is frozen or at the iteration cap.
+
+    Each iteration pays only for what changed. The objective weights
+    depend on trust, the gate and which power samples exist, never on
+    GHI, so they are fixed for the round. A rejected step leaves a
+    timestep's GHI, proxies and errors as they were, and so its
+    gradient: the gradient is taken for every active timestep at the
+    start of the round and retaken only where the last step was kept.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
@@ -314,9 +339,12 @@ def refine_ghi(
 
     pr = model.proxies(ghi)
     errors = model.errors_from(pr)
-    h = objective_value(errors, trust, gate)
-    has_data = _objective_weights(errors, trust, gate).sum(axis=1) > 0
+    w = _objective_weights(errors, trust, gate)
+    h = np.abs(_weighted_sum(w, errors))
+    has_data = w.sum(axis=1) > 0
     active = day & has_data
+    direction = np.zeros_like(ghi)
+    moved = active.copy()  # timesteps whose gradient is to be (re)taken
 
     round_history = [float(h[active].sum())]
     state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
@@ -326,26 +354,19 @@ def refine_ghi(
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
-        rows = np.flatnonzero(active)
-        sub = model.rows(rows)
-        grad = objective_gradient(
-            sub, ghi[rows], trust[rows], gate[rows], cfg,
-            pr_base=pr[rows], errors=errors[rows],
-        )
-        direction = np.sign(grad)
-        direction[np.abs(grad) <= GRAD_FLOOR] = 0.0
-        moving = direction != 0.0
-        active[rows[~moving]] = False  # a flat gradient freezes the step
-        rows = rows[moving]
-        if not moving.all():
-            sub = sub.rows(np.flatnonzero(moving))
+        rows = np.flatnonzero(moved)
+        if rows.size:
+            grad = _gradient(model.rows(rows), ghi[rows], w[rows], cfg, pr[rows], errors[rows])
+            flat = np.abs(grad) <= GRAD_FLOOR
+            direction[rows] = np.where(flat, 0.0, np.sign(grad))
+            active[rows[flat]] = False  # a flat gradient freezes the step
 
-        cand = np.clip(
-            ghi[rows] - lam[rows] * direction[moving], 0.0, state.ghi_max[rows]
-        )
+        rows = np.flatnonzero(active)
+        cand = np.clip(ghi[rows] - lam[rows] * direction[rows], 0.0, state.ghi_max[rows])
+        sub = model.rows(rows)
         pr_cand = sub.proxies(cand)
         err_cand = sub.errors_from(pr_cand)
-        h_cand = objective_value(err_cand, trust[rows], gate[rows])
+        h_cand = np.abs(_weighted_sum(w[rows], err_cand))
 
         improved = h_cand < h[rows]
         kept = rows[improved]
@@ -357,6 +378,8 @@ def refine_ghi(
         lam[rejected] = lam[rejected] * cfg.k_decay
         iterations[rows] += 1
         active[rows[lam[rows] < LAMBDA_MIN]] = False
+        moved[:] = False
+        moved[kept] = True
 
         bound_violation = max(
             bound_violation,

@@ -1,5 +1,6 @@
 """Grid initialization, descent refinement and the full estimation loop."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,17 @@ from hypothesis.extra.numpy import arrays
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi import proxy, solver
-from pvghi.solver import GATE_ROUNDS, ForwardModel, init_ghi, objective_gradient, objective_value, refine_ghi
+from pvghi.reconcile import tukey_gate_matrix
+from pvghi.solver import (
+    GATE_ROUNDS,
+    GRAD_FLOOR,
+    LAMBDA_MIN,
+    ForwardModel,
+    init_ghi,
+    objective_gradient,
+    objective_value,
+    refine_ghi,
+)
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
 
@@ -414,3 +425,137 @@ def test_estimate_stays_within_bounds(day_scene, mesh, params, data):
     )
     assert (res.ghi >= 0.0).all()
     assert (res.ghi <= k_safety * synth.ghi_clear).all()
+
+
+def with_missing(dataset, missing):
+    """The dataset with power set missing where ``missing`` (T x plants) is true."""
+    plants = tuple(
+        replace(p, power=np.where(missing[:, i], np.nan, p.power))
+        for i, p in enumerate(dataset.plants)
+    )
+    return AlignedDataset(dataset.timestamps, plants, dataset.site)
+
+
+def reference_refine(model, state, trust, gate, cfg):
+    """The descent with every active timestep's gradient taken in every iteration."""
+    ghi = state.ghi.copy()
+    lam = np.full_like(ghi, cfg.lambda0)
+    day = model.chain.daytime & (state.ghi_max > 0)
+    pr = model.proxies(ghi)
+    errors = model.errors_from(pr)
+    h = objective_value(errors, trust, gate)
+    has_data = (np.isfinite(errors) & gate & (trust > 0)).any(axis=1)
+    active = day & has_data
+    round_history = [float(h[active].sum())]
+    state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+    for _ in range(cfg.max_iterations):
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        grad = objective_gradient(
+            model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg,
+            pr_base=pr[rows], errors=errors[rows],
+        )
+        direction = np.where(np.abs(grad) <= GRAD_FLOOR, 0.0, np.sign(grad))
+        active[rows[direction == 0.0]] = False
+        rows, direction = rows[direction != 0.0], direction[direction != 0.0]
+        sub = model.rows(rows)
+        cand = np.clip(ghi[rows] - lam[rows] * direction, 0.0, state.ghi_max[rows])
+        pr_cand = sub.proxies(cand)
+        err_cand = sub.errors_from(pr_cand)
+        h_cand = objective_value(err_cand, trust[rows], gate[rows])
+        improved = h_cand < h[rows]
+        kept = rows[improved]
+        ghi[kept] = cand[improved]
+        pr[kept] = pr_cand[improved]
+        errors[kept] = err_cand[improved]
+        h[kept] = h_cand[improved]
+        lam[rows[~improved]] *= cfg.k_decay
+        state.iterations[rows] += 1
+        active[rows[lam[rows] < LAMBDA_MIN]] = False
+        state.bound_violation = max(
+            state.bound_violation,
+            float(np.max(ghi - state.ghi_max, initial=0.0)),
+            float(np.max(-ghi, initial=0.0)),
+        )
+        state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+        round_history.append(float(h[day & has_data].sum()))
+    state.objective_history.append(round_history)
+    state.ghi, state.errors, state.lambdas = ghi, errors, lam
+    state.converged = state.converged | (day & has_data & ~active)
+    return state
+
+
+def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):
+    """Retaking the gradient only where GHI moved changes no bit of the state.
+
+    Four plants, a tenth of their power samples missing, uneven trust and
+    the Tukey gate refreshed between rounds as ``estimate`` does.
+    """
+    synth, sp, omegas = build_scene(site, mesh, params, days=3, seed=21)
+    rng = np.random.default_rng(21)
+    ds = synth.dataset
+    missing = rng.random((ds.n_steps, ds.n_plants)) < 0.1
+    model = ForwardModel(with_missing(ds, missing), omegas, mesh.orientations, params, sp)
+    trust = rng.uniform(0.1, 1.0, missing.shape)
+    cfg = SolverConfig()
+    state = init_ghi(model, synth.ghi_clear, trust, cfg)
+    ref = copy.deepcopy(state)
+    for _ in range(GATE_ROUNDS):
+        gate = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
+        np.testing.assert_array_equal(gate, tukey_gate_matrix(ref.errors, k_q=cfg.k_q))
+        state = refine_ghi(model, state, trust, gate, cfg)
+        ref = reference_refine(model, ref, trust, gate, cfg)
+    assert not gate[np.isfinite(state.errors)].all()
+    assert state.iterations.sum() > 1000
+    for name in ("ghi", "errors", "lambdas", "iterations", "converged"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
+    assert state.err_history == ref.err_history
+    assert state.objective_history == ref.objective_history
+    assert state.bound_violation == ref.bound_violation
+
+
+@pytest.fixture(scope="module")
+def holed_scene(site, mesh, params):
+    """Two days of four plants at 30 min, a tenth of the power samples missing."""
+    synth, sp, omegas = build_scene(site, mesh, params, days=2, step=1800, seed=22)
+    ds = synth.dataset
+    missing = np.random.default_rng(22).random((ds.n_steps, ds.n_plants)) < 0.1
+    model = ForwardModel(with_missing(ds, missing), omegas, mesh.orientations, params, sp)
+    return model, synth.ghi_clear
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_solve_is_separable_in_time(holed_scene, data):
+    """Solving any subset of timesteps gives the full solve's values there."""
+    model, ghi_clear = holed_scene
+    t_count, n_pv = model.power.shape
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, t_count - 1), min_size=1))))
+    gate = data.draw(arrays(np.bool_, (t_count, n_pv)))
+    trust = np.full((t_count, n_pv), 1.0 / n_pv)
+    cfg = SolverConfig()
+
+    def solve(m, clear, trust, gate):
+        return refine_ghi(m, init_ghi(m, clear, trust, cfg), trust, gate, cfg)
+
+    full = solve(model, ghi_clear, trust, gate)
+    part = solve(model.rows(idx), ghi_clear[idx], trust[idx], gate[idx])
+    np.testing.assert_array_equal(part.ghi, full.ghi[idx])
+    np.testing.assert_array_equal(part.iterations, full.iterations[idx])
+    np.testing.assert_array_equal(part.converged, full.converged[idx])
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_missing_power_is_never_imputed(day_scene, mesh, params, data):
+    """A missing sample has no error and is never counted as a plant used."""
+    synth, _, omegas = day_scene
+    ds = synth.dataset
+    missing = data.draw(arrays(np.bool_, (ds.n_steps, ds.n_plants)))
+    res = estimate(
+        with_missing(ds, missing), omegas, mesh.orientations, params, SolverConfig(),
+        ghi_clear=synth.ghi_clear,
+    )
+    np.testing.assert_array_equal(np.isnan(res.state.errors), missing)
+    np.testing.assert_array_equal(res.n_plants_used, (~missing & res.gate).sum(axis=1))

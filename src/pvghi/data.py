@@ -70,7 +70,7 @@ class PlantSeries:
 
     ``timestamps`` is a strictly increasing, uniformly sampled
     datetime64[s] array. ``power`` (W) and ``temperature`` (degC) use NaN
-    for missing samples.
+    for missing samples; an infinite value is an InputError.
     """
 
     plant_id: str
@@ -92,6 +92,8 @@ class PlantSeries:
                 raise InputError(f"{self.plant_id}: non-monotonic timestamps")
             if np.any(deltas != deltas[0]):
                 raise InputError(f"{self.plant_id}: non-uniform sampling period")
+        if np.isinf(p).any() or np.isinf(t).any():
+            raise InputError(f"{self.plant_id}: infinite power or temperature sample")
         if np.any(p[np.isfinite(p)] < 0):
             raise InputError(f"{self.plant_id}: negative power sample")
         object.__setattr__(self, "timestamps", ts)
@@ -178,10 +180,11 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a timestamped CSV whose header line is exactly ``header``.
 
     Returns the datetime64[s] stamps of the data rows and a float array
-    with one row per value column. Blank lines are skipped; empty or
-    unparseable numbers are NaN. A missing or unreadable file, another
-    header, a row with the wrong number of fields, a bad timestamp or no
-    data rows is an InputError naming the file.
+    with one row per value column. Blank lines are skipped; empty,
+    unparseable or non-finite (``inf``, ``nan``) numbers are NaN. A
+    missing or unreadable file, another header, a row with the wrong
+    number of fields, a bad timestamp or no data rows is an InputError
+    naming the file.
     """
     try:
         with open(path, newline="") as fh:
@@ -246,11 +249,14 @@ def _parse_stamps(path, stamps) -> np.ndarray:
 
 def _parse_column(texts) -> np.ndarray:
     """The numbers of one column in one pass; only a column holding an
-    empty or bad field is read field by field, with NaN for those."""
+    empty or bad field is read field by field. Empty, bad and non-finite
+    fields are NaN."""
     try:
-        return np.array(texts, dtype=float)
+        values = np.array(texts, dtype=float)
     except ValueError:
-        return np.array([_parse_float(text) for text in texts])
+        values = np.array([_parse_float(text) for text in texts])
+    values[np.isinf(values)] = np.nan
+    return values
 
 
 def write_series_csv(path, header: str, timestamps, columns) -> None:

@@ -270,6 +270,34 @@ def test_convergence_shortfall_exit_code(pipeline_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf"])
+def test_infinite_temperature_is_a_missing_sample(pipeline_dir, tmp_path, text):
+    """An infinite temperature in a plant file reads as a missing one.
+
+    Read as a number, ``inf`` made the mean temperature infinite at its
+    step, the simulated power there zero at every GHI, and the estimate
+    the smallest grid candidate, marked converged.
+    """
+    _, _, out = pipeline_dir
+    intact = np.loadtxt(out / "ghi_estimate.csv", delimiter=",", skiprows=1, usecols=(1, 4))
+    row = int(np.argmax(intact[:, 0]))
+    lines = (out / "eastwest.csv").read_text().splitlines()
+    stamp, power, _ = lines[row + 1].split(",")
+    lines[row + 1] = f"{stamp},{power},{text}"
+    plant = tmp_path / "eastwest.csv"
+    plant.write_text("\n".join(lines) + "\n")
+
+    cfg = tmp_path / "inf.ini"
+    body = CONFIG_TEMPLATE.format(plants_line=f"plants = {out / 'south.csv'}, {plant}")
+    cfg.write_text(body.replace("output_dir = out", f"output_dir = {tmp_path / 'inf'}"))
+    assert main(["estimate", "--config", str(cfg), "--omega", str(out / "omega.json")]) == 0
+    table = np.loadtxt(
+        tmp_path / "inf" / "ghi_estimate.csv", delimiter=",", skiprows=1, usecols=(1, 4)
+    )
+    assert table[row, 1] == 1.0
+    assert table[row, 0] == pytest.approx(intact[row, 0], rel=0.02)
+
+
 def test_estimate_csv_reads_as_the_benchmark_reads_it(pipeline_dir):
     _, _, out = pipeline_dir
     table = np.loadtxt(

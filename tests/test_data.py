@@ -215,6 +215,37 @@ def test_bad_number_mid_column_is_nan_in_that_cell_only(tmp_path):
     np.testing.assert_array_equal(temp, [18.2, 18.4, np.nan, 18.8])
 
 
+@pytest.mark.parametrize("bad", ["bright", "-Infinity"])
+def test_non_finite_numbers_are_missing(tmp_path, bad):
+    """``inf``, ``nan`` and an overflowing number read as empty fields do.
+
+    A bad field makes the reader parse its column field by field; without
+    one, the column is parsed in one pass. Both give NaN.
+    """
+    p = write_csv(
+        tmp_path / "p.csv",
+        [
+            "2021-06-01T10:00:00Z,inf,18.2",
+            "2021-06-01T10:10:00Z,1250.25,nan",
+            f"2021-06-01T10:20:00Z,1e999,{bad}",
+            "2021-06-01T10:30:00Z,1300.0,-inf",
+        ],
+    )
+    stamps, (power, temp) = read_series_csv(p, "timestamp,power_w,temp_c")
+    np.testing.assert_array_equal(power, [np.nan, 1250.25, np.nan, 1300.0])
+    np.testing.assert_array_equal(temp, [18.2, np.nan, np.nan, np.nan])
+
+
+@pytest.mark.parametrize("column", ["power", "temperature"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_sample_names_the_plant(column, value):
+    ts = np.arange(0, 1800, 600).astype("datetime64[s]")
+    series = {"power": np.full(3, 1000.0), "temperature": np.full(3, 15.0)}
+    series[column][1] = value
+    with pytest.raises(InputError, match="roof-7: infinite"):
+        PlantSeries("roof-7", ts, **series)
+
+
 @pytest.mark.parametrize(
     "bad",
     ["not-a-time", "2021-06-01T10:10:00+25:00", "2021-06-01T10:10:00X", "0000-01-01T00:00:00Z"],

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvghi import (
@@ -142,6 +142,32 @@ class TestSelectClear:
         holed = PlantSeries(plant.plant_id, plant.timestamps, power, plant.temperature)
         mask = select_clear(holed, sp)
         assert not mask[::2].any()
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_missing_power_is_never_selected_clear(clear_scene, mesh, params, data):
+    """Neither selector marks a missing sample clear: scattered gaps and outages."""
+    synth, sp, _, _, _, _ = clear_scene
+    ds = synth.dataset
+    t_count = ds.n_steps
+    plant = st.integers(0, ds.n_plants - 1)
+    missing = np.zeros((t_count, ds.n_plants), dtype=bool)
+    for i, t in data.draw(st.lists(st.tuples(plant, st.integers(0, t_count - 1)), max_size=300)):
+        missing[t, i] = True
+    outage = st.tuples(plant, st.integers(0, t_count - 1), st.integers(1, 3 * 144))
+    for i, start, length in data.draw(st.lists(outage, max_size=3)):
+        missing[start:start + length, i] = True
+    plants = tuple(
+        replace(p, power=np.where(missing[:, i], np.nan, p.power))
+        for i, p in enumerate(ds.plants)
+    )
+    seeds = [select_clear(p, sp) for p in plants]
+    holed = AlignedDataset(ds.timestamps, plants, ds.site)
+    refined = refine_clear(holed, sp, synth.ghi_clear, mesh, params, seeds)
+    for i, (seed, mask) in enumerate(zip(seeds, refined)):
+        assert not (seed & missing[:, i]).any()
+        assert not (mask & missing[:, i]).any()
 
 
 class TestRefineClear:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import nnls
 
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
@@ -289,7 +290,7 @@ def _weighted_nnls(
     if low is not None:
         diag = np.diag(low)
         if (diag.max() / diag.min()) ** 2 <= GRAM_COND_MAX:
-            return nnls(low.T, np.linalg.solve(low, rhs))[0]
+            return nnls(low.T, solve_triangular(low, rhs, lower=True))[0]
     sw = np.sqrt(w)
     return nnls(a * sw[:, None], y * sw)[0]
 

@@ -41,6 +41,7 @@ from pvghi.synth import (
 )
 from conftest import mesh_vertex
 from test_acceptance import standard_fields
+from test_solver import with_missing
 
 
 class TestMesh:
@@ -158,12 +159,8 @@ def test_missing_power_is_never_selected_clear(clear_scene, mesh, params, data):
     outage = st.tuples(plant, st.integers(0, t_count - 1), st.integers(1, 3 * 144))
     for i, start, length in data.draw(st.lists(outage, max_size=3)):
         missing[start:start + length, i] = True
-    plants = tuple(
-        replace(p, power=np.where(missing[:, i], np.nan, p.power))
-        for i, p in enumerate(ds.plants)
-    )
-    seeds = [select_clear(p, sp) for p in plants]
-    holed = AlignedDataset(ds.timestamps, plants, ds.site)
+    holed = with_missing(ds, missing)
+    seeds = [select_clear(p, sp) for p in holed.plants]
     refined = refine_clear(holed, sp, synth.ghi_clear, mesh, params, seeds)
     for i, (seed, mask) in enumerate(zip(seeds, refined)):
         assert not (seed & missing[:, i]).any()

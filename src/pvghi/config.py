@@ -10,7 +10,7 @@ compatibility and ignored: runs are single-threaded.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,10 @@ def _getsplits(section, key, default):
 
 
 # settings field -> (INI section, key, reader)
+_SITE_KEYS = {
+    name: ("site", name, _getfloat)
+    for name in ("latitude", "longitude", "altitude", "albedo")
+}
 _PROXY_KEYS = {
     name: ("proxy", name, _getfloat)
     for name in ("k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4")
@@ -117,12 +121,13 @@ _SOLVER_KEYS = {
     "k_q": ("reconciliation", "k_q", _getfloat),
 }
 _KNOWN_KEYS = {
-    "site": {"latitude", "longitude", "altitude", "albedo", "sampling_seconds"},
+    "site": {"sampling_seconds"},
     "paths": {"plants", "clearsky_override", "output_dir"},
     "run": {"seed", "threads"},
 }
 for _section, _key, _ in (
-    *_PROXY_KEYS.values(), *_ORIENTATION_KEYS.values(), *_SOLVER_KEYS.values()
+    *_SITE_KEYS.values(), *_PROXY_KEYS.values(),
+    *_ORIENTATION_KEYS.values(), *_SOLVER_KEYS.values(),
 ):
     _KNOWN_KEYS.setdefault(_section, set()).add(_key)
 
@@ -133,9 +138,9 @@ def _settings(cls, parser, keys):
     A value that does not parse or is out of range is an InputError
     naming its section and key.
     """
-    defaults = cls()
+    defaults = {f.name: f.default for f in fields(cls)}
     values = {
-        name: read(parser[section], key, getattr(defaults, name))
+        name: read(parser[section], key, defaults[name])
         for name, (section, key, read) in keys.items()
         if parser.has_option(section, key)
     }
@@ -166,12 +171,7 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
     for required in ("latitude", "longitude"):
         if required not in s:
             raise InputError(f"[site] is missing {required!r}")
-    site = Site(
-        latitude=_getfloat(s, "latitude", None),
-        longitude=_getfloat(s, "longitude", None),
-        altitude=_getfloat(s, "altitude", 0.0),
-        albedo=_getfloat(s, "albedo", 0.2),
-    )
+    site = _settings(Site, parser, _SITE_KEYS)
     sampling_seconds = _getint(s, "sampling_seconds", 600)
     if sampling_seconds < 1:
         raise InputError(f"[site] sampling_seconds: must be >= 1, got {sampling_seconds}")

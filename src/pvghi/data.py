@@ -19,6 +19,8 @@ import numpy as np
 PLANT_CSV_HEADER = "timestamp,power_w,temp_c"
 # the stamps datetime can hold, so parse_timestamp reads every one of them
 DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
+# m; the standard atmosphere's pressure (proxy.pressure_at_altitude) is zero at 44,330.8 m
+MAX_ALTITUDE = 44330.0
 
 
 class InputError(ValueError):
@@ -54,14 +56,13 @@ class Site:
     albedo: float = 0.2
 
     def __post_init__(self):
-        if not -90.0 <= self.latitude <= 90.0:
-            raise InputError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise InputError(f"longitude out of range: {self.longitude}")
-        if not 0.0 <= self.albedo <= 1.0:
-            raise InputError(f"albedo out of range: {self.albedo}")
-        if not math.isfinite(self.altitude):
-            raise InputError("altitude must be finite")
+        check_settings(self, (
+            ("latitude", -90.0 <= self.latitude <= 90.0, "in [-90, 90]"),
+            ("longitude", -180.0 <= self.longitude <= 180.0, "in [-180, 180]"),
+            ("altitude", -np.inf < self.altitude < MAX_ALTITUDE,
+             f"finite and below {MAX_ALTITUDE:g} m"),
+            ("albedo", 0.0 <= self.albedo <= 1.0, "in [0, 1]"),
+        ))
 
 
 @dataclass(frozen=True)

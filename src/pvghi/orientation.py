@@ -29,6 +29,7 @@ REFINE_ROUNDS = 4          # fit-and-reselect passes of the refinement
 REFINE_MIN_FRAC = 0.05     # predicted power below this share of the rating is not compared
 REFINE_BAND = 0.04         # relative distance from the plant's clear ratio that is kept
 REFINE_DAY_FRAC = 0.5      # kept share of a daylight period's seed that makes its sky clear
+MIN_FIT_SAMPLES = 30       # a fit needs this many samples, and at least one per mesh plane
 HUBER_C = 1.345            # Huber threshold in robust-scale units
 IRLS_MAX_OUTER = 50        # reweighting passes
 IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
@@ -160,6 +161,18 @@ def select_clear(
     return mask
 
 
+def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
+    """The mesh's proxy matrix at clear-sky GHI on the timesteps ``rows``."""
+    return proxy_matrix(
+        np.asarray(ghi_clear, dtype=float)[rows],
+        forward_chain(
+            SolarPosition(azimuth=sp.azimuth[rows], zenith=sp.zenith[rows]),
+            dataset.timestamps[rows], dataset.mean_temperature()[rows],
+            mesh.orientations, params, dataset.site,
+        ),
+    ).values
+
+
 def refine_clear(
     dataset: AlignedDataset,
     sp: SolarPosition,
@@ -183,24 +196,17 @@ def refine_clear(
     ``bin_deg`` sun bin have a 90th-percentile ratio below the band,
     those within REFINE_BAND of it are kept too, so a seasonal shade
     stays visible to ``identify_with_splits``. A mask below max(mesh
-    size, 30) samples or an all-zero fit raises InsufficientDataError
-    naming the plant.
+    size, MIN_FIT_SAMPLES) samples or an all-zero fit raises
+    InsufficientDataError naming the plant.
     """
     day = np.flatnonzero(sp.daytime)
-    pr = proxy_matrix(
-        np.asarray(ghi_clear, dtype=float)[day],
-        forward_chain(
-            SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day]),
-            dataset.timestamps[day], dataset.mean_temperature()[day],
-            mesh.orientations, params, dataset.site,
-        ),
-    ).values
+    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
     # the daylight period of each daytime row counts the sunrises so far
     period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
     n_periods = int(period.max(initial=0)) + 1
     keys = sun_bin_keys(sp, day, bin_deg)
     n_keys = int(keys.max(initial=0)) + 1
-    n_min = max(len(mesh), 30)
+    n_min = max(len(mesh), MIN_FIT_SAMPLES)
 
     def enough(plant_id, keep):
         if keep.sum() < n_min:
@@ -403,15 +409,8 @@ def identify_with_splits(
 
     fitted = [m & np.isfinite(p.power) for m, p in zip(clear_masks, dataset.plants)]
     union = np.flatnonzero(np.logical_or.reduce(fitted))
-    pr = proxy_matrix(
-        np.asarray(ghi_clear, dtype=float)[union],
-        forward_chain(
-            SolarPosition(azimuth=sp.azimuth[union], zenith=sp.zenith[union]),
-            dataset.timestamps[union], dataset.mean_temperature()[union],
-            mesh.orientations, params, dataset.site,
-        ),
-    ).values
-    n_p = pr.shape[1]
+    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, union)
+    n_min = max(len(mesh), MIN_FIT_SAMPLES)
     masks = [m[union] for m in fitted]
     powers = [p.power[union] for p in dataset.plants]
 
@@ -426,7 +425,7 @@ def identify_with_splits(
             carried: np.ndarray | None = None
             for fold_sel in folds:
                 rows = mask & fold_sel
-                if rows.sum() >= max(n_p, 30):
+                if rows.sum() >= n_min:
                     carried = identify_omega(power[rows], pr[rows])
                 fits.append(carried)
             # folds before the first fit reuse the earliest available one

@@ -180,16 +180,17 @@ def clearsky_ghi_ineichen(
 def load_clearsky_csv(path, timestamps: np.ndarray) -> np.ndarray:
     """Read a ``timestamp,ghi_clear_wm2`` override CSV onto the requested grid.
 
-    Every requested timestamp must be in the file with a finite value.
+    Every requested timestamp must be in the file with a finite,
+    non-negative value.
     """
     stamps, (values,) = read_series_csv(path, "timestamp,ghi_clear_wm2")
     table = dict(zip(stamps.astype("int64").tolist(), values.tolist()))
     wanted = np.asarray(timestamps, dtype="datetime64[s]")
     out = np.array([table.get(t, np.nan) for t in wanted.astype("int64").tolist()])
-    bad = ~np.isfinite(out)
+    bad = ~(np.isfinite(out) & (out >= 0))
     if bad.any():
         raise InputError(
-            f"{path}: no finite value for {int(bad.sum())} requested timestamps "
+            f"{path}: no finite non-negative value for {int(bad.sum())} requested timestamps "
             f"(first: {wanted[bad][0]})"
         )
     return out

@@ -8,8 +8,8 @@ refines it. Timesteps are fully independent: solving any subset gives
 bit-identical values for those timesteps.
 
 Per timestep the scalar objective is the absolute trust-weighted,
-outlier-gated mean of the normalized plant errors. Its gradient comes
-from the forward-difference sensitivity of the power chain. Descent
+outlier-gated mean of the normalized plant errors. Its gradient is the
+forward difference of those errors over a fixed GHI step. Descent
 steps move GHI by the step size along the gradient sign; a step that
 does not decrease the objective is reverted and the step size decays by
 a constant factor, so after m rejections the step is lambda0 * k^m.
@@ -168,11 +168,9 @@ class ForwardModel:
         placed[self.index] = pr
         return (placed @ self.weights)[self.index]
 
-    def errors_from(self, pr: np.ndarray) -> np.ndarray:
-        return (self.power - self.plant_power(pr)) / self.pnom[None, :]
-
     def normalized_errors(self, ghi: np.ndarray) -> np.ndarray:
-        return self.errors_from(self.proxies(ghi))
+        """Rating-normalized plant errors (measured − predicted) / rating at ``ghi``."""
+        return (self.power - self.plant_power(self.proxies(ghi))) / self.pnom[None, :]
 
 
 def _objective_weights(
@@ -206,13 +204,14 @@ def _gradient(
     ghi: np.ndarray,
     w: np.ndarray,
     cfg: SolverConfig,
-    pr_base: np.ndarray,
     errors: np.ndarray,
 ) -> np.ndarray:
-    """Forward-difference gradient of |weighted mean error| at fixed weights."""
-    pr_plus = model.proxies(np.asarray(ghi, float) + cfg.delta_ghi)
-    dpred = model.plant_power(pr_plus - pr_base) / cfg.delta_ghi
-    derr = -dpred / model.pnom[None, :]
+    """Forward-difference gradient of |weighted mean error| at fixed weights.
+
+    ``errors`` are the model's normalized errors at ``ghi``.
+    """
+    plus = model.normalized_errors(np.asarray(ghi, float) + cfg.delta_ghi)
+    derr = (plus - errors) / cfg.delta_ghi
     mean = _weighted_sum(w, errors)
     sign = np.where(np.abs(mean) > ZERO_MEAN_TOL, np.sign(mean), 0.0)
     return sign * _weighted_sum(w, derr)
@@ -231,21 +230,16 @@ def objective_gradient(
     trust: np.ndarray,
     gate: np.ndarray,
     cfg: SolverConfig,
-    pr_base: np.ndarray | None = None,
-    errors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the per-timestep objective with respect to GHI.
 
-    The per-plant error sensitivity is the negative proxy sensitivity
-    weighted by the plant coefficients; gated or missing entries
+    The per-plant error sensitivity is the forward difference of the
+    normalized errors over ``cfg.delta_ghi``; gated or missing entries
     contribute nothing.
     """
-    if pr_base is None:
-        pr_base = model.proxies(ghi)
-    if errors is None:
-        errors = model.errors_from(pr_base)
+    errors = model.normalized_errors(ghi)
     w = _objective_weights(errors, trust, gate)
-    return _gradient(model, ghi, w, cfg, pr_base, errors)
+    return _gradient(model, ghi, w, cfg, errors)
 
 
 def init_ghi(
@@ -296,11 +290,9 @@ def init_ghi(
     dark = day & any_data & all_zero
     best_ghi[dark] = 0.0
 
-    pr = model.proxies(best_ghi)
-    errors = model.errors_from(pr)
     state = EstimationState(
         ghi=best_ghi,
-        errors=errors,
+        errors=model.normalized_errors(best_ghi),
         lambdas=np.full(t_count, cfg.lambda0),
         ghi_max=ghi_max,
         iterations=np.zeros(t_count, dtype=int),
@@ -329,16 +321,19 @@ def refine_ghi(
     Each iteration pays only for what changed. The objective weights
     depend on trust, the gate and which power samples exist, never on
     GHI, so they are fixed for the round. A rejected step leaves a
-    timestep's GHI, proxies and errors as they were, and so its
-    gradient: the gradient is taken for every active timestep at the
-    start of the round and retaken only where the last step was kept.
+    timestep's GHI and errors as they were, and so its gradient: the
+    gradient is taken for every active timestep at the start of the
+    round and retaken only where the last step was kept.
+
+    ``state.errors`` must be this model's normalized errors at
+    ``state.ghi``, as every state from ``init_ghi`` and ``refine_ghi``
+    holds; the round starts from them rather than evaluating the chain.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
     day = model.chain.daytime & (state.ghi_max > 0)
 
-    pr = model.proxies(ghi)
-    errors = model.errors_from(pr)
+    errors = state.errors.copy()
     w = _objective_weights(errors, trust, gate)
     h = np.abs(_weighted_sum(w, errors))
     has_data = w.sum(axis=1) > 0
@@ -356,22 +351,19 @@ def refine_ghi(
             break
         rows = np.flatnonzero(moved)
         if rows.size:
-            grad = _gradient(model.rows(rows), ghi[rows], w[rows], cfg, pr[rows], errors[rows])
+            grad = _gradient(model.rows(rows), ghi[rows], w[rows], cfg, errors[rows])
             flat = np.abs(grad) <= GRAD_FLOOR
             direction[rows] = np.where(flat, 0.0, np.sign(grad))
             active[rows[flat]] = False  # a flat gradient freezes the step
 
         rows = np.flatnonzero(active)
         cand = np.clip(ghi[rows] - lam[rows] * direction[rows], 0.0, state.ghi_max[rows])
-        sub = model.rows(rows)
-        pr_cand = sub.proxies(cand)
-        err_cand = sub.errors_from(pr_cand)
+        err_cand = model.rows(rows).normalized_errors(cand)
         h_cand = np.abs(_weighted_sum(w[rows], err_cand))
 
         improved = h_cand < h[rows]
         kept = rows[improved]
         ghi[kept] = cand[improved]
-        pr[kept] = pr_cand[improved]
         errors[kept] = err_cand[improved]
         h[kept] = h_cand[improved]
         rejected = rows[~improved]
@@ -442,8 +434,7 @@ def estimate(
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        pr_clear = model.proxies(np.asarray(ghi_clear, float))
-        pred_clear = pr_clear @ model.weights
+        pred_clear = model.plant_power(model.proxies(np.asarray(ghi_clear, float)))
         maps = []
         for i, plant in enumerate(dataset.plants):
             raw = build_shadow_map(

@@ -231,12 +231,12 @@ def test_criterion_5_gradient_correctness(site, mesh, params):
         ghi = rng.uniform(0.0, 1.0, T) * 1.3 * synth.ghi_clear
         grad = objective_gradient(model, ghi, trust, gate, cfg)
         delta = cfg.delta_ghi
-        h_mid = objective_value(model.errors_from(model.proxies(ghi)), trust, gate)
+        h_mid = objective_value(model.normalized_errors(ghi), trust, gate)
         h_up = objective_value(
-            model.errors_from(model.proxies(ghi + delta)), trust, gate
+            model.normalized_errors(ghi + delta), trust, gate
         )
         h_dn = objective_value(
-            model.errors_from(model.proxies(np.maximum(ghi - delta, 0))), trust, gate
+            model.normalized_errors(np.maximum(ghi - delta, 0)), trust, gate
         )
         central = (h_up - h_dn) / (2 * delta)
         # the objective is only piecewise smooth (absolute value, power

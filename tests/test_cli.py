@@ -1,6 +1,7 @@
 """End-to-end batch pipeline through the command line entry points."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,7 +158,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-SECTION_OF = {"clear_bin_deg": "orientation", "bin_deg": "reconciliation"}
+SECTION_OF = {
+    "clear_bin_deg": "orientation", "bin_deg": "reconciliation",
+    **dict.fromkeys(("latitude", "longitude", "altitude", "albedo"), "site"),
+}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -165,10 +169,14 @@ SECTION_OF = {"clear_bin_deg": "orientation", "bin_deg": "reconciliation"}
     # parse, but out of the range the setting needs
     ("k_safety", "0"), ("k_safety", "nan"), ("lambda0", "nan"), ("delta_ghi", "nan"),
     ("clear_bin_deg", "0"), ("clear_bin_deg", "nan"), ("clear_bin_deg", "-5"), ("bin_deg", "0"),
+    ("latitude", "91"), ("longitude", "-180.5"), ("albedo", "1.5"), ("albedo", "nan"),
+    # the standard atmosphere's pressure is negative above 44,330.8 m
+    ("altitude", "50000"), ("altitude", "inf"),
 ])
 def test_bad_config_value_is_input_error(tmp_path, capsys, key, value):
     section = SECTION_OF.get(key, "solver")
     body = CONFIG_TEMPLATE.format(plants_line="plants =")
+    body = re.sub(rf"^{key} = .*\n", "", body, flags=re.M)  # the template's own value
     if f"[{section}]\n" in body:
         body = body.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     else:
@@ -339,6 +347,10 @@ MALFORMED = {
     "clearsky-non-numeric": (
         "override",
         f"timestamp,ghi_clear_wm2\n{_stamp(0)},1.0\n{_stamp(10)},bright\n{_stamp(20)},1.0\n",
+    ),
+    "clearsky-negative": (
+        "override",
+        f"timestamp,ghi_clear_wm2\n{_stamp(0)},800.0\n{_stamp(10)},-5.0\n{_stamp(20)},800.0\n",
     ),
     "clearsky-bad-timestamp": (
         "override", "timestamp,ghi_clear_wm2\n2015-13-01T10:00:00Z,1.0\n"

@@ -109,12 +109,12 @@ class TestGradient:
             ghi = rng.uniform(0.0, 1.0, T) * 1.3 * synth.ghi_clear
             grad = objective_gradient(model, ghi, trust, gate, cfg)
             delta = cfg.delta_ghi
-            h_mid = objective_value(model.errors_from(model.proxies(ghi)), trust, gate)
+            h_mid = objective_value(model.normalized_errors(ghi), trust, gate)
             h_up = objective_value(
-                model.errors_from(model.proxies(ghi + delta)), trust, gate
+                model.normalized_errors(ghi + delta), trust, gate
             )
             h_dn = objective_value(
-                model.errors_from(model.proxies(np.maximum(ghi - delta, 0))),
+                model.normalized_errors(np.maximum(ghi - delta, 0)),
                 trust, gate,
             )
             central = (h_up - h_dn) / (2 * delta)
@@ -337,23 +337,23 @@ def test_restricted_model_matches_full_rows(site, mesh, params):
     model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
     ghi = 0.8 * synth.ghi_clear
     pr = model.proxies(ghi)
-    errors = model.errors_from(pr)
+    errors = model.normalized_errors(ghi)
     rng = np.random.default_rng(19)
     t_count = len(ghi)
     for m in (1, 2, 3, 5, 9, 17, t_count // 2 + 1):
         idx = np.sort(rng.choice(t_count, m, replace=False))
         sub = model.rows(idx)
         np.testing.assert_array_equal(sub.proxies(ghi[idx]), pr[idx])
-        np.testing.assert_array_equal(sub.errors_from(pr[idx]), errors[idx])
+        np.testing.assert_array_equal(sub.normalized_errors(ghi[idx]), errors[idx])
         half = sub.rows(np.arange(0, m, 2))
-        np.testing.assert_array_equal(half.errors_from(pr[idx[::2]]), errors[idx[::2]])
+        np.testing.assert_array_equal(half.normalized_errors(ghi[idx[::2]]), errors[idx[::2]])
 
 
 def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkeypatch):
     """Grid candidates cover the daytime steps, descent the active ones.
 
-    Full-length evaluations remain for the shadow maps' clear-sky power,
-    the grid winner and the start of each refine round. A step whose
+    Full-length evaluations remain for the shadow maps' clear-sky power
+    and the grid winner. A step whose
     gradient is flat costs one gradient evaluation without an iteration,
     at most once per round.
     """
@@ -379,6 +379,29 @@ def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkey
     loops = sum(len(h) - 1 for h in res.state.objective_history)
     full_length = (2 + cfg.n_grid + GATE_ROUNDS + 2 * loops) * t_count
     assert sum(rows_seen) < full_length / 2
+
+
+def test_refine_evaluates_the_chain_on_active_rows_only(site, mesh, params, monkeypatch):
+    """A refine round starts from the state's errors, not from a full-length evaluation."""
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
+    model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
+    t_count = len(sp.zenith)
+    trust = np.full((t_count, 3), 1 / 3)
+    gate = np.ones((t_count, 3), dtype=bool)
+    cfg = SolverConfig()
+    state = init_ghi(model, synth.ghi_clear, trust, cfg)
+    rows_seen = []
+    chain = solver.proxy_matrix
+
+    def counting(ghi, *args):
+        rows_seen.append(len(ghi))
+        return chain(ghi, *args)
+
+    monkeypatch.setattr(solver, "proxy_matrix", counting)
+    refine_ghi(model, state, trust, gate, cfg)
+    day = int((sp.daytime & (synth.ghi_clear > 0)).sum())
+    assert rows_seen
+    assert max(rows_seen) <= day < t_count
 
 
 def test_estimate_computes_each_plane_once(site, mesh, params, monkeypatch):
@@ -441,8 +464,7 @@ def reference_refine(model, state, trust, gate, cfg):
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
     day = model.chain.daytime & (state.ghi_max > 0)
-    pr = model.proxies(ghi)
-    errors = model.errors_from(pr)
+    errors = model.normalized_errors(ghi)
     h = objective_value(errors, trust, gate)
     has_data = (np.isfinite(errors) & gate & (trust > 0)).any(axis=1)
     active = day & has_data
@@ -452,22 +474,17 @@ def reference_refine(model, state, trust, gate, cfg):
         if not active.any():
             break
         rows = np.flatnonzero(active)
-        grad = objective_gradient(
-            model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg,
-            pr_base=pr[rows], errors=errors[rows],
-        )
+        grad = objective_gradient(model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg)
         direction = np.where(np.abs(grad) <= GRAD_FLOOR, 0.0, np.sign(grad))
         active[rows[direction == 0.0]] = False
         rows, direction = rows[direction != 0.0], direction[direction != 0.0]
         sub = model.rows(rows)
         cand = np.clip(ghi[rows] - lam[rows] * direction, 0.0, state.ghi_max[rows])
-        pr_cand = sub.proxies(cand)
-        err_cand = sub.errors_from(pr_cand)
+        err_cand = sub.normalized_errors(cand)
         h_cand = objective_value(err_cand, trust[rows], gate[rows])
         improved = h_cand < h[rows]
         kept = rows[improved]
         ghi[kept] = cand[improved]
-        pr[kept] = pr_cand[improved]
         errors[kept] = err_cand[improved]
         h[kept] = h_cand[improved]
         lam[rows[~improved]] *= cfg.k_decay

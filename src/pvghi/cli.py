@@ -45,12 +45,16 @@ from .synth import (
     synthesize,
 )
 
+SYNTH_SAMPLING_SECONDS = 600  # synth's step when [site] sampling_seconds is not set
 TRUTH_HEADER = "timestamp,ghi_wm2"
 ESTIMATE_HEADER = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged"
 
 
 def _load_dataset(cfg: RunConfig):
-    """The configured plants, each named by its file stem, aligned."""
+    """The configured plants, each named by its file stem, aligned.
+
+    A ``[site] sampling_seconds`` that is set must be the files' period.
+    """
     seen = {}
     for path in cfg.plant_paths:
         if path.stem in seen:
@@ -59,7 +63,14 @@ def _load_dataset(cfg: RunConfig):
             )
         seen[path.stem] = path
     plants = [load_plant_csv(p, plant_id=p.stem) for p in cfg.plant_paths]
-    return align(plants, cfg.site)
+    dataset = align(plants, cfg.site)
+    period = plants[0].sampling_seconds  # align checked that the plants share it
+    if cfg.sampling_seconds is not None and period and cfg.sampling_seconds != period:
+        raise InputError(
+            f"[site] sampling_seconds: {cfg.sampling_seconds}, but the plant files are "
+            f"sampled every {period} s"
+        )
+    return dataset
 
 
 def cmd_identify(args) -> int:
@@ -229,7 +240,9 @@ def _read_synth_spec(path, step_seconds: int):
 def cmd_synth(args) -> int:
     cfg = load_run_config(args.config, require_plants=False)
     seed = args.seed if args.seed is not None else cfg.seed
-    spec, timestamps = _read_synth_spec(args.spec, cfg.sampling_seconds)
+    spec, timestamps = _read_synth_spec(
+        args.spec, cfg.sampling_seconds or SYNTH_SAMPLING_SECONDS
+    )
     synth = synthesize(
         spec, cfg.site, timestamps, seed=seed, params=cfg.proxy,
         linke_turbidity=cfg.solver.linke_turbidity,

@@ -40,7 +40,7 @@ class OrientationConfig:
 @dataclass(frozen=True)
 class RunConfig:
     site: Site
-    sampling_seconds: int
+    sampling_seconds: int | None  # None when [site] does not set it
     plant_paths: tuple[Path, ...]
     output_dir: Path
     clearsky_override: Path | None
@@ -172,8 +172,8 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
         if required not in s:
             raise InputError(f"[site] is missing {required!r}")
     site = _settings(Site, parser, _SITE_KEYS)
-    sampling_seconds = _getint(s, "sampling_seconds", 600)
-    if sampling_seconds < 1:
+    sampling_seconds = _getint(s, "sampling_seconds", None) if "sampling_seconds" in s else None
+    if sampling_seconds is not None and sampling_seconds < 1:
         raise InputError(f"[site] sampling_seconds: must be >= 1, got {sampling_seconds}")
 
     base = path.parent

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import nnls
 
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
 from .proxy import ProxyParams, forward_chain, proxy_matrix
@@ -33,8 +31,9 @@ MIN_FIT_SAMPLES = 30       # a fit needs this many samples, and at least one per
 HUBER_C = 1.345            # Huber threshold in robust-scale units
 IRLS_MAX_OUTER = 50        # reweighting passes
 IRLS_RTOL = 1e-6           # relative coefficient step that ends reweighting
-GRAM_COND_MAX = 1e12       # (max/min diagonal of the Gram's Cholesky factor)^2 above
-                           # which a pass is solved by NNLS on the weighted rows
+GRAM_COND_MAX = 1e12       # (max/min diagonal of a sub-Gram's Cholesky factor)^2 above
+                           # which a passive solve runs on the weighted rows
+NNLS_MAX_ADDS = 3          # an NNLS search ends after this many additions per column
 SPARSITY_FRAC = 0.01       # coefficients below this share of the largest are zeroed
 NORTH_TILT_CUTOFF_DEG = 15.0   # the mesh drops orientations tilted more than this
 NORTH_HALFWIDTH_DEG = 60.0     # and facing within this angle of north
@@ -270,18 +269,75 @@ def huber_loss(residuals: np.ndarray, scale: float, c: float) -> float:
     return float(np.where(u <= c, quad, lin).sum())
 
 
+def nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray, solve) -> np.ndarray:
+    """argmin over x >= 0 of x.T @ gram @ x - 2 rhs.T @ x, by Lawson-Hanson.
+
+    ``gram`` is positive semi-definite and ``solve(cols)`` returns the
+    unconstrained minimiser on the columns ``cols``. The passive set
+    starts as the columns ``passive``, less those whose solution is not
+    positive, until the solution is positive on the rest. Each step then
+    adds the column of largest positive dual ``rhs - gram @ x``. When
+    the new solution is not positive on every passive column, x moves
+    towards it as far as it stays non-negative, and the columns that
+    reach zero leave the set. A column whose own solution is not
+    positive, as when its dual is rounding error, is skipped until x
+    moves. The search ends after NNLS_MAX_ADDS additions per column.
+    """
+    x = np.zeros(len(rhs))
+    cols = np.flatnonzero(passive)
+    while cols.size:
+        s = solve(cols)
+        if np.all(s > 0.0):
+            x[cols] = s
+            break
+        cols = cols[s > 0.0]
+    skipped = []
+    for _ in range(NNLS_MAX_ADDS * len(rhs)):
+        dual = rhs - gram @ x
+        dual[cols] = -np.inf
+        dual[skipped] = -np.inf
+        j = int(np.argmax(dual))
+        if not dual[j] > 0.0:
+            break
+        cols = np.append(cols, j)
+        s = solve(cols)
+        if s[-1] <= 0.0:
+            cols = cols[:-1]
+            skipped.append(j)
+            continue
+        while not np.all(s > 0.0):
+            xs = x[cols]
+            hit = np.flatnonzero(s <= 0.0)
+            ratio = xs[hit] / (xs[hit] - s[hit])
+            xs += ratio.min() * (s - xs)
+            xs[hit[np.argmin(ratio)]] = 0.0
+            x[cols] = 0.0
+            cols = cols[xs > 0.0]
+            x[cols] = xs[xs > 0.0]
+            s = solve(cols) if cols.size else s[:0]
+        x[:] = 0.0
+        x[cols] = s
+        skipped = []
+    return x
+
+
 def _weighted_nnls(
-    a: np.ndarray, y: np.ndarray, w: np.ndarray, gram: np.ndarray, rhs: np.ndarray
+    a: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    passive: np.ndarray,
 ) -> np.ndarray:
     """argmin over omega >= 0 of sum(w * (y - a @ omega)**2), weights in (0, 1].
 
     ``gram`` and ``rhs`` are a.T @ a and a.T @ y; the rows with w < 1 are
     taken out of them in proportion 1 - w, giving G = a.T W a and
-    b = a.T W y. With G = L L.T, |L.T omega - L^-1 b|^2 differs from the
-    weighted objective by a constant, so NNLS on the K x K factor has
-    the same minimiser as on the n x K rows. A Gram that is not
-    positive definite, or whose Cholesky diagonal spreads beyond
-    GRAM_COND_MAX, is solved on the weighted rows instead.
+    b = a.T W y, whose ``nnls`` has the same minimiser as the weighted
+    rows. The search starts from the columns ``passive``. A passive
+    solve uses the sub-Gram of its columns when the diagonal of that
+    sub-Gram's Cholesky factor spreads within GRAM_COND_MAX (squared),
+    and least squares on the weighted rows of the columns otherwise.
     """
     out = np.flatnonzero(w < 1.0)
     if out.size:
@@ -289,16 +345,19 @@ def _weighted_nnls(
         a_out = a[out] * shrink[:, None]
         gram = gram - a_out.T @ a_out
         rhs = rhs - a_out.T @ (shrink * y[out])
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        low = None
-    if low is not None:
-        diag = np.diag(low)
-        if (diag.max() / diag.min()) ** 2 <= GRAM_COND_MAX:
-            return nnls(low.T, solve_triangular(low, rhs, lower=True))[0]
-    sw = np.sqrt(w)
-    return nnls(a * sw[:, None], y * sw)[0]
+
+    def solve(cols):
+        sub = gram[cols[:, None], cols]
+        try:
+            diag = np.linalg.cholesky(sub).diagonal()
+            if diag.max() ** 2 <= GRAM_COND_MAX * diag.min() ** 2:
+                return np.linalg.solve(sub, rhs[cols])
+        except np.linalg.LinAlgError:
+            pass
+        sw = np.sqrt(w)
+        return np.linalg.lstsq(a[:, cols] * sw[:, None], y * sw, rcond=None)[0]
+
+    return nnls(gram, rhs, passive, solve)
 
 
 def identify_omega(
@@ -313,8 +372,9 @@ def identify_omega(
     robustness scale is fixed from the initial non-negative fit so the
     reweighted objective decreases monotonically; ``loss_history``, when
     given, collects the loss per outer iteration. Every pass is solved
-    on the K x K Gram (``_weighted_nnls``), formed once per call. Entries
-    below SPARSITY_FRAC of the largest coefficient are zeroed.
+    on the K x K Gram (``_weighted_nnls``), formed once per call, from
+    the orientations the previous pass kept. Entries below SPARSITY_FRAC
+    of the largest coefficient are zeroed.
     """
     y = np.asarray(power, dtype=float)
     a = np.asarray(pr_clear, dtype=float)
@@ -325,7 +385,7 @@ def identify_omega(
             f"need >= {a.shape[1]} clear samples, got {len(y)}"
         )
     gram, rhs = a.T @ a, a.T @ y
-    omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs)
+    omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs, np.zeros(a.shape[1], bool))
     resid = y - a @ omega
     mad = np.median(np.abs(resid - np.median(resid)))
     scale = mad / 0.6745
@@ -334,7 +394,7 @@ def identify_omega(
             loss_history.append(huber_loss(resid, scale, HUBER_C))
         for _ in range(IRLS_MAX_OUTER):
             w = _huber_weights(resid, scale, HUBER_C)
-            new_omega = _weighted_nnls(a, y, w, gram, rhs)
+            new_omega = _weighted_nnls(a, y, w, gram, rhs, omega > 0)
             denom = max(np.linalg.norm(omega), 1e-12)
             step = np.linalg.norm(new_omega - omega) / denom
             omega = new_omega

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .data import PlantSeries
 from .solar import SolarPosition
@@ -123,16 +122,53 @@ def smooth_threshold_map(
     pass through unchanged; azimuth wraps around. The floor bounds the
     inverse map used for trust weights.
     """
-    sigma_bins = bandwidth_deg / shadow.bin_deg
-    filled = np.where(shadow.valid, shadow.values, 0.0)
-    mask = shadow.valid.astype(float)
-    num = gaussian_filter(filled, sigma=sigma_bins, mode=("constant", "wrap"), cval=0.0)
-    den = gaussian_filter(mask, sigma=sigma_bins, mode=("constant", "wrap"), cval=0.0)
+    num, den = _gaussian_smooth(
+        np.stack([np.where(shadow.valid, shadow.values, 0.0), shadow.valid.astype(float)]),
+        bandwidth_deg / shadow.bin_deg,
+    )
     with np.errstate(invalid="ignore", divide="ignore"):
         smoothed = num / den
     reachable = den > 1e-12
     out = np.where(reachable, np.maximum(smoothed, floor), np.nan)
     return ShadowMap(values=out, valid=reachable, bin_deg=shadow.bin_deg)
+
+
+def _gaussian_smooth(maps: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian filter of width ``sigma`` bins over the last two axes of ``maps``.
+
+    Past the zenith edges (axis -2) the maps are zero; in azimuth (axis
+    -1) they are periodic. The steps are those of SciPy's
+    ``gaussian_filter(m, sigma, mode=("constant", "wrap"), cval=0)``,
+    so each map equals its result bit for bit: the kernel reaches
+    int(4 sigma + 0.5) bins with weights exp(-k^2 / (2 sigma^2)) over
+    their sum, zenith is filtered first, and each output starts from the
+    centre tap and adds the symmetric pairs of taps, outermost first. A
+    sigma of at most 1e-15 leaves the maps as they are.
+    """
+    out = np.array(maps, dtype=float)
+    if sigma <= 1e-15:
+        return out
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    kernel = kernel / kernel.sum()
+    for axis, mode in ((-2, "constant"), (-1, "wrap")):
+        n = out.shape[axis]
+        widths = [(0, 0)] * out.ndim
+        widths[axis] = (radius, radius)
+        padded = np.pad(out, widths, mode=mode)
+        # shifted[radius + k] holds each bin's neighbour k bins along the axis
+        shifted = [
+            padded[(Ellipsis, slice(start, start + n)) + (slice(None),) * (-1 - axis)]
+            for start in range(2 * radius + 1)
+        ]
+        out = shifted[radius] * kernel[radius]
+        pair = np.empty_like(out)
+        for k in range(radius, 0, -1):
+            np.add(shifted[radius - k], shifted[radius + k], out=pair)
+            pair *= kernel[radius - k]
+            out += pair
+    return out
 
 
 def lookup_map(shadow: ShadowMap, sp: SolarPosition, floor: float = 0.02) -> np.ndarray:

@@ -130,8 +130,6 @@ class ForwardModel:
         support = np.flatnonzero(weights.any(axis=1))
         self.weights = weights[support]
         self.pnom = pnom
-        self.n_steps = dataset.n_steps
-        self.index = None  # rows of the full model; None means all of them
         self.chain = forward_chain(
             sp, dataset.timestamps, dataset.mean_temperature(),
             [mesh_orientations[j] for j in support], params, dataset.site,
@@ -141,12 +139,11 @@ class ForwardModel:
     def rows(self, idx: np.ndarray) -> ForwardModel:
         """The model restricted to the timesteps ``idx`` of this model.
 
-        Every step of the chain is elementwise in time and ``plant_power``
-        keeps each row's position, so the restricted model's values equal
-        the matching rows of the full model's bit for bit.
+        Every step of the chain and of ``plant_power`` is elementwise in
+        time, so the restricted model's values equal the matching rows of
+        the full model's bit for bit.
         """
         sub = copy.copy(self)
-        sub.index = idx if self.index is None else self.index[idx]
         sub.chain = self.chain.rows(idx)
         sub.power = self.power[idx]
         return sub
@@ -157,16 +154,14 @@ class ForwardModel:
     def plant_power(self, pr: np.ndarray) -> np.ndarray:
         """Plant powers ``pr @ weights`` for this model's rows.
 
-        BLAS may round a row's product differently by where the row sits
-        in the matrix (kernel tails, a matrix-vector call for one row), so
-        a restricted model multiplies its rows at their full-length
-        positions among zero rows.
+        Each plant sums its weighted proxy columns in one fixed order, so
+        a row's power reads that row alone and is the same in every
+        restriction of the model.
         """
-        if self.index is None:
-            return pr @ self.weights
-        placed = np.zeros((self.n_steps, pr.shape[1]))
-        placed[self.index] = pr
-        return (placed @ self.weights)[self.index]
+        out = np.zeros((len(pr), self.weights.shape[1]))
+        for j, i in zip(*np.nonzero(self.weights)):
+            out[:, i] += pr[:, j] * self.weights[j, i]
+        return out
 
     def normalized_errors(self, ghi: np.ndarray) -> np.ndarray:
         """Rating-normalized plant errors (measured − predicted) / rating at ``ghi``."""
@@ -240,6 +235,20 @@ def objective_gradient(
     errors = model.normalized_errors(ghi)
     w = _objective_weights(errors, trust, gate)
     return _gradient(model, ghi, w, cfg, errors)
+
+
+def _squared(errors: np.ndarray) -> np.ndarray:
+    """``errors**2`` with missing entries zero, as ``np.nansum`` sums it."""
+    sq = errors**2
+    sq[np.isnan(sq)] = 0.0
+    return sq
+
+
+def _bound_violation(ghi: np.ndarray, ghi_max: np.ndarray) -> float:
+    """How far ``ghi`` leaves [0, ghi_max], zero when it stays inside."""
+    return max(
+        float(np.max(ghi - ghi_max, initial=0.0)), float(np.max(-ghi, initial=0.0))
+    )
 
 
 def init_ghi(
@@ -338,14 +347,17 @@ def refine_ghi(
     h = np.abs(_weighted_sum(w, errors))
     has_data = w.sum(axis=1) > 0
     active = day & has_data
+    scored = np.flatnonzero(active)  # the rows the round's objective sums
     direction = np.zeros_like(ghi)
     moved = active.copy()  # timesteps whose gradient is to be (re)taken
 
-    round_history = [float(h[active].sum())]
-    state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+    round_history = [float(h[scored].sum())]
+    # np.nansum's own operand, kept up to date row by row
+    squared = _squared(errors)
+    state.err_history.append(float(np.sqrt(squared.sum())))
 
     iterations = state.iterations
-    bound_violation = state.bound_violation
+    bound_violation = max(state.bound_violation, _bound_violation(ghi, state.ghi_max))
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
@@ -373,13 +385,13 @@ def refine_ghi(
         moved[:] = False
         moved[kept] = True
 
+        # only the kept rows changed their GHI and errors
         bound_violation = max(
-            bound_violation,
-            float(np.max(ghi - state.ghi_max, initial=0.0)),
-            float(np.max(-ghi, initial=0.0)),
+            bound_violation, _bound_violation(ghi[kept], state.ghi_max[kept])
         )
-        state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
-        round_history.append(float(h[day & has_data].sum()))
+        squared[kept] = _squared(errors[kept])
+        state.err_history.append(float(np.sqrt(squared.sum())))
+        round_history.append(float(h[scored].sum()))
 
     state.objective_history.append(round_history)
     state.ghi = ghi

@@ -1,11 +1,16 @@
 """End-to-end batch pipeline through the command line entry points."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvghi
 from pvghi.cli import main
 
 CONFIG_TEMPLATE = """\
@@ -304,6 +309,61 @@ def test_infinite_temperature_is_a_missing_sample(pipeline_dir, tmp_path, text):
     )
     assert table[row, 1] == 1.0
     assert table[row, 0] == pytest.approx(intact[row, 0], rel=0.02)
+
+
+def both_plants_config(tmp_path, out, name):
+    """The pipeline's two plants read by absolute path, written to ``tmp_path / name``."""
+    body = CONFIG_TEMPLATE.format(
+        plants_line=f"plants = {out / 'south.csv'}, {out / 'eastwest.csv'}"
+    )
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(body.replace("output_dir = out", f"output_dir = {tmp_path / name}"))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["identify", "estimate"])
+def test_sampling_seconds_must_be_the_files_period(pipeline_dir, tmp_path, capsys, command):
+    """``sampling_seconds = 60`` over 10-minute plant files is an input error.
+
+    The setting used to be read by ``synth`` alone, so both commands ran
+    on such a config and exited 0.
+    """
+    _, _, out = pipeline_dir
+    cfg = both_plants_config(tmp_path, out, "fast")
+    cfg.write_text(cfg.read_text().replace("sampling_seconds = 600", "sampling_seconds = 60"))
+    rc = main([command, "--config", str(cfg), *(
+        ["--omega", str(out / "omega.json")] if command == "estimate" else []
+    )])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "[site] sampling_seconds: 60" in err and "600 s" in err
+    assert not (tmp_path / "fast").exists()
+
+
+def test_commands_import_no_scipy(pipeline_dir, tmp_path):
+    """``estimate`` and ``evaluate`` in a fresh interpreter load no SciPy module."""
+    _, _, out = pipeline_dir
+    cfg = both_plants_config(tmp_path, out, "plain")
+    code = (
+        "import sys\n"
+        "from pvghi.cli import main\n"
+        f"rc = main(['estimate', '--config', {str(cfg)!r}, "
+        f"'--omega', {str(out / 'omega.json')!r}])\n"
+        f"rc += main(['evaluate', '--est', {str(tmp_path / 'plain' / 'ghi_estimate.csv')!r}, "
+        f"'--truth', {str(out / 'ghi_truth.csv')!r}, "
+        f"'--output', {str(tmp_path / 'metrics.json')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(pvghi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_estimate_csv_reads_as_the_benchmark_reads_it(pipeline_dir):

@@ -25,7 +25,7 @@ longitude = 7.5
 def test_minimal_config(tmp_path):
     cfg = load_run_config(write_config(tmp_path, MINIMAL), require_plants=False)
     assert cfg.site.latitude == 47.5
-    assert cfg.sampling_seconds == 600
+    assert cfg.sampling_seconds is None  # synth's own step, the files' period elsewhere
     assert cfg.proxy.k2 == 0.942
     assert cfg.solver.n_grid == 30
     assert cfg.orientation.split_candidates == (365, 182, 121, 91, 73)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import gaussian_filter
 
 from pvghi import (
     build_shadow_map,
@@ -14,7 +15,13 @@ from pvghi import (
     tukey_gate,
 )
 from pvghi.data import PlantSeries
-from pvghi.reconcile import ShadowMap, binned_quantile, lookup_map, tukey_gate_matrix
+from pvghi.reconcile import (
+    ShadowMap,
+    _gaussian_smooth,
+    binned_quantile,
+    lookup_map,
+    tukey_gate_matrix,
+)
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
 from pvghi.synth import PlantSpec, ShadowSector, SyntheticSpec, make_timestamps, synthesize
@@ -144,6 +151,26 @@ class TestSmoothing:
         shadow = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
         out = smooth_threshold_map(shadow, bandwidth_deg=6.0, floor=0.0)
         assert out.values[10, 179] > 0.025  # mass crossed the wrap seam
+
+    @settings(max_examples=300)
+    @example(seed=0, n_zenith=3, n_azimuth=3, sigma=7.3)
+    @example(seed=1, n_zenith=4, n_azimuth=200, sigma=1e-16)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_zenith=st.integers(3, 60),
+        n_azimuth=st.integers(3, 200),
+        sigma=st.sampled_from([0.5, 1.0, 2.5, 3.0, 7.3]),
+    )
+    def test_smoothing_is_scipys_gaussian_filter(self, seed, n_zenith, n_azimuth, sigma):
+        """Bit for bit, also where the kernel reaches past the map's width."""
+        rng = np.random.default_rng(seed)
+        valid = rng.random((n_zenith, n_azimuth)) < 0.6
+        filled = np.where(valid, rng.uniform(-0.2, 1.0, valid.shape), 0.0)
+        got = _gaussian_smooth(np.stack([filled, valid.astype(float)]), sigma)
+        for smoothed, plain in zip(got, (filled, valid.astype(float))):
+            np.testing.assert_array_equal(
+                smoothed, gaussian_filter(plain, sigma, mode=("constant", "wrap"), cval=0.0)
+            )
 
     def test_smoothed_output_at_least_floor(self, shadow_scene):
         synth, sp, pred_clear, pnom, _ = shadow_scene

@@ -8,17 +8,15 @@ never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 PLANT_CSV_HEADER = "timestamp,power_w,temp_c"
-# the stamps datetime can hold, so parse_timestamp reads every one of them
-DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
 # m; the standard atmosphere's pressure (proxy.pressure_at_altitude) is zero at 44,330.8 m
 MAX_ALTITUDE = 44330.0
 
@@ -185,18 +183,68 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     unparseable or non-finite (``inf``, ``nan``) numbers are NaN. A
     missing or unreadable file, another header, a row with the wrong
     number of fields, a bad timestamp or no data rows is an InputError
-    naming the file.
+    naming the file. A file in the form ``write_series_csv`` writes is
+    split in whole-text passes and any other by ``csv.reader`` row by
+    row; both give the same result.
     """
     try:
         with open(path, newline="") as fh:
-            return _parse_series(path, header, csv.reader(fh))
+            text = fh.read()
     except FileNotFoundError:
         raise InputError(f"{path}: file not found") from None
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read ({exc})") from None
+    columns = _split_plain(text, header)
+    if columns is None:
+        try:
+            columns = _split_rows(path, header, csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise InputError(f"{path}: cannot read ({exc})") from None
+    stamps, *texts = columns
+    values = [_parse_column(column) for column in texts]
+    return _parse_stamps(path, stamps), np.array(values, dtype=float)
 
 
-def _parse_series(path, header: str, rows) -> tuple[np.ndarray, np.ndarray]:
+def _split_plain(text: str, header: str) -> list[list[str]] | None:
+    """The columns of ``text`` if splitting it at every comma and newline
+    gives what ``_split_rows`` gives, else None.
+
+    That holds for ASCII text with no quote, carriage return or NUL (an
+    error to ``csv.reader`` before Python 3.11) that starts with the
+    header line and ends in a newline, and whose data lines each hold one
+    field per header column, fit the csv module's field limit and start
+    with a character that is neither blank nor a comma, so that no line
+    is a blank row.
+    """
+    n_fields = header.count(",") + 1
+    if not (
+        text.isascii()
+        and text.startswith(header + "\n")
+        and text.endswith("\n")
+        and len(text) > len(header) + 1
+        and not any(c in text for c in '"\r\0')
+    ):
+        return None
+    body = text[len(header) + 1:]
+    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    row = np.array([ord(",")] * (n_fields - 1) + [ord("\n")], dtype=np.uint8)
+    if seps.size % n_fields or (codes[seps].reshape(-1, n_fields) != row).any():
+        return None
+    ends = seps[n_fields - 1::n_fields]
+    first = codes[np.concatenate(([0], ends[:-1] + 1))]
+    if (
+        (first <= ord(" ")).any()
+        or (first == ord(",")).any()
+        or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+    ):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    return [fields[k:-1:n_fields] for k in range(n_fields)]
+
+
+def _split_rows(path, header: str, rows) -> list[tuple[str, ...]]:
+    """The columns of ``csv.reader`` rows, blank rows skipped."""
     rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise InputError(f"{path}: empty file")
@@ -211,32 +259,55 @@ def _parse_series(path, header: str, rows) -> tuple[np.ndarray, np.ndarray]:
             )
     if not body:
         raise InputError(f"{path}: no data rows")
-    stamps, *columns = zip(*body)
-    values = [_parse_column(column) for column in columns]
-    return _parse_stamps(path, stamps), np.array(values, dtype=float)
+    return list(zip(*body))
+
+
+# "0" marks a digit; the trailing comma is the separator _canonical_stamps joins with
+_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+_STAMP_DIGIT = _STAMP_FORM == ord("0")
+
+
+def _canonical_stamps(stamps) -> np.ndarray | None:
+    """The stamps as datetime64[s] if every one is a valid instant in the
+    form ``write_series_csv`` writes, ``YYYY-MM-DDTHH:MM:SSZ``, else None.
+
+    The stamps are joined with commas, so each takes one row of 21 codes
+    only if all are 20 characters long and none holds a comma.
+    """
+    joined = ",".join(stamps) + ","
+    if len(joined) != 21 * len(stamps) or not joined.isascii():
+        return None
+    codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, 21)
+    digits = codes[:, _STAMP_DIGIT]
+    if (
+        (codes[:, ~_STAMP_DIGIT] != _STAMP_FORM[~_STAMP_DIGIT]).any()
+        or (digits < ord("0")).any()
+        or (digits > ord("9")).any()
+    ):
+        return None
+    d = digits.astype(np.int64) - ord("0")
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
+    if not (
+        (year >= 1) & (month >= 1) & (month <= 12) & (hour < 24) & (minute < 60) & (second < 60)
+    ).all():
+        return None
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    if (days.astype("datetime64[M]") != months).any():  # day 0, or past the month's end
+        return None
+    return days.astype("datetime64[s]") + (hour * 3600 + minute * 60 + second)
 
 
 def _parse_stamps(path, stamps) -> np.ndarray:
     """The stamps as ``parse_timestamp`` reads them, as datetime64[s].
 
-    A column wholly in the form ``write_series_csv`` writes
-    (``YYYY-MM-DDTHH:MM:SSZ``) is parsed by numpy in one call: formatting
-    the result back gives every stamp unchanged only for that form. Any
-    other column is read row by row, and the first bad stamp is named by
-    its data row.
+    A column wholly in the form ``write_series_csv`` writes is read from
+    its digit codes in one pass. Any other column is read row by row,
+    and the first bad stamp is named by its data row.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns of a zone it drops
-        try:
-            fast = np.array([text[:-1] for text in stamps], dtype="datetime64[s]")
-        except ValueError:
-            fast = None
-    if (
-        fast is not None
-        and np.datetime_as_string(fast, timezone="UTC").tolist() == list(stamps)
-        and DATETIME_RANGE[0] <= fast.min()
-        and fast.max() <= DATETIME_RANGE[1]
-    ):
+    fast = _canonical_stamps(stamps)
+    if fast is not None:
         return fast
     seconds = []
     try:
@@ -260,6 +331,15 @@ def _parse_column(texts) -> np.ndarray:
     return values
 
 
+def _format_column(column) -> list[str]:
+    """One field per value: integers and booleans as integers, floats by
+    ``repr`` and NaN as an empty field."""
+    column = np.asarray(column)
+    values = column.astype(np.int64 if column.dtype.kind in "biu" else float).tolist()
+    # a list's repr is its items' reprs joined by ", "; "nan" is no other float's repr
+    return repr(values)[1:-1].replace("nan", "").split(", ") if values else []
+
+
 def write_series_csv(path, header: str, timestamps, columns) -> None:
     """Write a timestamped CSV that ``read_series_csv`` reads back bit-exactly.
 
@@ -269,15 +349,9 @@ def write_series_csv(path, header: str, timestamps, columns) -> None:
     end in ``\\n``.
     """
     stamps = np.datetime_as_string(np.asarray(timestamps), timezone="UTC").tolist()
-    columns = [np.asarray(c) for c in columns]
-    is_int = [c.dtype.kind in "biu" for c in columns]
-    values = [c.astype(np.int64 if i else float).tolist() for c, i in zip(columns, is_int)]
-    # one row at a time, so no text copy of the whole file is held
+    rows = map(",".join, zip(stamps, *(_format_column(c) for c in columns)))
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for stamp, *row in zip(stamps, *values):
-            text = (str(v) if i else "" if v != v else repr(v) for v, i in zip(row, is_int))
-            fh.write(",".join((stamp, *text)) + "\n")
+        fh.write("\n".join([header, *rows, ""]))
 
 
 def write_json(path, payload) -> None:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 
 import pvghi
 from pvghi.cli import main
+
+SMOKE = Path(__file__).parent / "smoke"
 
 CONFIG_TEMPLATE = """\
 [site]
@@ -529,3 +532,32 @@ def test_repeated_plant_id_is_input_error(tmp_path, capsys):
         assert str(tmp_path / "a" / "good.csv") in err
         assert str(tmp_path / "b" / "good.csv") in err
         assert "Traceback" not in err
+
+
+def test_smoke_scene_from_crlf_files_with_quoted_numbers(tmp_path):
+    """The checked-in smoke scene gives byte-identical coefficients and
+    estimate when its plant files end lines in CRLF and quote every number.
+
+    Such files take the reader's row-by-row path, and pvghi's own files
+    its whole-column one.
+    """
+    for name in ("spec.json", "run.ini"):
+        shutil.copy(SMOKE / name, tmp_path)
+    config = str(tmp_path / "run.ini")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", config, "--spec", str(tmp_path / "spec.json")]) == 0
+
+    def identify_and_estimate():
+        assert main(["identify", "--config", config]) == 0
+        assert main(["estimate", "--config", config]) == 0
+        return [(out / name).read_bytes() for name in ("omega.json", "ghi_estimate.csv")]
+
+    written = identify_and_estimate()
+    for plant in ("p1", "p2", "p3"):
+        header, *rows = (out / f"{plant}.csv").read_text().splitlines()
+        quoted = [
+            ",".join([stamp, *(f'"{v}"' for v in values)])
+            for stamp, *values in (row.split(",") for row in rows)
+        ]
+        (out / f"{plant}.csv").write_bytes("\r\n".join([header, *quoted, ""]).encode())
+    assert identify_and_estimate() == written

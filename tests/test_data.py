@@ -1,10 +1,15 @@
+import csv
+import math
 import re
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvghi import InputError, PlantSeries, Site, align, load_plant_csv
-from pvghi.data import read_series_csv, save_plant_csv, write_series_csv
+from pvghi.data import parse_timestamp, read_series_csv, save_plant_csv, write_series_csv
 
 
 def write_csv(path, rows):
@@ -279,3 +284,219 @@ def test_stamps_read_as_parse_timestamp_reads_them(tmp_path, stamps):
     got, _ = read_series_csv(p, "timestamp,power_w,temp_c")
     assert got.dtype == np.dtype("datetime64[s]")
     assert got.astype("int64").tolist() == [parse_timestamp(s) for s in stamps]
+
+
+HEADER = "timestamp,power_w,temp_c"
+
+
+def read_rows_reference(path, header):
+    """The row-by-row reader the whole-column one replaced: ``csv.reader``
+    rows, blank ones skipped, each stamp read by ``parse_timestamp`` and
+    each number by ``float``."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot read ({exc})") from None
+    if not rows:
+        raise InputError(f"{path}: empty file")
+    if ",".join(h.strip() for h in rows[0]) != header:
+        raise InputError(f"{path}: expected header {header}")
+    n_fields = header.count(",") + 1
+    for k, row in enumerate(rows[1:], start=1):
+        if len(row) != n_fields:
+            raise InputError(f"{path}: data row {k}: expected {n_fields} fields, got {len(row)}")
+    if len(rows) == 1:
+        raise InputError(f"{path}: no data rows")
+    seconds = []
+    for k, row in enumerate(rows[1:], start=1):
+        try:
+            seconds.append(parse_timestamp(row[0]))
+        except (ValueError, OverflowError):
+            raise InputError(f"{path}: data row {k}: bad timestamp {row[0]!r}") from None
+    values = []
+    for row in rows[1:]:
+        numbers = []
+        for text in row[1:]:
+            try:
+                numbers.append(float(text))
+            except ValueError:
+                numbers.append(math.nan)
+        values.append([math.nan if math.isinf(v) else v for v in numbers])
+    return np.array(seconds, dtype="datetime64[s]"), np.array(values, dtype=float).T.copy()
+
+
+def write_rows_reference(path, header, timestamps, columns):
+    """The row loop the whole-column writer replaced."""
+    stamps = np.datetime_as_string(np.asarray(timestamps), timezone="UTC").tolist()
+    columns = [np.asarray(c) for c in columns]
+    is_int = [c.dtype.kind in "biu" for c in columns]
+    values = [c.astype(np.int64 if i else float).tolist() for c, i in zip(columns, is_int)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for stamp, *row in zip(stamps, *values):
+            text = (str(v) if i else "" if v != v else repr(v) for v, i in zip(row, is_int))
+            fh.write(",".join((stamp, *text)) + "\n")
+
+
+def read_outcome(read, path):
+    try:
+        stamps, values = read(path, HEADER)
+    except InputError as exc:
+        return str(exc)
+    return (
+        stamps.dtype, stamps.astype("int64").tolist(), values.dtype, values.shape, values.tobytes()
+    )
+
+
+# per calendar field, values at and past its edges
+CALENDAR_EDGES = (
+    [0, 1, 1900, 2000, 2024, 9999, 10000], [0, 1, 2, 12, 13], [0, 1, 28, 29, 30, 31, 32],
+    [0, 23, 24], [0, 59, 60], [0, 59, 60],
+)
+
+
+@st.composite
+def stamp_texts(draw, form="Z"):
+    """A stamp in the form pvghi writes or in ``form``; the "calendar"
+    form moves one field of a valid stamp to one of ``CALENDAR_EDGES``
+    or makes it Feb 29."""
+    if form == "junk":
+        return draw(st.sampled_from(["", " ", "yesterday", "2021-06-01", "\uff11"]))
+    t = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+    parts = [t.year, t.month, t.day, t.hour, t.minute, t.second]
+    if form == "calendar":
+        k = draw(st.integers(0, len(parts)))
+        if k == len(parts):
+            parts[:3] = [draw(st.sampled_from([1900, 2000, 2023, 2024, 2100])), 2, 29]
+        else:
+            parts[k] = draw(st.sampled_from(CALENDAR_EDGES[k]))
+    text = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(*parts)
+    return {
+        "naive": text,
+        "offset": text + draw(st.sampled_from(["+02:00", "-05:30", "+00:00"])),
+        "z": text + "z",
+        "space": text.replace("T", " ") + "Z",
+    }.get(form, text + "Z")
+
+
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-nan", "NaN", "inf", "-inf", "1e999", "bright", " 1.5", "1_0"]),
+)
+STAMP_FORMS = ["naive", "offset", "z", "space", "junk"]
+INSERTED_CHARS = list('\0\r\n,"\x0c\x1c\x85\xa0')
+BENDS = [
+    "header", "blank", "quotes", "calendar", "stamps", "fields", "endings", "no final newline",
+    "char",
+]
+
+
+@st.composite
+def series_files(draw):
+    """The text of a plant file as pvghi writes it, with none, one or a
+    few of ``BENDS`` applied, each to a row or two: the reader must either
+    read it as the row-by-row reader does or reject it with the same
+    message."""
+    n_rows = draw(st.integers(0, 12))
+    n_bends = draw(st.sampled_from([0, 0, 1, 1, 2, 3]))
+    bends = {
+        bend: draw(st.sets(st.integers(0, max(n_rows - 1, 0)), min_size=1, max_size=2))
+        for bend in draw(st.lists(st.sampled_from(BENDS), min_size=n_bends, max_size=n_bends))
+    }
+
+    def bent(bend, row):
+        return row in bends.get(bend, ())
+
+    header = HEADER
+    if "header" in bends:
+        header = draw(
+            st.sampled_from([" timestamp, power_w ,temp_c"] * 3 + ["time,p,t", "", ",,"])
+        )
+    lines = [header]
+    for row in range(n_rows):
+        if bent("blank", row):
+            lines.append(draw(st.sampled_from(["", "   ", "\t", ",,", " , ,", "\t, ,\xa0"])))
+        form = "calendar" if bent("calendar", row) else "Z"
+        form = draw(st.sampled_from(STAMP_FORMS)) if bent("stamps", row) else form
+        fields = [draw(stamp_texts(form)), draw(NUMBER_TEXTS), draw(NUMBER_TEXTS)]
+        if bent("quotes", row):
+            fields = [f'"{text}"' for text in fields]
+        if bent("fields", row):
+            fields = fields[:draw(st.integers(1, 2))] if draw(st.booleans()) else fields + ["1"]
+        if bent("char", row):
+            line = ",".join(fields)
+            at = draw(st.integers(0, len(line)))
+            fields = [line[:at] + draw(st.sampled_from(INSERTED_CHARS)) + line[at:]]
+        lines.append(",".join(fields))
+    ending = "\n"
+    if "endings" in bends:
+        ending = draw(st.sampled_from(["\r\n", "\r", "mixed"]))
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ending == "mixed" else ending)
+        for line in lines
+    )
+    if "no final newline" in bends:
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=400)
+@given(series_files())
+def test_read_matches_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_bytes(text.encode())
+    assert read_outcome(read_series_csv, path) == read_outcome(read_rows_reference, path)
+
+
+@settings(max_examples=300)
+@given(st.lists(stamp_texts(), min_size=1, max_size=4), stamp_texts("calendar"), st.data())
+def test_stamp_at_a_calendar_edge_reads_as_parse_timestamp_reads_it(
+    tmp_path_factory, stamps, edge, data
+):
+    """One stamp at or past a calendar field's edge among stamps pvghi writes."""
+    stamps.insert(data.draw(st.integers(0, len(stamps))), edge)
+    path = write_csv(tmp_path_factory.mktemp("csv") / "p.csv", [f"{s},1,2" for s in stamps])
+    assert read_outcome(read_series_csv, path) == read_outcome(read_rows_reference, path)
+
+
+def test_read_matches_row_reader_on_a_field_over_the_csv_limit(tmp_path):
+    too_long = "9" * (csv.field_size_limit() + 1)
+    path = write_csv(tmp_path / "p.csv", [f"2021-06-01T10:00:00Z,1,{too_long}"])
+    assert read_outcome(read_series_csv, path) == read_outcome(read_rows_reference, path)
+    assert "cannot read" in read_outcome(read_series_csv, path)
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, 0.30000000000000004, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def series_columns(draw):
+    n = draw(st.integers(0, 20))
+    unit = draw(st.sampled_from(["s", "D"]))
+    stamps = draw(arrays(np.int64, n, elements=st.integers(-719162, 2932896))).astype(
+        "datetime64[D]"
+    ).astype(f"datetime64[{unit}]") + draw(st.integers(0, 86399) if unit == "s" else st.just(0))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["f", "i", "u", "b"]), min_size=1, max_size=4)):
+        columns.append(draw({
+            "f": arrays(np.float64, n, elements=FLOATS),
+            "i": arrays(np.int64, n),
+            "u": arrays(np.uint8, n),
+            "b": arrays(np.bool_, n),
+        }[kind]))
+    return stamps, columns
+
+
+@given(series_columns())
+def test_write_matches_row_writer(tmp_path_factory, series):
+    stamps, columns = series
+    header = ",".join(["timestamp"] + [f"c{k}" for k in range(len(columns))])
+    folder = tmp_path_factory.mktemp("csv")
+    write_series_csv(folder / "new.csv", header, stamps, columns)
+    write_rows_reference(folder / "old.csv", header, stamps, columns)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()

@@ -26,9 +26,8 @@ from .orientation import (
     OrientationMesh,
     estimate_nominal_power,
     generate_mesh,
+    identify,
     identify_omega,
-    identify_with_splits,
-    refine_clear,
     select_clear,
 )
 from .reconcile import (
@@ -36,7 +35,7 @@ from .reconcile import (
     build_shadow_map,
     smooth_threshold_map,
     trust_weights,
-    tukey_gate,
+    tukey_gate_matrix,
 )
 from .solver import EstimationState, SolverConfig, estimate, init_ghi, refine_ghi
 from .metrics import MetricReport, bias_std_daily, block_average, normalized_rmse
@@ -73,13 +72,12 @@ __all__ = [
     "extraterrestrial_normal",
     "forward_chain",
     "generate_mesh",
+    "identify",
     "identify_omega",
-    "identify_with_splits",
     "init_ghi",
     "load_plant_csv",
     "normalized_rmse",
     "proxy_matrix",
-    "refine_clear",
     "refine_ghi",
     "relative_airmass",
     "select_clear",
@@ -87,5 +85,5 @@ __all__ = [
     "sun_positions",
     "synthesize",
     "trust_weights",
-    "tukey_gate",
+    "tukey_gate_matrix",
 ]

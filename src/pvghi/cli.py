@@ -26,15 +26,8 @@ from .data import (
     write_series_csv,
 )
 from .metrics import block_average, normalized_rmse
-from .orientation import (
-    generate_mesh,
-    identify_with_splits,
-    load_omegas,
-    refine_clear,
-    save_omegas,
-    select_clear,
-)
-from .solar import Orientation, clearsky_ghi, sun_positions
+from .orientation import generate_mesh, identify, load_omegas, save_omegas
+from .solar import Orientation, clearsky_ghi
 from .solver import estimate
 from .synth import (
     CloudModel,
@@ -76,20 +69,13 @@ def _load_dataset(cfg: RunConfig):
 def cmd_identify(args) -> int:
     cfg = load_run_config(args.config)
     dataset = _load_dataset(cfg)
-    sp = sun_positions(dataset.timestamps, dataset.site)
     ghi_clear = clearsky_ghi(
         dataset.timestamps, dataset.site, override_path=cfg.clearsky_override,
         linke_turbidity=cfg.solver.linke_turbidity,
     )
-    mesh = generate_mesh(cfg.orientation.subdivision)
-    bin_deg = cfg.orientation.clear_bin_deg
-    masks = refine_clear(
-        dataset, sp, ghi_clear, mesh, cfg.proxy,
-        [select_clear(p, sp, bin_deg=bin_deg) for p in dataset.plants], bin_deg=bin_deg,
-    )
-    result = identify_with_splits(
-        dataset, sp, ghi_clear, mesh, cfg.proxy, masks,
-        split_days=cfg.orientation.split_candidates,
+    result = identify(
+        dataset, ghi_clear, generate_mesh(cfg.orientation.subdivision), cfg.proxy,
+        cfg.orientation.split_candidates, cfg.orientation.clear_bin_deg,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     omega_path = cfg.output_dir / "omega.json"

@@ -18,7 +18,7 @@ import numpy as np
 from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import binned_quantile, sun_bin_keys
-from .solar import Orientation, SolarPosition
+from .solar import Orientation, SolarPosition, sun_positions
 
 ENVELOPE_MIN_SAMPLES = 5   # a sun-position bin with fewer samples selects none
 ENVELOPE_QUANTILE = 0.95   # a bin's clear power level
@@ -145,7 +145,7 @@ def select_clear(
     ``bin_deg`` degrees. In a bin with at least ENVELOPE_MIN_SAMPLES of
     them, a sample is clear when its power reaches ENVELOPE_FRAC of the
     bin's ENVELOPE_QUANTILE quantile. Smaller bins, night and missing
-    samples are never clear. ``refine_clear`` narrows the seed with the
+    samples are never clear. ``identify`` narrows the seed with the
     forward model.
     """
     power = plant.power
@@ -172,34 +172,34 @@ def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
     ).values
 
 
-def refine_clear(
+def _refine_clear(
     dataset: AlignedDataset,
     sp: SolarPosition,
-    ghi_clear: np.ndarray,
+    pr: np.ndarray,
     mesh: OrientationMesh,
     params: ProxyParams,
-    masks: list[np.ndarray],
-    bin_deg: float = 5.0,
+    seeds: list[np.ndarray],
+    bin_deg: float,
 ) -> list[np.ndarray]:
     """Clear-sky masks the forward model explains at one clear level.
 
-    Per plant, up to REFINE_ROUNDS times and until the mask stops
-    changing: fit the whole period on the mask (``identify_omega``),
-    predict clear power P^ from the proxy at clear-sky GHI, and keep the
-    daytime samples with P^ above REFINE_MIN_FRAC of the fitted rating
-    whose ratio P / P^ lies within REFINE_BAND of the plant's
-    90th-percentile ratio r90; haze that an envelope takes for clear
-    falls below it. Haze belongs to the hour, a shade to the sun
-    position: a daylight period with at least REFINE_DAY_FRAC of its
-    seed kept is clear, and where such clear seed samples in a
-    ``bin_deg`` sun bin have a 90th-percentile ratio below the band,
-    those within REFINE_BAND of it are kept too, so a seasonal shade
-    stays visible to ``identify_with_splits``. A mask below max(mesh
-    size, MIN_FIT_SAMPLES) samples or an all-zero fit raises
+    ``pr`` is the clear-sky proxy on the daytime timesteps, and the
+    seeds and the masks returned index those timesteps. Per plant, up
+    to REFINE_ROUNDS times and until the mask stops changing: fit the
+    whole period on the mask (``identify_omega``), predict clear power
+    P^ from the proxy, and keep the samples with P^ above
+    REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
+    REFINE_BAND of the plant's 90th-percentile ratio r90; haze that an
+    envelope takes for clear falls below it. Haze belongs to the hour, a
+    shade to the sun position: a daylight period with at least
+    REFINE_DAY_FRAC of its seed kept is clear, and where such clear seed
+    samples in a ``bin_deg`` sun bin have a 90th-percentile ratio below
+    the band, those within REFINE_BAND of it are kept too, so a seasonal
+    shade stays visible to the split search. A mask below max(mesh size,
+    MIN_FIT_SAMPLES) samples or an all-zero fit raises
     InsufficientDataError naming the plant.
     """
     day = np.flatnonzero(sp.daytime)
-    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
     # the daylight period of each daytime row counts the sunrises so far
     period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
     n_periods = int(period.max(initial=0)) + 1
@@ -215,10 +215,10 @@ def refine_clear(
         return keep
 
     refined = []
-    for plant, seed in zip(dataset.plants, masks):
+    for plant, seed in zip(dataset.plants, seeds):
         power = plant.power[day]
         finite = np.isfinite(power)
-        seeded = keep = seed[day] & finite
+        seeded = keep = seed & finite
         for _ in range(REFINE_ROUNDS):
             enough(plant.plant_id, keep)
             omega = identify_omega(power[keep], pr[keep])
@@ -249,9 +249,7 @@ def refine_clear(
             if np.array_equal(refit, keep):
                 break
             keep = refit
-        mask = np.zeros(dataset.n_steps, dtype=bool)
-        mask[day] = enough(plant.plant_id, keep)
-        refined.append(mask)
+        refined.append(enough(plant.plant_id, keep))
     return refined
 
 
@@ -260,13 +258,6 @@ def _huber_weights(residuals: np.ndarray, scale: float, c: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         w = np.where(u <= c, 1.0, c / np.maximum(u, 1e-300))
     return w
-
-
-def huber_loss(residuals: np.ndarray, scale: float, c: float) -> float:
-    u = np.abs(residuals) / max(scale, 1e-300)
-    quad = 0.5 * u**2
-    lin = c * u - 0.5 * c**2
-    return float(np.where(u <= c, quad, lin).sum())
 
 
 def nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray, solve) -> np.ndarray:
@@ -360,18 +351,13 @@ def _weighted_nnls(
     return nnls(gram, rhs, passive, solve)
 
 
-def identify_omega(
-    power: np.ndarray,
-    pr_clear: np.ndarray,
-    loss_history: list | None = None,
-) -> np.ndarray:
+def identify_omega(power: np.ndarray, pr_clear: np.ndarray) -> np.ndarray:
     """Non-negative proxy coefficients by IRLS with a Huber loss.
 
     ``power`` holds the clear-masked samples and ``pr_clear`` the proxy
     matrix rows for the same samples, built from clear-sky GHI. The
     robustness scale is fixed from the initial non-negative fit so the
-    reweighted objective decreases monotonically; ``loss_history``, when
-    given, collects the loss per outer iteration. Every pass is solved
+    reweighted objective decreases monotonically. Every pass is solved
     on the K x K Gram (``_weighted_nnls``), formed once per call, from
     the orientations the previous pass kept. Entries below SPARSITY_FRAC
     of the largest coefficient are zeroed.
@@ -390,8 +376,6 @@ def identify_omega(
     mad = np.median(np.abs(resid - np.median(resid)))
     scale = mad / 0.6745
     if scale > max(1e-9, 1e-9 * max(y.max(initial=0.0), 1.0)):
-        if loss_history is not None:
-            loss_history.append(huber_loss(resid, scale, HUBER_C))
         for _ in range(IRLS_MAX_OUTER):
             w = _huber_weights(resid, scale, HUBER_C)
             new_omega = _weighted_nnls(a, y, w, gram, rhs, omega > 0)
@@ -399,8 +383,6 @@ def identify_omega(
             step = np.linalg.norm(new_omega - omega) / denom
             omega = new_omega
             resid = y - a @ omega
-            if loss_history is not None:
-                loss_history.append(huber_loss(resid, scale, HUBER_C))
             if step < IRLS_RTOL:
                 break
     if omega.max(initial=0.0) > 0:
@@ -435,49 +417,35 @@ def _fold_edges(timestamps: np.ndarray, length_days: int, rows: np.ndarray) -> l
     return [fold[rows] == k for k in range(int(fold.max()) + 1)]
 
 
-def identify_with_splits(
+def _split_search(
     dataset: AlignedDataset,
-    sp: SolarPosition,
-    ghi_clear: np.ndarray,
+    day: np.ndarray,
+    pr: np.ndarray,
     mesh: OrientationMesh,
     params: ProxyParams,
     clear_masks: list[np.ndarray],
-    split_days: tuple[int, ...] = (365, 182, 121, 91, 73),
+    split_days: list[int],
 ) -> IdentificationResult:
     """Identify coefficients per plant, choosing the best temporal split.
 
-    For every candidate fold length the coefficients are fit per fold
-    and scored by the clear-sample reconstruction RMSE (normalized per
-    plant) over the whole dataset; the split with the lowest RMSE wins,
-    longest split on ties. The exported coefficients per plant come from
-    that split's best-reconstructing fold. A plant whose exported
-    coefficients would all be zero raises InsufficientDataError.
-
-    Only clear samples with finite power are fitted or scored, so the
-    proxy matrix is built on the union of those timesteps alone.
+    ``pr`` is the clear-sky proxy on the daytime timesteps ``day``, which
+    the clear masks index. For every candidate fold length the
+    coefficients are fit per fold and scored by the clear-sample
+    reconstruction RMSE (normalized per plant) over the whole dataset;
+    the split with the lowest RMSE wins, longest split on ties. The
+    exported coefficients per plant come from that split's
+    best-reconstructing fold. Only clear samples with finite power are
+    fitted or scored. A plant whose exported coefficients would all be
+    zero raises InsufficientDataError.
     """
-    span_days = int(
-        (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
-        // 86400
-    ) + 1
-    usable = [d for d in split_days if d <= span_days]
-    if not usable:
-        raise InputError(
-            f"dataset spans {span_days} d, shorter than every candidate split "
-            f"{sorted(split_days)}"
-        )
-
-    fitted = [m & np.isfinite(p.power) for m, p in zip(clear_masks, dataset.plants)]
-    union = np.flatnonzero(np.logical_or.reduce(fitted))
-    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, union)
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
-    masks = [m[union] for m in fitted]
-    powers = [p.power[union] for p in dataset.plants]
+    powers = [p.power[day] for p in dataset.plants]
+    masks = [m & np.isfinite(power) for m, power in zip(clear_masks, powers)]
 
     rmse_per_split: list[float] = []
     fold_fits: dict[int, list[list[np.ndarray | None]]] = {}
-    for length in usable:
-        folds = _fold_edges(dataset.timestamps, length, union)
+    for length in split_days:
+        folds = _fold_edges(dataset.timestamps, length, day)
         per_plant: list[list[np.ndarray | None]] = []
         sq_sum, n_sq = 0.0, 0
         for plant, mask, power in zip(dataset.plants, masks, powers):
@@ -513,13 +481,13 @@ def identify_with_splits(
     tie_tol = 0.05
     floor_rmse = min(rmse_per_split)
     tied = [
-        k for k in range(len(usable))
+        k for k in range(len(split_days))
         if rmse_per_split[k] <= (1.0 + tie_tol) * floor_rmse
     ]
-    best_len = max(usable[k] for k in tied)
+    best_len = max(split_days[k] for k in tied)
 
     omegas = []
-    folds = _fold_edges(dataset.timestamps, best_len, union)
+    folds = _fold_edges(dataset.timestamps, best_len, day)
     for i, (plant, mask, power) in enumerate(zip(dataset.plants, masks, powers)):
         best_omega, best_rmse = None, np.inf
         for fold_sel, omega in zip(folds, fold_fits[best_len][i]):
@@ -546,11 +514,47 @@ def identify_with_splits(
             )
         )
     report = SplitReport(
-        split_days=tuple(usable),
+        split_days=tuple(split_days),
         pv_rmse=tuple(float(r) for r in rmse_per_split),
         chosen_split=best_len,
     )
     return IdentificationResult(omegas=tuple(omegas), mesh=mesh, report=report)
+
+
+def identify(
+    dataset: AlignedDataset,
+    ghi_clear: np.ndarray,
+    mesh: OrientationMesh,
+    params: ProxyParams,
+    split_days: tuple[int, ...],
+    bin_deg: float,
+) -> IdentificationResult:
+    """Each plant's coefficients, identified from its clear-sky samples.
+
+    The clear-sky proxy is built once, on the daytime timesteps.
+    ``select_clear`` seeds each plant's clear samples in ``bin_deg``
+    sun bins, ``_refine_clear`` narrows them with the forward model, and
+    ``_split_search`` fits them per fold of each length in
+    ``split_days`` that the data span. A dataset shorter than every
+    candidate is an InputError; a plant left with too few clear samples
+    or with all-zero coefficients is an InsufficientDataError naming it.
+    """
+    span_days = int(
+        (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
+        // 86400
+    ) + 1
+    usable = [d for d in split_days if d <= span_days]
+    if not usable:
+        raise InputError(
+            f"dataset spans {span_days} d, shorter than every candidate split "
+            f"{sorted(split_days)}"
+        )
+    sp = sun_positions(dataset.timestamps, dataset.site)
+    day = np.flatnonzero(sp.daytime)
+    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
+    seeds = [select_clear(p, sp, bin_deg)[day] for p in dataset.plants]
+    masks = _refine_clear(dataset, sp, pr, mesh, params, seeds, bin_deg)
+    return _split_search(dataset, day, pr, mesh, params, masks, usable)
 
 
 def save_omegas(result: IdentificationResult, path) -> None:

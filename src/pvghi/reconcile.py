@@ -196,11 +196,6 @@ def trust_weights(
     return dists / total
 
 
-def tukey_gate(errors: np.ndarray, k_q: float = 1.5) -> np.ndarray:
-    """Keep-mask over one timestep's errors; see ``tukey_gate_matrix``."""
-    return tukey_gate_matrix(np.asarray(errors, dtype=float)[None, :], k_q)[0]
-
-
 def tukey_gate_matrix(error_matrix: np.ndarray, k_q: float = 1.5) -> np.ndarray:
     """Row-wise Tukey keep-mask over a (T, n_plants) error matrix.
 

@@ -94,9 +94,10 @@ class ForwardModel:
 
     Only mesh columns carrying weight for at least one plant are
     evaluated; dropped columns multiply zero coefficients, so the
-    restriction is exact. A plant whose coefficients are all zero, or
-    whose rating is not a positive finite number, is an InputError: its
-    rating-normalized errors would otherwise swamp the objective.
+    restriction is exact. A plant whose coefficients are all zero,
+    negative or not finite, or whose rating is not a positive finite
+    number, is an InputError: its predictions or its rating-normalized
+    errors would otherwise make a wrong GHI look converged.
 
     The GHI-independent part of the chain is built once, as ``chain``.
     ``rows`` restricts the model to a subset of timesteps, so the solver
@@ -120,12 +121,13 @@ class ForwardModel:
         unusable = [
             oc.plant_id
             for oc, rating in zip(omegas, pnom)
-            if not (oc.omega.any() and 0 < rating < np.inf)
+            if not (oc.omega.any() and np.all((oc.omega >= 0) & (oc.omega < np.inf))
+                    and 0 < rating < np.inf)
         ]
         if unusable:
             raise InputError(
-                f"plant(s) {', '.join(unusable)}: coefficients all zero or rating not "
-                "a positive finite number"
+                f"plant(s) {', '.join(unusable)}: coefficients all zero, negative or not "
+                "finite, or rating not a positive finite number"
             )
         support = np.flatnonzero(weights.any(axis=1))
         self.weights = weights[support]
@@ -210,31 +212,6 @@ def _gradient(
     mean = _weighted_sum(w, errors)
     sign = np.where(np.abs(mean) > ZERO_MEAN_TOL, np.sign(mean), 0.0)
     return sign * _weighted_sum(w, derr)
-
-
-def objective_value(
-    errors: np.ndarray, trust: np.ndarray, gate: np.ndarray
-) -> np.ndarray:
-    """Per-timestep objective: |weighted mean normalized error|."""
-    return np.abs(_weighted_sum(_objective_weights(errors, trust, gate), errors))
-
-
-def objective_gradient(
-    model: ForwardModel,
-    ghi: np.ndarray,
-    trust: np.ndarray,
-    gate: np.ndarray,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Gradient of the per-timestep objective with respect to GHI.
-
-    The per-plant error sensitivity is the forward difference of the
-    normalized errors over ``cfg.delta_ghi``; gated or missing entries
-    contribute nothing.
-    """
-    errors = model.normalized_errors(ghi)
-    w = _objective_weights(errors, trust, gate)
-    return _gradient(model, ghi, w, cfg, errors)
 
 
 def _squared(errors: np.ndarray) -> np.ndarray:

@@ -468,7 +468,16 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert err[0].startswith("error: ") and str(bad) in err[0], err[0]
 
 
-def test_zero_coefficient_plant_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "dead_omega", [[], [float("nan")], [float("inf")], [-5.0]],
+    ids=["none", "nan", "inf", "negative"],
+)
+def test_zero_coefficient_plant_is_input_error(tmp_path, capsys, dead_omega):
+    """No coefficient, or a non-finite or negative one, is an error naming the plant.
+
+    ``json`` reads ``NaN`` and ``Infinity`` as numbers, so the estimate
+    checks the values: they would give a wrong GHI marked converged.
+    """
     for pid in ("good", "dead"):
         (tmp_path / f"{pid}.csv").write_text(TINY_PLANT)
     config = tmp_path / "config.ini"
@@ -479,7 +488,8 @@ def test_zero_coefficient_plant_is_input_error(tmp_path, capsys):
         "mesh_subdivision": 2,
         "plants": [
             {"plant_id": "good", "coefficients": [flat], "estimated_pnom_w": 7536.0},
-            {"plant_id": "dead", "coefficients": [], "estimated_pnom_w": 7536.0},
+            {"plant_id": "dead", "coefficients": [{**flat, "omega_m2": w} for w in dead_omega],
+             "estimated_pnom_w": 7536.0},
         ],
     }))
     assert main(["estimate", "--config", str(config), "--omega", str(omega)]) == 1

@@ -13,9 +13,9 @@ from pvghi import (
     Site,
     estimate_nominal_power,
     generate_mesh,
+    identify,
     identify_omega,
     clearsky_ghi,
-    refine_clear,
     select_clear,
     sun_positions,
 )
@@ -26,7 +26,6 @@ from pvghi.orientation import (
     InsufficientDataError,
     OmegaCoefficients,
     SplitReport,
-    identify_with_splits,
     load_omegas,
     save_omegas,
 )
@@ -42,6 +41,62 @@ from pvghi.synth import (
 from conftest import mesh_vertex
 from test_acceptance import standard_fields
 from test_solver import with_missing
+
+
+def daytime_proxy(dataset, ghi_clear, mesh, params):
+    """The sun positions, daytime rows and clear-sky proxy ``identify`` builds."""
+    sp = sun_positions(dataset.timestamps, dataset.site)
+    day = np.flatnonzero(sp.daytime)
+    return sp, day, orientation._clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
+
+
+def refined_masks(dataset, ghi_clear, mesh, params):
+    """Seed and refined clear masks over all timesteps, as ``identify`` makes them."""
+    sp, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
+    seeds = [select_clear(p, sp) for p in dataset.plants]
+    refined = []
+    for mask in orientation._refine_clear(
+        dataset, sp, pr, mesh, params, [seed[day] for seed in seeds], 5.0
+    ):
+        full = np.zeros(dataset.n_steps, dtype=bool)
+        full[day] = mask
+        refined.append(full)
+    return seeds, refined
+
+
+def split_search(dataset, ghi_clear, mesh, params, masks, split_days):
+    """The split search alone, on clear masks over all timesteps."""
+    _, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
+    return orientation._split_search(
+        dataset, day, pr, mesh, params, [m[day] for m in masks], list(split_days)
+    )
+
+
+def huber_losses(power, pr_clear):
+    """The Huber loss of each IRLS pass of ``identify_omega``, at its fixed scale.
+
+    Each pass's coefficients are copied from ``_weighted_nnls`` before
+    the sparsity cut edits the last in place; the scale is the MAD of
+    the first, unweighted fit's residuals.
+    """
+    fits = []
+    solve = orientation._weighted_nnls
+
+    def recording(*args):
+        omega = solve(*args)
+        fits.append(omega.copy())
+        return omega
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orientation, "_weighted_nnls", recording)
+        identify_omega(power, pr_clear)
+    resid = [power - pr_clear @ omega for omega in fits]
+    scale = np.median(np.abs(resid[0] - np.median(resid[0]))) / 0.6745
+    c = orientation.HUBER_C
+    return [
+        float(np.where(u <= c, 0.5 * u**2, c * u - 0.5 * c**2).sum())
+        for u in (np.abs(r) / scale for r in resid)
+    ]
 
 
 class TestMesh:
@@ -160,8 +215,7 @@ def test_missing_power_is_never_selected_clear(clear_scene, mesh, params, data):
     for i, start, length in data.draw(st.lists(outage, max_size=3)):
         missing[start:start + length, i] = True
     holed = with_missing(ds, missing)
-    seeds = [select_clear(p, sp) for p in holed.plants]
-    refined = refine_clear(holed, sp, synth.ghi_clear, mesh, params, seeds)
+    seeds, refined = refined_masks(holed, synth.ghi_clear, mesh, params)
     for i, (seed, mask) in enumerate(zip(seeds, refined)):
         assert not (seed & missing[:, i]).any()
         assert not (mask & missing[:, i]).any()
@@ -182,48 +236,37 @@ class TestRefineClear:
             plants=tuple(PlantSpec(pid, f, noise_rel=0.01) for pid, f in fields.items())
         )
         synth = synthesize(spec, site, ts, seed=seed)
-        sp = sun_positions(ts, site)
-        masks = refine_clear(
-            synth.dataset, sp, synth.ghi_clear, mesh, params,
-            [select_clear(p, sp) for p in synth.dataset.plants],
-        )
-        res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
-            split_days=(45, 30, 15),
-        )
+        res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45, 30, 15), 5.0)
         for oc in res.omegas:
             true_pnom = sum(pnom for _, pnom in fields[oc.plant_id])
             assert abs(oc.estimated_pnom - true_pnom) / true_pnom < 0.05, oc.plant_id
 
     def test_masks_are_clear_daytime_samples_with_power(self, clear_scene, mesh, params):
         synth, sp, _, _, _, _ = clear_scene
-        seeds = [select_clear(p, sp) for p in synth.dataset.plants]
-        refined = refine_clear(synth.dataset, sp, synth.ghi_clear, mesh, params, seeds)
+        _, refined = refined_masks(synth.dataset, synth.ghi_clear, mesh, params)
         for plant, mask in zip(synth.dataset.plants, refined):
             assert not mask[~sp.daytime].any()
             assert np.isfinite(plant.power[mask]).all()
             assert (mask & synth.clear_true).sum() / mask.sum() >= 0.9
 
     def test_dead_plant_named(self, clear_scene, mesh, params):
-        synth, sp, _, _, _, _ = clear_scene
+        synth = clear_scene[0]
         single, _ = synth.dataset.plants
         dead = replace(single, plant_id="dead", power=np.zeros(len(single.power)))
         dataset = AlignedDataset(synth.dataset.timestamps, (single, dead), synth.dataset.site)
-        seeds = [select_clear(p, sp) for p in dataset.plants]
         with pytest.raises(InsufficientDataError, match="dead"):
-            refine_clear(dataset, sp, synth.ghi_clear, mesh, params, seeds)
+            identify(dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
 
     def test_plant_too_short_for_a_mask_named(self, clear_scene, mesh, params):
         """Two days of data leave every 5-degree bin below its sample floor."""
-        synth, sp, _, _, _, _ = clear_scene
+        synth = clear_scene[0]
         single, _ = synth.dataset.plants
         power = np.full(len(single.power), np.nan)
         power[-288:] = single.power[-288:]
         late = replace(single, plant_id="late", power=power)
         dataset = AlignedDataset(synth.dataset.timestamps, (single, late), synth.dataset.site)
-        seeds = [select_clear(p, sp) for p in dataset.plants]
         with pytest.raises(InsufficientDataError, match="late"):
-            refine_clear(dataset, sp, synth.ghi_clear, mesh, params, seeds)
+            identify(dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
 
 
 class TestIdentifyOmega:
@@ -267,8 +310,7 @@ class TestIdentifyOmega:
         plant = synth.dataset.plants[0]
         # contaminated mask so the robust loop actually has to work
         mask = select_clear(plant, sp)
-        history = []
-        identify_omega(plant.power[mask], pr_clear[mask], loss_history=history)
+        history = huber_losses(plant.power[mask], pr_clear[mask])
         assert len(history) >= 2
         diffs = np.diff(np.array(history))
         assert np.all(diffs <= 1e-8 * max(history[0], 1.0))
@@ -351,8 +393,7 @@ class TestGramSolve:
     )
     def test_loss_history_non_increasing(self, seed, k, rows_per_column):
         a, y, _ = random_fit(seed, k * rows_per_column, k)
-        history = []
-        identify_omega(y, a, loss_history=history)
+        history = huber_losses(y, a)
         assert len(history) >= 2
         assert np.all(np.diff(history) <= 1e-12 * history[0])
 
@@ -401,19 +442,17 @@ class TestSplits:
     @staticmethod
     def split_report(season_scene, site, mesh, params, shaded, true_mask=False):
         """Split search on the selector's masks, or on the generator's clear mask."""
-        south, ts, sp, shadow = season_scene
+        south, ts, _, shadow = season_scene
         spec = SyntheticSpec(
             plants=(PlantSpec("p", ((south, 8000.0),), shadows=shadow if shaded else ()),)
         )
         synth = synthesize(spec, site, ts, seed=5)
         if true_mask:
-            masks = [synth.clear_true]
+            res = split_search(
+                synth.dataset, synth.ghi_clear, mesh, params, [synth.clear_true], (300, 75)
+            )
         else:
-            seeds = [select_clear(p, sp) for p in synth.dataset.plants]
-            masks = refine_clear(synth.dataset, sp, synth.ghi_clear, mesh, params, seeds)
-        res = identify_with_splits(
-            synth.dataset, sp, synth.ghi_clear, mesh, params, masks, split_days=(300, 75),
-        )
+            res = identify(synth.dataset, synth.ghi_clear, mesh, params, (300, 75), 5.0)
         return res.report
 
     def test_seasonal_shading_prefers_short_split(self, season_scene, site, mesh, params):
@@ -447,13 +486,8 @@ class TestSplits:
         ts = make_timestamps("2015-05-01T00:00:00", 30, 1800)
         spec = SyntheticSpec(plants=(PlantSpec("p", ((south, 8000.0),)),))
         synth = synthesize(spec, site, ts, seed=1)
-        sp = sun_positions(ts, site)
-        masks = [np.ones(len(ts), dtype=bool)]
         with pytest.raises(InputError, match="shorter than every candidate"):
-            identify_with_splits(
-                synth.dataset, sp, synth.ghi_clear, mesh, params, masks,
-                split_days=(91,),
-            )
+            identify(synth.dataset, synth.ghi_clear, mesh, params, (91,), 5.0)
 
 
 def test_identify_uses_site_pressure(mesh, params):
@@ -466,19 +500,13 @@ def test_identify_uses_site_pressure(mesh, params):
     ts = make_timestamps("2015-05-01T00:00:00", 35, 600)
     spec = SyntheticSpec(plants=(PlantSpec("p", ((south, 8000.0),)),))
     synth = synthesize(spec, site, ts, seed=4)
-    res = identify_with_splits(
-        synth.dataset, sun_positions(ts, site), synth.ghi_clear, mesh, params,
-        [synth.clear_true], split_days=(35,),
-    )
+    res = split_search(synth.dataset, synth.ghi_clear, mesh, params, [synth.clear_true], (35,))
     assert abs(res.omegas[0].estimated_pnom - 8000.0) / 8000.0 < 1e-9
 
 
 def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):
-    synth, sp, _, _, _, _ = clear_scene
-    masks = [select_clear(p, sp) for p in synth.dataset.plants]
-    res = identify_with_splits(
-        synth.dataset, sp, synth.ghi_clear, mesh, params, masks, split_days=(45,),
-    )
+    synth = clear_scene[0]
+    res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
     path = tmp_path / "omega.json"
     save_omegas(res, path)
     loaded = load_omegas(path, mesh)
@@ -522,29 +550,16 @@ def test_identify_refuses_all_zero_coefficients(site, mesh, params):
     dead = PlantSeries("dead", ts, np.zeros(len(ts)), np.full(len(ts), 15.0))
     dataset = AlignedDataset(ts, (dead,), site)
     with pytest.raises(InsufficientDataError, match="dead"):
-        identify_with_splits(
-            dataset, sp, clearsky_ghi(ts, site), mesh, params, [sp.daytime],
-            split_days=(7,),
-        )
+        split_search(dataset, clearsky_ghi(ts, site), mesh, params, [sp.daytime], (7,))
 
 
-def test_identify_builds_the_proxy_on_clear_finite_rows(
-    clear_scene, site, mesh, params, monkeypatch
-):
-    """The proxy covers exactly the union of the clear samples with finite power.
+def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, monkeypatch):
+    """Seed, refinement and split search share one proxy of the daytime rows.
 
-    No other row is read: clear-sky GHI outside that union changes no
-    coefficient and no split score.
+    No other row is read: clear-sky GHI at night changes no coefficient
+    and no split score.
     """
     synth, sp, _, _, _, _ = clear_scene
-    masks = [select_clear(p, sp) for p in synth.dataset.plants]
-    single, ew = synth.dataset.plants
-    power = single.power.copy()
-    power[::7] = np.nan
-    dataset = AlignedDataset(synth.dataset.timestamps, (replace(single, power=power), ew), site)
-    union = (masks[0] & np.isfinite(power)) | (masks[1] & np.isfinite(ew.power))
-    assert 0 < union.sum() < (masks[0] | masks[1]).sum()
-
     stamps_seen, rows_seen = [], []
     chain, stage = orientation.forward_chain, orientation.proxy_matrix
 
@@ -558,18 +573,14 @@ def test_identify_builds_the_proxy_on_clear_finite_rows(
 
     monkeypatch.setattr(orientation, "forward_chain", recording_chain)
     monkeypatch.setattr(orientation, "proxy_matrix", recording_stage)
-    res = identify_with_splits(
-        dataset, sp, synth.ghi_clear, mesh, params, masks, split_days=(45, 15),
-    )
+    res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45, 15), 5.0)
     assert len(stamps_seen) == 1
-    np.testing.assert_array_equal(stamps_seen[0], synth.dataset.timestamps[union])
-    assert rows_seen == [int(union.sum())]
+    np.testing.assert_array_equal(stamps_seen[0], synth.dataset.timestamps[sp.daytime])
+    assert rows_seen == [int(sp.daytime.sum())]
 
     garbage = synth.ghi_clear.copy()
-    garbage[~union] = np.nan
-    again = identify_with_splits(
-        dataset, sp, garbage, mesh, params, masks, split_days=(45, 15),
-    )
+    garbage[~sp.daytime] = np.nan
+    again = identify(synth.dataset, garbage, mesh, params, (45, 15), 5.0)
     assert again.report == res.report
     for a, b in zip(res.omegas, again.omegas):
         np.testing.assert_array_equal(a.omega, b.omega)

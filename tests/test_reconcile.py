@@ -12,7 +12,7 @@ from pvghi import (
     smooth_threshold_map,
     sun_positions,
     trust_weights,
-    tukey_gate,
+    tukey_gate_matrix,
 )
 from pvghi.data import PlantSeries
 from pvghi.reconcile import (
@@ -20,7 +20,6 @@ from pvghi.reconcile import (
     _gaussian_smooth,
     binned_quantile,
     lookup_map,
-    tukey_gate_matrix,
 )
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
@@ -222,44 +221,44 @@ class TestTrust:
 
 class TestTukey:
     def test_single_extreme_gated(self):
-        keep = tukey_gate(np.array([1.0, 1.0, 1.0, 1.0, 100.0]))
+        keep = tukey_gate_matrix(np.array([1.0, 1.0, 1.0, 1.0, 100.0])[None, :])[0]
         np.testing.assert_array_equal(keep, [True, True, True, True, False])
 
     def test_all_equal_none_gated(self):
-        keep = tukey_gate(np.full(6, 2.5))
+        keep = tukey_gate_matrix(np.full(6, 2.5)[None, :])
         assert keep.all()
 
     def test_hand_quartiles(self):
         # {1..5}: Q25=2, Q75=4, IQ=2, fences [-1, 7]: nothing gated
-        assert tukey_gate(np.array([1.0, 2, 3, 4, 5])).all()
+        assert tukey_gate_matrix(np.array([1.0, 2, 3, 4, 5])[None, :]).all()
         # widen one point beyond the upper fence
-        keep = tukey_gate(np.array([1.0, 2, 3, 4, 8]))
+        keep = tukey_gate_matrix(np.array([1.0, 2, 3, 4, 8])[None, :])[0]
         # {1,2,3,4,8}: Q25=2, Q75=4, fences [-1, 7]: 8 is out
         np.testing.assert_array_equal(keep, [True, True, True, True, False])
 
     def test_two_or_fewer_kept(self):
-        assert tukey_gate(np.array([0.0, 1e9])).all()
-        assert tukey_gate(np.array([5.0])).all()
+        assert tukey_gate_matrix(np.array([0.0, 1e9])[None, :]).all()
+        assert tukey_gate_matrix(np.array([5.0])[None, :]).all()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             e = rng.standard_normal(rng.integers(3, 12))
-            base = tukey_gate(e)
-            np.testing.assert_array_equal(base, tukey_gate(37.5 * e))
+            base = tukey_gate_matrix(e[None, :])
+            np.testing.assert_array_equal(base, tukey_gate_matrix(37.5 * e[None, :]))
 
     def test_median_never_gated(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             e = rng.standard_normal(5) * rng.uniform(0.1, 10)
-            keep = tukey_gate(e)
+            keep = tukey_gate_matrix(e[None, :])[0]
             assert keep.sum() >= 1
             assert keep[np.argsort(e)[len(e) // 2]]
 
     def test_large_sample_calibration(self):
         # k=1.5 fences flag ~0.7% of a normal population
         rng = np.random.default_rng(16)
-        frac = (~tukey_gate(rng.standard_normal(1_000_000))).mean()
+        frac = (~tukey_gate_matrix(rng.standard_normal(1_000_000)[None, :])).mean()
         assert 0.005 <= frac <= 0.02
 
     def test_matrix_matches_rowwise(self):
@@ -277,7 +276,7 @@ class TestTukey:
             np.testing.assert_array_equal(got[t], want)
 
     def test_missing_entries_kept(self):
-        keep = tukey_gate(np.array([np.nan, 1.0, 1.0, 1.0, 50.0]))
+        keep = tukey_gate_matrix(np.array([np.nan, 1.0, 1.0, 1.0, 50.0])[None, :])[0]
         assert keep[0]
         assert not keep[4]
 

@@ -18,12 +18,22 @@ from pvghi.solver import (
     LAMBDA_MIN,
     ForwardModel,
     init_ghi,
-    objective_gradient,
-    objective_value,
     refine_ghi,
 )
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
+
+
+def objective(errors, trust, gate):
+    """Per-timestep objective |weighted mean normalized error| at the solver's weights."""
+    return np.abs(solver._weighted_sum(solver._objective_weights(errors, trust, gate), errors))
+
+
+def gradient(model, ghi, trust, gate, cfg):
+    """The solver's forward-difference gradient of ``objective`` at ``ghi``."""
+    errors = model.normalized_errors(ghi)
+    w = solver._objective_weights(errors, trust, gate)
+    return solver._gradient(model, ghi, w, cfg, errors)
 
 
 def logit(p):
@@ -107,13 +117,13 @@ class TestGradient:
         checked = 0
         for _ in range(4):
             ghi = rng.uniform(0.0, 1.0, T) * 1.3 * synth.ghi_clear
-            grad = objective_gradient(model, ghi, trust, gate, cfg)
+            grad = gradient(model, ghi, trust, gate, cfg)
             delta = cfg.delta_ghi
-            h_mid = objective_value(model.normalized_errors(ghi), trust, gate)
-            h_up = objective_value(
+            h_mid = objective(model.normalized_errors(ghi), trust, gate)
+            h_up = objective(
                 model.normalized_errors(ghi + delta), trust, gate
             )
-            h_dn = objective_value(
+            h_dn = objective(
                 model.normalized_errors(np.maximum(ghi - delta, 0)),
                 trust, gate,
             )
@@ -144,7 +154,7 @@ class TestGradient:
         noon = int(np.argmin(sp.zenith))
         gate[noon] = False
         ghi = 0.8 * synth.ghi_clear
-        grad = objective_gradient(model, ghi, trust, gate, cfg)
+        grad = gradient(model, ghi, trust, gate, cfg)
         assert grad[noon] == 0.0
 
     def test_zero_at_exact_solution(self, site, mesh, params):
@@ -154,7 +164,7 @@ class TestGradient:
         T = len(sp.zenith)
         trust = np.full((T, 4), 0.25)
         gate = np.ones((T, 4), dtype=bool)
-        grad = objective_gradient(model, synth.ghi_true, trust, gate, cfg)
+        grad = gradient(model, synth.ghi_true, trust, gate, cfg)
         day = sp.daytime & (synth.ghi_true > 30)
         # at the generator's own GHI the objective sits at its minimum
         assert np.abs(grad[day]).max() < 1e-3
@@ -465,7 +475,7 @@ def reference_refine(model, state, trust, gate, cfg):
     lam = np.full_like(ghi, cfg.lambda0)
     day = model.chain.daytime & (state.ghi_max > 0)
     errors = model.normalized_errors(ghi)
-    h = objective_value(errors, trust, gate)
+    h = objective(errors, trust, gate)
     has_data = (np.isfinite(errors) & gate & (trust > 0)).any(axis=1)
     active = day & has_data
     round_history = [float(h[active].sum())]
@@ -474,14 +484,14 @@ def reference_refine(model, state, trust, gate, cfg):
         if not active.any():
             break
         rows = np.flatnonzero(active)
-        grad = objective_gradient(model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg)
+        grad = gradient(model.rows(rows), ghi[rows], trust[rows], gate[rows], cfg)
         direction = np.where(np.abs(grad) <= GRAD_FLOOR, 0.0, np.sign(grad))
         active[rows[direction == 0.0]] = False
         rows, direction = rows[direction != 0.0], direction[direction != 0.0]
         sub = model.rows(rows)
         cand = np.clip(ghi[rows] - lam[rows] * direction, 0.0, state.ghi_max[rows])
         err_cand = sub.normalized_errors(cand)
-        h_cand = objective_value(err_cand, trust[rows], gate[rows])
+        h_cand = objective(err_cand, trust[rows], gate[rows])
         improved = h_cand < h[rows]
         kept = rows[improved]
         ghi[kept] = cand[improved]

@@ -142,9 +142,8 @@ def cmd_estimate(args) -> int:
     print(f"wrote {out_path}")
     print(f"wrote {diag_path}")
 
-    day = result.ghi_clear > 0
-    if day.any():
-        frac = result.converged[day].mean()
+    if result.solved.any():
+        frac = result.converged[result.solved].mean()
         print(f"daytime convergence: {100 * frac:.1f}%")
         if frac < 0.95:
             return 2

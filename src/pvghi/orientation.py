@@ -172,6 +172,29 @@ def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
     ).values
 
 
+class _ClearFits:
+    """One plant's clear-sky fits, ``identify_omega`` once per row set.
+
+    ``power`` and ``pr`` are the plant's power and the clear-sky proxy
+    on the daytime timesteps, which the row masks index. A row set
+    fitted before returns that fit again; ``last`` is the latest fit
+    returned.
+    """
+
+    def __init__(self, power: np.ndarray, pr: np.ndarray):
+        self.power, self.pr = power, pr
+        self.by_rows: dict[bytes, np.ndarray] = {}
+        self.last: np.ndarray | None = None
+
+    def __call__(self, rows: np.ndarray, start: np.ndarray | None) -> np.ndarray:
+        """The fit on the boolean mask ``rows``, a new one warm-started from ``start``."""
+        key = np.packbits(rows).tobytes()
+        if key not in self.by_rows:
+            self.by_rows[key] = identify_omega(self.power[rows], self.pr[rows], start)
+        self.last = self.by_rows[key]
+        return self.last
+
+
 def _refine_clear(
     dataset: AlignedDataset,
     sp: SolarPosition,
@@ -180,13 +203,15 @@ def _refine_clear(
     params: ProxyParams,
     seeds: list[np.ndarray],
     bin_deg: float,
+    fits: list[_ClearFits],
 ) -> list[np.ndarray]:
     """Clear-sky masks the forward model explains at one clear level.
 
     ``pr`` is the clear-sky proxy on the daytime timesteps, and the
     seeds and the masks returned index those timesteps. Per plant, up
     to REFINE_ROUNDS times and until the mask stops changing: fit the
-    whole period on the mask (``identify_omega``), predict clear power
+    whole period on the mask (the plant's ``fits``, each round
+    warm-started from the last round's coefficients), predict clear power
     P^ from the proxy, and keep the samples with P^ above
     REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
     REFINE_BAND of the plant's 90th-percentile ratio r90; haze that an
@@ -215,13 +240,14 @@ def _refine_clear(
         return keep
 
     refined = []
-    for plant, seed in zip(dataset.plants, seeds):
-        power = plant.power[day]
+    for plant, seed, fit in zip(dataset.plants, seeds, fits):
+        power = fit.power
         finite = np.isfinite(power)
         seeded = keep = seed & finite
+        omega = None
         for _ in range(REFINE_ROUNDS):
             enough(plant.plant_id, keep)
-            omega = identify_omega(power[keep], pr[keep])
+            omega = fit(keep, omega)
             used = np.flatnonzero(omega)
             if not used.size:
                 raise InsufficientDataError(
@@ -260,40 +286,45 @@ def _huber_weights(residuals: np.ndarray, scale: float, c: float) -> np.ndarray:
     return w
 
 
-def nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray, solve) -> np.ndarray:
-    """argmin over x >= 0 of x.T @ gram @ x - 2 rhs.T @ x, by Lawson-Hanson.
+def nnls(gram, rhs: np.ndarray, passive: np.ndarray, solve) -> np.ndarray:
+    """argmin over x >= 0 of x.T @ G @ x - 2 rhs.T @ x, by Lawson-Hanson.
 
-    ``gram`` is positive semi-definite and ``solve(cols)`` returns the
-    unconstrained minimiser on the columns ``cols``. The passive set
-    starts as the columns ``passive``, less those whose solution is not
-    positive, until the solution is positive on the rest. Each step then
-    adds the column of largest positive dual ``rhs - gram @ x``. When
-    the new solution is not positive on every passive column, x moves
-    towards it as far as it stays non-negative, and the columns that
-    reach zero leave the set. A column whose own solution is not
-    positive, as when its dual is rounding error, is skipped until x
-    moves. The search ends after NNLS_MAX_ADDS additions per column.
+    G is positive semi-definite; ``gram(cols)`` returns its columns
+    ``cols``, and ``solve(cols, sub)`` the unconstrained minimiser on
+    the columns ``cols``, whose sub-Gram is ``sub``. The search keeps
+    G[:, P] for its passive set P and asks ``gram`` only for a column
+    that enters it. The passive set starts as the columns ``passive``,
+    less those whose solution is not positive, until the solution is
+    positive on the rest. Each step then adds the column of largest
+    positive dual ``rhs - G[:, P] @ x[P]``. When the new solution is not
+    positive on every passive column, x moves towards it as far as it
+    stays non-negative, and the columns that reach zero leave the set.
+    A column whose own solution is not positive, as when its dual is
+    rounding error, is skipped until x moves. The search ends after
+    NNLS_MAX_ADDS additions per column.
     """
     x = np.zeros(len(rhs))
     cols = np.flatnonzero(passive)
+    g = gram(cols)  # G[:, cols]
     while cols.size:
-        s = solve(cols)
+        s = solve(cols, g[cols])
         if np.all(s > 0.0):
             x[cols] = s
             break
-        cols = cols[s > 0.0]
+        cols, g = cols[s > 0.0], g[:, s > 0.0]
     skipped = []
     for _ in range(NNLS_MAX_ADDS * len(rhs)):
-        dual = rhs - gram @ x
+        dual = rhs - g @ x[cols]
         dual[cols] = -np.inf
         dual[skipped] = -np.inf
         j = int(np.argmax(dual))
         if not dual[j] > 0.0:
             break
         cols = np.append(cols, j)
-        s = solve(cols)
+        g = np.column_stack((g, gram(cols[-1:])))
+        s = solve(cols, g[cols])
         if s[-1] <= 0.0:
-            cols = cols[:-1]
+            cols, g = cols[:-1], g[:, :-1]
             skipped.append(j)
             continue
         while not np.all(s > 0.0):
@@ -303,42 +334,63 @@ def nnls(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray, solve) -> np.nd
             xs += ratio.min() * (s - xs)
             xs[hit[np.argmin(ratio)]] = 0.0
             x[cols] = 0.0
-            cols = cols[xs > 0.0]
+            cols, g = cols[xs > 0.0], g[:, xs > 0.0]
             x[cols] = xs[xs > 0.0]
-            s = solve(cols) if cols.size else s[:0]
+            s = solve(cols, g[cols]) if cols.size else s[:0]
         x[:] = 0.0
         x[cols] = s
         skipped = []
     return x
 
 
+def _columns_on_demand(k: int, form):
+    """``cols -> M[:, cols]`` for a k x k matrix M whose columns ``form(new)`` makes.
+
+    Each column is formed the first time it is read and kept.
+    """
+    m = np.empty((k, k))
+    formed = np.zeros(k, dtype=bool)
+
+    def columns(cols):
+        new = cols[~formed[cols]]
+        if new.size:
+            m[:, new] = form(new)
+            formed[new] = True
+        return m[:, cols]
+
+    return columns
+
+
 def _weighted_nnls(
     a: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    gram: np.ndarray,
+    gram,
     rhs: np.ndarray,
     passive: np.ndarray,
 ) -> np.ndarray:
     """argmin over omega >= 0 of sum(w * (y - a @ omega)**2), weights in (0, 1].
 
-    ``gram`` and ``rhs`` are a.T @ a and a.T @ y; the rows with w < 1 are
-    taken out of them in proportion 1 - w, giving G = a.T W a and
-    b = a.T W y, whose ``nnls`` has the same minimiser as the weighted
-    rows. The search starts from the columns ``passive``. A passive
-    solve uses the sub-Gram of its columns when the diagonal of that
-    sub-Gram's Cholesky factor spreads within GRAM_COND_MAX (squared),
-    and least squares on the weighted rows of the columns otherwise.
+    ``gram(cols)`` returns the columns ``cols`` of G = a.T @ a, and
+    ``rhs`` is a.T @ y. The rows with w < 1 are taken out in proportion
+    1 - w, giving b = a.T W y and, for each column j the search reads and
+    only for those, G_w[:, j] = G[:, j] - a_out.T @ ((1 - w_out) * a_out[:, j]),
+    the columns of a.T W a; their ``nnls`` has the same minimiser as the
+    weighted rows. The search starts from the columns ``passive``. A
+    passive solve uses the sub-Gram of its columns when the diagonal of
+    that sub-Gram's Cholesky factor spreads within GRAM_COND_MAX
+    (squared), and least squares on the weighted rows of the columns
+    otherwise.
     """
     out = np.flatnonzero(w < 1.0)
-    if out.size:
-        shrink = np.sqrt(1.0 - w[out])
-        a_out = a[out] * shrink[:, None]
-        gram = gram - a_out.T @ a_out
-        rhs = rhs - a_out.T @ (shrink * y[out])
+    a_out, loss = a[out], 1.0 - w[out]
+    rhs = rhs - a_out.T @ (loss * y[out])
 
-    def solve(cols):
-        sub = gram[cols[:, None], cols]
+    def gram_w(new):
+        g = gram(new)
+        return g - a_out.T @ (loss[:, None] * a_out[:, new]) if out.size else g
+
+    def solve(cols, sub):
         try:
             diag = np.linalg.cholesky(sub).diagonal()
             if diag.max() ** 2 <= GRAM_COND_MAX * diag.min() ** 2:
@@ -348,19 +400,24 @@ def _weighted_nnls(
         sw = np.sqrt(w)
         return np.linalg.lstsq(a[:, cols] * sw[:, None], y * sw, rcond=None)[0]
 
-    return nnls(gram, rhs, passive, solve)
+    return nnls(gram_w, rhs, passive, solve)
 
 
-def identify_omega(power: np.ndarray, pr_clear: np.ndarray) -> np.ndarray:
+def identify_omega(
+    power: np.ndarray, pr_clear: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
     """Non-negative proxy coefficients by IRLS with a Huber loss.
 
     ``power`` holds the clear-masked samples and ``pr_clear`` the proxy
     matrix rows for the same samples, built from clear-sky GHI. The
     robustness scale is fixed from the initial non-negative fit so the
     reweighted objective decreases monotonically. Every pass is solved
-    on the K x K Gram (``_weighted_nnls``), formed once per call, from
-    the orientations the previous pass kept. Entries below SPARSITY_FRAC
-    of the largest coefficient are zeroed.
+    on the K x K Gram (``_weighted_nnls``), whose columns are formed,
+    once per call, only where a search reads them. The first pass starts
+    from the orientations where ``start`` (a fit of nearby samples) is
+    positive, or from none, and each later pass from those the previous
+    pass kept. Entries below SPARSITY_FRAC of the largest coefficient
+    are zeroed.
     """
     y = np.asarray(power, dtype=float)
     a = np.asarray(pr_clear, dtype=float)
@@ -370,8 +427,9 @@ def identify_omega(power: np.ndarray, pr_clear: np.ndarray) -> np.ndarray:
         raise InsufficientDataError(
             f"need >= {a.shape[1]} clear samples, got {len(y)}"
         )
-    gram, rhs = a.T @ a, a.T @ y
-    omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs, np.zeros(a.shape[1], bool))
+    gram, rhs = _columns_on_demand(a.shape[1], lambda new: a.T @ a[:, new]), a.T @ y
+    passive = np.zeros(a.shape[1], bool) if start is None else start > 0
+    omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs, passive)
     resid = y - a @ omega
     mad = np.median(np.abs(resid - np.median(resid)))
     scale = mad / 0.6745
@@ -425,6 +483,7 @@ def _split_search(
     params: ProxyParams,
     clear_masks: list[np.ndarray],
     split_days: list[int],
+    fits: list[_ClearFits],
 ) -> IdentificationResult:
     """Identify coefficients per plant, choosing the best temporal split.
 
@@ -437,35 +496,41 @@ def _split_search(
     best-reconstructing fold. Only clear samples with finite power are
     fitted or scored. A plant whose exported coefficients would all be
     zero raises InsufficientDataError.
+
+    Each plant's ``fits`` fit a row set once, so a fold equal to a mask
+    the refinement fitted, or to a fold of another length, is not
+    fitted again. Each fold's fit starts from the previous fold's, and a
+    split's first fold from the plant's ``fits.last``, the refinement's
+    last (whole-period) fit, if any.
     """
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
-    powers = [p.power[day] for p in dataset.plants]
+    powers = [fit.power for fit in fits]
     masks = [m & np.isfinite(power) for m, power in zip(clear_masks, powers)]
+    whole = [fit.last for fit in fits]
 
     rmse_per_split: list[float] = []
-    fold_fits: dict[int, list[list[np.ndarray | None]]] = {}
+    split_fits: dict[int, list[list[np.ndarray | None]]] = {}
     for length in split_days:
         folds = _fold_edges(dataset.timestamps, length, day)
         per_plant: list[list[np.ndarray | None]] = []
         sq_sum, n_sq = 0.0, 0
-        for plant, mask, power in zip(dataset.plants, masks, powers):
-            fits: list[np.ndarray | None] = []
+        for plant, mask, power, fit, start in zip(dataset.plants, masks, powers, fits, whole):
+            fold_fits: list[np.ndarray | None] = []
             carried: np.ndarray | None = None
             for fold_sel in folds:
                 rows = mask & fold_sel
                 if rows.sum() >= n_min:
-                    carried = identify_omega(power[rows], pr[rows])
-                fits.append(carried)
+                    carried = start = fit(rows, start)
+                fold_fits.append(carried)
             # folds before the first fit reuse the earliest available one
-            first = next((f for f in fits if f is not None), None)
-            fits = [f if f is not None else first for f in fits]
-            per_plant.append(fits)
+            first = next((f for f in fold_fits if f is not None), None)
+            per_plant.append([f if f is not None else first for f in fold_fits])
             if first is None:
                 raise InsufficientDataError(
                     f"{plant.plant_id}: no fold has enough clear samples"
                 )
             pnom = max(estimate_nominal_power(first, params), 1e-9)
-            for fold_sel, omega in zip(folds, fits):
+            for fold_sel, omega in zip(folds, per_plant[-1]):
                 rows = mask & fold_sel
                 if not rows.any():
                     continue
@@ -473,7 +538,7 @@ def _split_search(
                 sq_sum += float((err**2).sum())
                 n_sq += int(rows.sum())
         rmse_per_split.append(np.sqrt(sq_sum / max(n_sq, 1)))
-        fold_fits[length] = per_plant
+        split_fits[length] = per_plant
 
     # fold-local fits hold a small in-sample advantage for short splits,
     # so splits within the tie tolerance of the best count as equal and
@@ -490,7 +555,7 @@ def _split_search(
     folds = _fold_edges(dataset.timestamps, best_len, day)
     for i, (plant, mask, power) in enumerate(zip(dataset.plants, masks, powers)):
         best_omega, best_rmse = None, np.inf
-        for fold_sel, omega in zip(folds, fold_fits[best_len][i]):
+        for fold_sel, omega in zip(folds, split_fits[best_len][i]):
             if omega is None:
                 continue
             rows = mask & fold_sel
@@ -535,10 +600,12 @@ def identify(
     ``select_clear`` seeds each plant's clear samples in ``bin_deg``
     sun bins, ``_refine_clear`` narrows them with the forward model, and
     ``_split_search`` fits them per fold of each length in
-    ``split_days`` that the data span. A dataset shorter than every
-    candidate, or a clear-sky GHI that ``check_clearsky`` rejects, is an
-    InputError; a plant left with too few clear samples or with all-zero
-    coefficients is an InsufficientDataError naming it.
+    ``split_days`` that the data span. Both fit through one
+    ``_ClearFits`` per plant, so no row set is fitted twice. A dataset
+    shorter than every candidate, or a clear-sky GHI that
+    ``check_clearsky`` rejects, is an InputError; a plant left with too
+    few clear samples or with all-zero coefficients is an
+    InsufficientDataError naming it.
     """
     span_days = int(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
@@ -555,8 +622,9 @@ def identify(
     day = np.flatnonzero(sp.daytime)
     pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
     seeds = [select_clear(p, sp, bin_deg)[day] for p in dataset.plants]
-    masks = _refine_clear(dataset, sp, pr, mesh, params, seeds, bin_deg)
-    return _split_search(dataset, day, pr, mesh, params, masks, usable)
+    fits = [_ClearFits(p.power[day], pr) for p in dataset.plants]
+    masks = _refine_clear(dataset, sp, pr, mesh, params, seeds, bin_deg, fits)
+    return _split_search(dataset, day, pr, mesh, params, masks, usable, fits)
 
 
 def save_omegas(result: IdentificationResult, path) -> None:

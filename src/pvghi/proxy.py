@@ -17,10 +17,11 @@ The chain runs in two stages:
   pressure is folded into the air mass).
 - ``proxy_matrix(ghi, chain)`` is the GHI stage. It splits GHI with
   ``disc_dni`` and ``dhi_from`` once per call, then runs transposition,
-  IAM, temperature and efficiency for each plane in one in-place pass;
-  there are no separate functions for these layers. Every operation
-  keeps the operands and the order of evaluation of the layer-by-layer
-  chain, so the result equals that chain's bit for bit.
+  IAM, temperature and efficiency in one in-place pass over a block of
+  planes at a time, PLANE_BLOCK_CELLS (plane, row) cells at most; there
+  are no separate functions for these layers. Every operation keeps the
+  operands and the order of evaluation of the layer-by-layer chain, so
+  the result equals that chain's bit for bit.
 
 Everything is elementwise in time: ``ForwardChain.rows`` restricts a
 chain to some timesteps, and its proxies equal the matching rows of the
@@ -46,6 +47,7 @@ from .solar import (
 DISC_ZENITH_CUTOFF = np.deg2rad(87.0)
 SEA_LEVEL_PRESSURE = 101325.0
 I_MIN = 10.0  # efficiency cutoff, W/m^2
+PLANE_BLOCK_CELLS = 2**15  # (plane, row) cells per block of proxy_matrix's pass
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,6 @@ def dhi_from(ghi, chain: ForwardChain, dni):
     return np.maximum(np.asarray(ghi, float) - chain.cos_zen * np.asarray(dni, float), 0.0)
 
 
-
-
 def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     """Simulated specific power for every plane of the chain at the given GHI.
 
@@ -223,9 +223,12 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     is an InputError; NaN passes through. Rows at night are zero.
 
     DISC, the diffuse split and the plane-independent terms of
-    Hay-Davies are computed once per call. Each plane then runs
+    Hay-Davies are computed once per call. Blocks of planes then run
     transposition, IAM, temperature and efficiency in one in-place pass
-    over three scratch rows and writes its column. With GHI >= 0 the beam,
+    over three (planes, rows) scratch arrays, each plane's tilt terms a
+    column, and write their columns of the C-ordered (rows, planes)
+    ``values``. A block holds at most PLANE_BLOCK_CELLS cells (one plane
+    at least), so its scratch stays in cache. With GHI >= 0 the beam,
     diffuse and ground components cannot be negative, so none is clamped.
     """
     ghi = np.asarray(ghi, dtype=float)
@@ -239,21 +242,25 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     beam_share = np.clip(dni / chain.e0, 0.0, 1.0)  # Hay-Davies anisotropy index
     sky_share = 1.0 - beam_share
     reflected = chain.albedo * ghi
-    values = np.empty((len(ghi), len(chain.tilt)))
-    a = np.empty(len(ghi))
-    b = np.empty(len(ghi))
-    c = np.empty(len(ghi))
-    for j, (tilt, cos_aoi, iam) in enumerate(zip(chain.tilt, chain.cos_aoi, chain.iam)):
-        cos_tilt = np.cos(tilt)
+    # one scalar cosine per plane, as the per-plane chain takes it
+    cos_tilt = np.array([np.cos(tilt) for tilt in chain.tilt]).reshape(-1, 1)
+    n_rows, n_planes = len(ghi), len(chain.tilt)
+    values = np.empty((n_rows, n_planes))
+    block = max(1, PLANE_BLOCK_CELLS // max(n_rows, 1))
+    scratch = np.empty((3, min(block, n_planes), n_rows))
+    for j0 in range(0, n_planes, block):
+        planes = slice(j0, j0 + block)
+        cos_aoi, iam, ct = chain.cos_aoi[planes], chain.iam[planes], cos_tilt[planes]
+        a, b, c = scratch[:, : len(ct)]
         # diffuse dhi * (beam_share * r_b + sky_share * (1 + cos_tilt) / 2),
         # with r_b = cos_aoi / cos_zen_floor
         np.divide(cos_aoi, chain.cos_zen_floor, out=a)
         np.multiply(beam_share, a, out=a)
-        np.multiply(sky_share, (1.0 + cos_tilt) / 2.0, out=b)
+        np.multiply(sky_share, (1.0 + ct) / 2.0, out=b)
         np.add(a, b, out=a)
         np.multiply(dhi, a, out=a)
         # plus ground reflection albedo * ghi * (1 - cos_tilt) / 2
-        np.multiply(reflected, 1.0 - cos_tilt, out=b)
+        np.multiply(reflected, 1.0 - ct, out=b)
         np.divide(b, 2.0, out=b)
         np.add(a, b, out=a)
         # beam reflection losses: iam * dni * cos_aoi + 0.95 * (diffuse + ground)
@@ -280,6 +287,6 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
         np.add(b, c, out=b)
         np.clip(b, 0.0, 1.0, out=b)
         np.copyto(b, 0.0, where=a < I_MIN)
-        np.multiply(b, a, out=values[:, j])
+        np.multiply(b, a, out=values[:, planes].T)
     values[~chain.daytime, :] = 0.0
     return ProxyMatrix(values=values)

@@ -304,7 +304,9 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap.
+    timestep is frozen or at the iteration cap. Only the rows it solves,
+    sun up and clear-sky > 0, enter ``state.bound_violation``: a night
+    clear-sky value is free and bounds nothing.
 
     Each iteration pays only for what changed. The objective weights
     depend on trust, the gate and which power samples exist, never on
@@ -336,7 +338,9 @@ def refine_ghi(
     state.err_history.append(float(np.sqrt(squared.sum())))
 
     iterations = state.iterations
-    bound_violation = max(state.bound_violation, _bound_violation(ghi, state.ghi_max))
+    bound_violation = max(
+        state.bound_violation, _bound_violation(ghi[day], state.ghi_max[day])
+    )
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
@@ -391,6 +395,7 @@ class SolveResult:
     gate: np.ndarray
     n_plants_used: np.ndarray
     ghi_clear: np.ndarray
+    solved: np.ndarray  # the timesteps the solver solves: sun up and clear-sky > 0
     seconds_per_sample: float
 
     @property
@@ -462,5 +467,6 @@ def estimate(
         gate=gate,
         n_plants_used=used,
         ghi_clear=ghi_clear,
+        solved=sp.daytime & (ghi_clear > 0),
         seconds_per_sample=elapsed / max(dataset.n_steps, 1),
     )

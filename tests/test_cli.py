@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import pvghi
+from pvghi import cli
 from pvghi.cli import main
+from pvghi.data import save_plant_csv, write_series_csv
+from pvghi.orientation import IdentificationResult, SplitReport, save_omegas
+from test_solver import build_scene
 
 SMOKE = Path(__file__).parent / "smoke"
 
@@ -571,3 +575,75 @@ def test_smoke_scene_from_crlf_files_with_quoted_numbers(tmp_path):
         ]
         (out / f"{plant}.csv").write_bytes("\r\n".join([header, *quoted, ""]).encode())
     assert identify_and_estimate() == written
+
+
+def one_day_inputs(tmp_path, site, mesh, params):
+    """The 1-day, 4-plant ``test_solver.build_scene`` as files: its plants,
+    their true coefficients and a config that reads them."""
+    synth, sp, omegas = build_scene(site, mesh, params, days=1)
+    paths = [tmp_path / f"{plant.plant_id}.csv" for plant in synth.dataset.plants]
+    for plant, path in zip(synth.dataset.plants, paths):
+        save_plant_csv(plant, path)
+    omega = tmp_path / "omega.json"
+    save_omegas(IdentificationResult(omegas, mesh, SplitReport((1,), (0.0,), 1)), omega)
+    config = tmp_path / "run.ini"
+    body = CONFIG_TEMPLATE.format(plants_line="plants = " + ", ".join(map(str, paths)))
+    config.write_text(body.replace("output_dir = out", f"output_dir = {tmp_path / 'out'}"))
+    return synth, sp, ["estimate", "--config", str(config), "--omega", str(omega)]
+
+
+@pytest.mark.parametrize("night", [-1.0, np.nan], ids=["negative", "nan"])
+def test_a_free_night_clear_sky_reports_no_bound_violation(
+    tmp_path, monkeypatch, site, mesh, params, night
+):
+    """diagnostics.json's bound violation reads only the rows the solver solves."""
+    synth, sp, argv = one_day_inputs(tmp_path, site, mesh, params)
+    clear = np.where(sp.daytime, synth.ghi_clear, night)
+    monkeypatch.setattr(cli, "clearsky_ghi", lambda *args, **kwargs: clear.copy())
+    assert main(argv) == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["max_bound_violation"] == 0.0
+
+
+def test_daytime_convergence_counts_the_solved_rows(
+    tmp_path, monkeypatch, capsys, site, mesh, params
+):
+    """A clear-sky override of 5 W/m^2 at night adds no row to the fraction.
+
+    The day has 144 rows, 93 of them with the sun up. Six of those short
+    of converging is a shortfall (87 of 93, 93.5 %); counted over every
+    row with clear-sky > 0 it would pass (138 of 144, 95.8 %).
+    """
+    synth, sp, argv = one_day_inputs(tmp_path, site, mesh, params)
+    override = tmp_path / "clear.csv"
+    write_series_csv(
+        override, "timestamp,ghi_clear_wm2", synth.dataset.timestamps,
+        (np.where(sp.daytime, synth.ghi_clear, 5.0),),
+    )
+    config = Path(argv[2])
+    config.write_text(config.read_text().replace(
+        "[orientation]", f"clearsky_override = {override}\n\n[orientation]"
+    ))
+    results, solve = [], cli.estimate
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    rc = main(argv)
+    (result,) = results
+    assert result.solved.sum() == 93 and (result.ghi_clear > 0).sum() == 144
+    frac = result.converged[result.solved].mean()
+    assert f"daytime convergence: {100 * frac:.1f}%" in capsys.readouterr().out
+    assert rc == (0 if frac >= 0.95 else 2)
+
+    def six_short(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        result.state.converged[:] = True
+        result.state.converged[np.flatnonzero(result.solved)[:6]] = False
+        return result
+
+    monkeypatch.setattr(cli, "estimate", six_short)
+    assert main(argv) == 2
+    assert "daytime convergence: 93.5%" in capsys.readouterr().out

@@ -54,9 +54,10 @@ def refined_masks(dataset, ghi_clear, mesh, params):
     """Seed and refined clear masks over all timesteps, as ``identify`` makes them."""
     sp, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
     seeds = [select_clear(p, sp) for p in dataset.plants]
+    fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
     refined = []
     for mask in orientation._refine_clear(
-        dataset, sp, pr, mesh, params, [seed[day] for seed in seeds], 5.0
+        dataset, sp, pr, mesh, params, [seed[day] for seed in seeds], 5.0, fits
     ):
         full = np.zeros(dataset.n_steps, dtype=bool)
         full[day] = mask
@@ -67,8 +68,9 @@ def refined_masks(dataset, ghi_clear, mesh, params):
 def split_search(dataset, ghi_clear, mesh, params, masks, split_days):
     """The split search alone, on clear masks over all timesteps."""
     _, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
+    fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
     return orientation._split_search(
-        dataset, day, pr, mesh, params, [m[day] for m in masks], list(split_days)
+        dataset, day, pr, mesh, params, [m[day] for m in masks], list(split_days), fits
     )
 
 
@@ -352,13 +354,18 @@ class TestGramSolve:
     """``_weighted_nnls`` reaches the weighted rows' NNLS objective."""
 
     @staticmethod
-    def assert_meets_scipy(a, y, w, passive):
-        got = orientation._weighted_nnls(a, y, w, a.T @ a, a.T @ y, passive)
+    def assert_meets_scipy(a, y, w, passive, form=None):
+        """``form(new)`` makes the Gram's columns ``new``, a.T @ a[:, new] by default."""
+        gram = orientation._columns_on_demand(
+            a.shape[1], form or (lambda new: a.T @ a[:, new])
+        )
+        got = orientation._weighted_nnls(a, y, w, gram, a.T @ y, passive)
         sw = np.sqrt(w)
         want = scipy_nnls(a * sw[:, None], y * sw)[0]
         assert np.all(got >= 0.0)
         f_got, f_want = (weighted_objective(a, y, w, om) for om in (got, want))
         assert abs(f_got - f_want) <= 1e-9 * f_want
+        return got
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -396,6 +403,108 @@ class TestGramSolve:
         history = huber_losses(y, a)
         assert len(history) >= 2
         assert np.all(np.diff(history) <= 1e-12 * history[0])
+
+
+class TestWarmStart:
+    """Fits that start from another fit's support end where a cold fit ends."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 12),
+        rows_per_column=st.integers(3, 40),
+        tie=st.sampled_from([None, 1e-4, 1e-9, 0.0]),
+        data=st.data(),
+    )
+    def test_on_demand_columns_from_any_support(self, seed, k, rows_per_column, tie, data):
+        """Only the Gram columns the search reads are formed, from any start."""
+        a, y, rng = random_fit(seed, k * rows_per_column, k, tie)
+        w = np.where(rng.random(len(y)) < 0.5, 1.0, rng.uniform(0.01, 1.0, len(y)))
+        passive = data.draw(arrays(bool, k))
+        read = np.zeros(k, bool)
+
+        def gram(new):
+            assert not read[new].any(), "a Gram column formed twice"
+            read[new] = True
+            return a.T @ a[:, new]
+
+        got = TestGramSolve.assert_meets_scipy(a, y, w, passive, gram)
+        assert read[got > 0].all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 12),
+        rows_per_column=st.integers(5, 40),
+        support=st.floats(0.0, 1.0),
+    )
+    def test_warm_fit_keeps_the_cold_fit(self, seed, k, rows_per_column, support):
+        a, y, rng = random_fit(seed, k * rows_per_column, k)
+        cold = identify_omega(y, a)
+        start = rng.exponential(size=k) * (rng.random(k) < support)
+        warm = identify_omega(y, a, start)
+        np.testing.assert_array_equal(warm > 0, cold > 0)
+        np.testing.assert_allclose(warm, cold, rtol=1e-9, atol=0.0)
+
+    def test_warm_fit_of_a_clear_scene(self, clear_scene, mesh, params, monkeypatch):
+        """Each plant's refined mask, fitted from the fit of its first half.
+
+        The warm fit's first NNLS pass starts from the support of ``start``.
+        """
+        synth, _, pr_clear, _, _, _ = clear_scene
+        _, refined = refined_masks(synth.dataset, synth.ghi_clear, mesh, params)
+        starts, search = [], orientation.nnls
+
+        def recording(gram, rhs, passive, solve):
+            starts.append(passive.copy())
+            return search(gram, rhs, passive, solve)
+
+        monkeypatch.setattr(orientation, "nnls", recording)
+        for plant, mask in zip(synth.dataset.plants, refined):
+            half = mask & (np.cumsum(mask) <= mask.sum() // 2)
+            start = identify_omega(plant.power[half], pr_clear[half])
+            cold = identify_omega(plant.power[mask], pr_clear[mask])
+            starts.clear()
+            warm = identify_omega(plant.power[mask], pr_clear[mask], start)
+            np.testing.assert_array_equal(starts[0], start > 0)
+            np.testing.assert_array_equal(warm > 0, cold > 0)
+            np.testing.assert_allclose(warm, cold, rtol=1e-9, atol=0.0)
+
+
+def test_identify_fits_each_row_set_once(clear_scene, mesh, params, monkeypatch):
+    """One ``identify_omega`` call per distinct plant and row set.
+
+    The refinement's last mask is the 45-day split's one fold, and the
+    30-day split's second fold is the 15-day split's third: neither is
+    fitted again.
+    """
+    synth, _, _, _, _, _ = clear_scene
+    dataset, splits = synth.dataset, (45, 30, 15)
+    calls = []
+    fit = orientation.identify_omega
+
+    def recording(power, pr_clear, start=None):
+        calls.append(power.tobytes() + pr_clear.tobytes())
+        return fit(power, pr_clear, start)
+
+    monkeypatch.setattr(orientation, "identify_omega", recording)
+    _, refined = refined_masks(dataset, synth.ghi_clear, mesh, params)
+    refine_sets = set(calls)
+    calls.clear()
+    identify(dataset, synth.ghi_clear, mesh, params, splits, 5.0)
+    assert len(calls) == len(set(calls))
+
+    # the row sets the split search fits, on the refined masks
+    sp, day, pr = daytime_proxy(dataset, synth.ghi_clear, mesh, params)
+    fold_sets, n_folds = set(), 0
+    for plant, mask in zip(dataset.plants, refined):
+        for length in splits:
+            for fold in orientation._fold_edges(dataset.timestamps, length, day):
+                rows = mask[day] & fold
+                if rows.sum() >= max(len(mesh), orientation.MIN_FIT_SAMPLES):
+                    fold_sets.add(plant.power[day][rows].tobytes() + pr[rows].tobytes())
+                    n_folds += 1
+    assert set(calls) == refine_sets | fold_sets
+    assert len(refine_sets & fold_sets) == len(dataset.plants)
+    assert n_folds - len(fold_sets) == len(dataset.plants)
 
 
 class TestNominalPower:

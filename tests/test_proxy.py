@@ -6,7 +6,7 @@ is vectorized and structured differently. Frozen values were computed
 with these oracles.
 
 ``proxy_matrix`` runs transposition, IAM, temperature and efficiency
-in one in-place pass per plane. The layer functions below are the
+in one in-place pass per block of planes. The layer functions below are the
 chain layer by layer, kept here as its reference: the per-layer tests
 check them against the oracles, and ``proxy_matrix`` must equal their
 composition bit for bit.
@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from pvghi import InputError, Orientation, Site, generate_mesh, sun_positions
 from pvghi.proxy import (
     I_MIN,
+    PLANE_BLOCK_CELLS,
     ForwardChain,
     ProxyParams,
     dhi_from,
@@ -514,3 +515,26 @@ def test_proxy_matrix_equals_the_layer_by_layer_chain(case):
     want = reference_proxy_matrix(ghi, chain)
     assert_same_bits(proxy_matrix(ghi, chain).values, want)
     assert_same_bits(proxy_matrix(ghi[rows], chain.rows(rows)).values, want[rows])
+
+
+@pytest.mark.parametrize("n_rows", [PLANE_BLOCK_CELLS // 20 + 1, 1], ids=["blocks", "one-row"])
+def test_plane_blocks_equal_the_layer_by_layer_chain(site, params, n_rows):
+    """Every plane of the level-2 mesh, a vertical one among them, bit for bit.
+
+    With PLANE_BLOCK_CELLS // 20 + 1 rows a block holds 19 planes, so the
+    62 planes run in four blocks, the last one short; one row runs them
+    in one block.
+    """
+    planes = generate_mesh(2).orientations
+    assert len(planes) == 62 and max(o.tilt for o in planes) == np.pi / 2
+    ts = np.datetime64("2021-03-01T10:00:00") + np.arange(n_rows) * np.timedelta64(300, "s")
+    sp = sun_positions(ts, site)
+    rng = np.random.default_rng(3)
+    ghi = rng.uniform(0.0, 1200.0, n_rows)
+    ghi[rng.random(n_rows) < 0.05] = 0.0
+    ghi[rng.random(n_rows) < 0.05] = np.nan
+    chain = forward_chain(sp, ts, rng.uniform(-10.0, 40.0, n_rows), planes, params, site)
+    got = proxy_matrix(ghi, chain).values
+    assert got.flags.c_contiguous and got.shape == (n_rows, 62)
+    assert_same_bits(got, reference_proxy_matrix(ghi, chain))
+    assert (got > 0).any()

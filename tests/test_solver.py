@@ -350,6 +350,20 @@ def test_estimate_rejects_a_bad_daytime_clear_sky(site, mesh, params, bad):
     )
 
 
+@pytest.mark.parametrize("night", [-1.0, np.nan], ids=["negative", "nan"])
+def test_a_free_night_clear_sky_bounds_nothing(site, mesh, params, night):
+    """The bound violation is taken over the rows the solver solves.
+
+    A night clear-sky value is free: with -1 at night the night bound
+    is -1.3 W/m^2, which GHI 0 does not leave the solver's rows for.
+    """
+    synth, sp, omegas = build_scene(site, mesh, params, days=1)
+    clear = np.where(sp.daytime, synth.ghi_clear, night)
+    res = estimate(synth.dataset, omegas, mesh.orientations, params, ghi_clear=clear)
+    assert res.state.bound_violation == 0.0
+    np.testing.assert_array_equal(res.solved, sp.daytime & (synth.ghi_clear > 0))
+
+
 @pytest.mark.parametrize("n_plants", range(1, 13))
 def test_weighted_sum_adds_the_plants_left_to_right(n_plants):
     rng = np.random.default_rng(n_plants)

@@ -177,42 +177,38 @@ class _ClearFits:
 
     ``power`` and ``pr`` are the plant's power and the clear-sky proxy
     on the daytime timesteps, which the row masks index. A row set
-    fitted before returns that fit again; ``last`` is the latest fit
-    returned.
+    fitted before returns that fit again.
     """
 
     def __init__(self, power: np.ndarray, pr: np.ndarray):
         self.power, self.pr = power, pr
         self.by_rows: dict[bytes, np.ndarray] = {}
-        self.last: np.ndarray | None = None
 
     def __call__(self, rows: np.ndarray, start: np.ndarray | None) -> np.ndarray:
         """The fit on the boolean mask ``rows``, a new one warm-started from ``start``."""
         key = np.packbits(rows).tobytes()
         if key not in self.by_rows:
             self.by_rows[key] = identify_omega(self.power[rows], self.pr[rows], start)
-        self.last = self.by_rows[key]
-        return self.last
+        return self.by_rows[key]
 
 
 def _refine_clear(
     dataset: AlignedDataset,
     sp: SolarPosition,
-    pr: np.ndarray,
     mesh: OrientationMesh,
     params: ProxyParams,
     seeds: list[np.ndarray],
     bin_deg: float,
     fits: list[_ClearFits],
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Clear-sky masks the forward model explains at one clear level.
 
-    ``pr`` is the clear-sky proxy on the daytime timesteps, and the
-    seeds and the masks returned index those timesteps. Per plant, up
-    to REFINE_ROUNDS times and until the mask stops changing: fit the
-    whole period on the mask (the plant's ``fits``, each round
-    warm-started from the last round's coefficients), predict clear power
-    P^ from the proxy, and keep the samples with P^ above
+    The seeds and the masks returned index the daytime timesteps, as
+    the plants' ``fits`` do. Per plant, up to REFINE_ROUNDS times and
+    until the mask stops changing: fit the whole period on the mask
+    (the plant's ``fits``, each round warm-started from the last round's
+    coefficients), predict clear power P^ from the clear-sky proxy, and
+    keep the samples with P^ above
     REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
     REFINE_BAND of the plant's 90th-percentile ratio r90; haze that an
     envelope takes for clear falls below it. Haze belongs to the hour, a
@@ -222,7 +218,8 @@ def _refine_clear(
     the band, those within REFINE_BAND of it are kept too, so a seasonal
     shade stays visible to the split search. A mask below max(mesh size,
     MIN_FIT_SAMPLES) samples or an all-zero fit raises
-    InsufficientDataError naming the plant.
+    InsufficientDataError naming the plant. Returned with the masks is
+    each plant's last fit.
     """
     day = np.flatnonzero(sp.daytime)
     # the daylight period of each daytime row counts the sunrises so far
@@ -239,7 +236,7 @@ def _refine_clear(
             )
         return keep
 
-    refined = []
+    refined, last = [], []
     for plant, seed, fit in zip(dataset.plants, seeds, fits):
         power = fit.power
         finite = np.isfinite(power)
@@ -253,7 +250,7 @@ def _refine_clear(
                 raise InsufficientDataError(
                     f"{plant.plant_id}: the clear-sky fit left every orientation at zero"
                 )
-            predicted = pr[:, used] @ omega[used]
+            predicted = fit.pr[:, used] @ omega[used]
             band = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
             ratio = np.divide(power, predicted, out=np.zeros_like(power), where=band)
             r90 = np.percentile(ratio[band], 90.0) if band.any() else 0.0
@@ -276,7 +273,8 @@ def _refine_clear(
                 break
             keep = refit
         refined.append(enough(plant.plant_id, keep))
-    return refined
+        last.append(omega)
+    return refined, last
 
 
 def _huber_weights(residuals: np.ndarray, scale: float, c: float) -> np.ndarray:
@@ -478,111 +476,86 @@ def _fold_edges(timestamps: np.ndarray, length_days: int, rows: np.ndarray) -> l
 def _split_search(
     dataset: AlignedDataset,
     day: np.ndarray,
-    pr: np.ndarray,
     mesh: OrientationMesh,
     params: ProxyParams,
     clear_masks: list[np.ndarray],
+    starts: list[np.ndarray | None],
     split_days: list[int],
     fits: list[_ClearFits],
 ) -> IdentificationResult:
     """Identify coefficients per plant, choosing the best temporal split.
 
-    ``pr`` is the clear-sky proxy on the daytime timesteps ``day``, which
-    the clear masks index. For every candidate fold length the
-    coefficients are fit per fold and scored by the clear-sample
-    reconstruction RMSE (normalized per plant) over the whole dataset;
-    the split with the lowest RMSE wins, longest split on ties. The
-    exported coefficients per plant come from that split's
-    best-reconstructing fold. Only clear samples with finite power are
-    fitted or scored. A plant whose exported coefficients would all be
-    zero raises InsufficientDataError.
+    The clear masks index the daytime timesteps ``day``, as the plants'
+    ``fits`` do. For every candidate fold length the coefficients are
+    fit per fold; a fold too small to fit borrows the previous fold's
+    fit, or the plant's first. A split scores the clear-sample
+    reconstruction RMSE over the whole dataset, each plant's residuals
+    normalized by the rating of its first fold fit; the lowest wins,
+    longest split on ties. A plant exports the chosen split's fold fit
+    with the lowest RMSE on its fold, normalized by that fit's own
+    rating. Only clear samples with finite power are fitted or scored.
+    A plant whose exported coefficients are all zero raises
+    InsufficientDataError.
 
     Each plant's ``fits`` fit a row set once, so a fold equal to a mask
     the refinement fitted, or to a fold of another length, is not
     fitted again. Each fold's fit starts from the previous fold's, and a
-    split's first fold from the plant's ``fits.last``, the refinement's
-    last (whole-period) fit, if any.
+    split's first fold from the plant's ``starts`` entry.
     """
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
-    powers = [fit.power for fit in fits]
-    masks = [m & np.isfinite(power) for m, power in zip(clear_masks, powers)]
-    whole = [fit.last for fit in fits]
+    masks = [m & np.isfinite(fit.power) for m, fit in zip(clear_masks, fits)]
 
-    rmse_per_split: list[float] = []
-    split_fits: dict[int, list[list[np.ndarray | None]]] = {}
+    def rating(omega):
+        return max(estimate_nominal_power(omega, params), 1e-9)
+
+    rmse_per_split = []
+    fold_scores = {}  # per split and plant: (own-rating RMSE, fit) of each scored fold
     for length in split_days:
         folds = _fold_edges(dataset.timestamps, length, day)
-        per_plant: list[list[np.ndarray | None]] = []
         sq_sum, n_sq = 0.0, 0
-        for plant, mask, power, fit, start in zip(dataset.plants, masks, powers, fits, whole):
-            fold_fits: list[np.ndarray | None] = []
-            carried: np.ndarray | None = None
-            for fold_sel in folds:
-                rows = mask & fold_sel
+        fold_scores[length] = []
+        for plant, mask, fit, start in zip(dataset.plants, masks, fits, starts):
+            fold_rows = [mask & fold_sel for fold_sel in folds]
+            fold_fits, carried = [], None
+            for rows in fold_rows:
                 if rows.sum() >= n_min:
                     carried = start = fit(rows, start)
                 fold_fits.append(carried)
-            # folds before the first fit reuse the earliest available one
-            first = next((f for f in fold_fits if f is not None), None)
-            per_plant.append([f if f is not None else first for f in fold_fits])
-            if first is None:
+            if carried is None:
                 raise InsufficientDataError(
                     f"{plant.plant_id}: no fold has enough clear samples"
                 )
-            pnom = max(estimate_nominal_power(first, params), 1e-9)
-            for fold_sel, omega in zip(folds, per_plant[-1]):
-                rows = mask & fold_sel
-                if not rows.any():
-                    continue
-                err = (power[rows] - pr[rows] @ omega) / pnom
-                sq_sum += float((err**2).sum())
-                n_sq += int(rows.sum())
-        rmse_per_split.append(np.sqrt(sq_sum / max(n_sq, 1)))
-        split_fits[length] = per_plant
+            first = next(f for f in fold_fits if f is not None)
+            pnom, scores = rating(first), []
+            for rows, omega in zip(fold_rows, fold_fits):
+                if rows.any():
+                    omega = first if omega is None else omega
+                    resid = fit.power[rows] - fit.pr[rows] @ omega
+                    sq_sum += float(((resid / pnom) ** 2).sum())
+                    n_sq += int(rows.sum())
+                    scores.append((float(np.sqrt(np.mean((resid / rating(omega)) ** 2))), omega))
+            fold_scores[length].append(scores)
+        rmse_per_split.append(float(np.sqrt(sq_sum / max(n_sq, 1))))
 
     # fold-local fits hold a small in-sample advantage for short splits,
     # so splits within the tie tolerance of the best count as equal and
     # the longest of them wins
     tie_tol = 0.05
-    floor_rmse = min(rmse_per_split)
-    tied = [
-        k for k in range(len(split_days))
-        if rmse_per_split[k] <= (1.0 + tie_tol) * floor_rmse
-    ]
-    best_len = max(split_days[k] for k in tied)
-
+    best_len = max(
+        d for d, r in zip(split_days, rmse_per_split)
+        if r <= (1.0 + tie_tol) * min(rmse_per_split)
+    )
     omegas = []
-    folds = _fold_edges(dataset.timestamps, best_len, day)
-    for i, (plant, mask, power) in enumerate(zip(dataset.plants, masks, powers)):
-        best_omega, best_rmse = None, np.inf
-        for fold_sel, omega in zip(folds, split_fits[best_len][i]):
-            if omega is None:
-                continue
-            rows = mask & fold_sel
-            if not rows.any():
-                continue
-            pnom = max(estimate_nominal_power(omega, params), 1e-9)
-            rmse = float(
-                np.sqrt(np.mean(((power[rows] - pr[rows] @ omega) / pnom) ** 2))
-            )
-            if rmse < best_rmse:
-                best_omega, best_rmse = omega, rmse
-        if best_omega is None or not best_omega.any():
+    for plant, scores in zip(dataset.plants, fold_scores[best_len]):
+        omega = min(scores, key=lambda score: score[0])[1]
+        if not omega.any():
             raise InsufficientDataError(
                 f"{plant.plant_id}: identification left every orientation at zero"
             )
         omegas.append(
-            OmegaCoefficients(
-                plant_id=plant.plant_id,
-                omega=best_omega,
-                estimated_pnom=estimate_nominal_power(best_omega, params),
-            )
+            OmegaCoefficients(plant.plant_id, omega, estimate_nominal_power(omega, params))
         )
-    report = SplitReport(
-        split_days=tuple(split_days),
-        pv_rmse=tuple(float(r) for r in rmse_per_split),
-        chosen_split=best_len,
-    )
+    report = SplitReport(tuple(split_days), tuple(rmse_per_split), best_len)
     return IdentificationResult(omegas=tuple(omegas), mesh=mesh, report=report)
 
 
@@ -623,8 +596,8 @@ def identify(
     pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
     seeds = [select_clear(p, sp, bin_deg)[day] for p in dataset.plants]
     fits = [_ClearFits(p.power[day], pr) for p in dataset.plants]
-    masks = _refine_clear(dataset, sp, pr, mesh, params, seeds, bin_deg, fits)
-    return _split_search(dataset, day, pr, mesh, params, masks, usable, fits)
+    masks, starts = _refine_clear(dataset, sp, mesh, params, seeds, bin_deg, fits)
+    return _split_search(dataset, day, mesh, params, masks, starts, usable, fits)
 
 
 def save_omegas(result: IdentificationResult, path) -> None:

@@ -55,10 +55,11 @@ def refined_masks(dataset, ghi_clear, mesh, params):
     sp, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
     seeds = [select_clear(p, sp) for p in dataset.plants]
     fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
+    masks, _ = orientation._refine_clear(
+        dataset, sp, mesh, params, [seed[day] for seed in seeds], 5.0, fits
+    )
     refined = []
-    for mask in orientation._refine_clear(
-        dataset, sp, pr, mesh, params, [seed[day] for seed in seeds], 5.0, fits
-    ):
+    for mask in masks:
         full = np.zeros(dataset.n_steps, dtype=bool)
         full[day] = mask
         refined.append(full)
@@ -70,7 +71,8 @@ def split_search(dataset, ghi_clear, mesh, params, masks, split_days):
     _, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
     fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
     return orientation._split_search(
-        dataset, day, pr, mesh, params, [m[day] for m in masks], list(split_days), fits
+        dataset, day, mesh, params, [m[day] for m in masks], [None] * len(fits),
+        list(split_days), fits,
     )
 
 

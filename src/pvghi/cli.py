@@ -150,11 +150,19 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _number(raw, where: str):
+    """A finite number of the spec; ``json`` reads ``NaN`` and ``Infinity`` as floats."""
+    value = expect(raw, where)
+    if isinstance(value, float) and not np.isfinite(value):
+        raise InputError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
 def _spec_object(cls, raw, where: str, convert=None):
     """``cls`` built from a JSON object keyed by its field names.
 
     A value goes through ``convert[key]`` if given and must otherwise be
-    a number. Unknown keys and missing required ones are InputErrors.
+    a finite number. Unknown keys and missing required ones are InputErrors.
     """
     fields = dataclasses.fields(cls)
     keys = set(expect(raw, where, dict))
@@ -166,7 +174,7 @@ def _spec_object(cls, raw, where: str, convert=None):
         if names:
             raise InputError(f"{where}: {problem} key(s) {', '.join(sorted(names))}")
     convert = convert or {}
-    return cls(**{k: convert.get(k, expect)(v, f"{where}.{k}") for k, v in raw.items()})
+    return cls(**{k: convert.get(k, _number)(v, f"{where}.{k}") for k, v in raw.items()})
 
 
 def _list_of(convert):
@@ -181,7 +189,7 @@ def _spec_field(raw, where: str):
     keys = ("tilt_deg", "azimuth_deg", "pnom_w")
     if set(expect(raw, where, dict)) != set(keys):
         raise InputError(f"{where}: expected exactly the keys {', '.join(keys)}")
-    tilt, azimuth, pnom = (expect(raw[k], f"{where}.{k}") for k in keys)
+    tilt, azimuth, pnom = (_number(raw[k], f"{where}.{k}") for k in keys)
     return Orientation(tilt=np.deg2rad(tilt), azimuth=np.deg2rad(azimuth)), float(pnom)
 
 
@@ -190,7 +198,7 @@ def _spec_plant(raw, where: str) -> PlantSpec:
         "plant_id": lambda v, w: expect(v, w, str),
         "fields": _list_of(_spec_field),
         "shadows": _list_of(lambda v, w: _spec_object(ShadowSector, v, w)),
-        "curtailment_w": lambda v, w: None if v is None else expect(v, w),
+        "curtailment_w": lambda v, w: None if v is None else _number(v, w),
     })
 
 
@@ -203,7 +211,7 @@ def _read_synth_spec(path, step_seconds: int):
     raw = expect(read_json(path), str(path), dict)
     try:
         start = expect(raw.pop("start", "2015-06-01T00:00:00"), "start", str)
-        days = expect(raw.pop("days", 7), "days")
+        days = _number(raw.pop("days", 7), "days")
         spec = _spec_object(SyntheticSpec, raw, "spec", {
             "plants": _list_of(_spec_plant),
             "cloud": lambda v, w: _spec_object(CloudModel, v, w),

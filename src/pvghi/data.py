@@ -127,10 +127,6 @@ class AlignedDataset:
     def n_steps(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def sampling_seconds(self) -> int:
-        return self.plants[0].sampling_seconds
-
     def power_matrix(self) -> np.ndarray:
         """(T, n_plants) power array, NaN where missing."""
         return np.column_stack([p.power for p in self.plants])

@@ -428,9 +428,9 @@ def identify_omega(
     gram, rhs = _columns_on_demand(a.shape[1], lambda new: a.T @ a[:, new]), a.T @ y
     passive = np.zeros(a.shape[1], bool) if start is None else start > 0
     omega = _weighted_nnls(a, y, np.ones(len(y)), gram, rhs, passive)
-    resid = y - a @ omega
-    mad = np.median(np.abs(resid - np.median(resid)))
-    scale = mad / 0.6745
+    support = np.flatnonzero(omega)
+    resid = y - a[:, support] @ omega[support]
+    scale = np.median(np.abs(resid - np.median(resid))) / 0.6745  # MAD in sigma units
     if scale > max(1e-9, 1e-9 * max(y.max(initial=0.0), 1.0)):
         for _ in range(IRLS_MAX_OUTER):
             w = _huber_weights(resid, scale, HUBER_C)
@@ -438,9 +438,10 @@ def identify_omega(
             denom = max(np.linalg.norm(omega), 1e-12)
             step = np.linalg.norm(new_omega - omega) / denom
             omega = new_omega
-            resid = y - a @ omega
             if step < IRLS_RTOL:
                 break
+            support = np.flatnonzero(omega)
+            resid = y - a[:, support] @ omega[support]
     if omega.max(initial=0.0) > 0:
         omega[omega < SPARSITY_FRAC * omega.max()] = 0.0
     return omega

@@ -33,14 +33,6 @@ class ShadowMap:
     valid: np.ndarray
     bin_deg: float
 
-    @property
-    def n_zenith(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_azimuth(self) -> int:
-        return self.values.shape[1]
-
 
 def build_shadow_map(
     plant: PlantSeries,

@@ -28,10 +28,6 @@ class SolarPosition:
     zenith: np.ndarray
 
     @property
-    def elevation(self) -> np.ndarray:
-        return np.pi / 2 - self.zenith
-
-    @property
     def daytime(self) -> np.ndarray:
         return self.zenith < np.pi / 2
 

@@ -438,6 +438,14 @@ MALFORMED = {
     "spec-non-numeric-tilt": (
         "synth", _spec_text(lambda s: s["plants"][0]["fields"][0].update(tilt_deg="flat"))
     ),
+    "spec-nan-azimuth": (
+        "synth",
+        _spec_text(lambda s: s["plants"][0]["fields"][0].update(azimuth_deg=float("nan"))),
+    ),
+    "spec-infinite-rating": (
+        "synth",
+        _spec_text(lambda s: s["plants"][0]["fields"][0].update(pnom_w=float("inf"))),
+    ),
     "omega-invalid-json": ("estimate", '{"mesh_subdivision": 2,'),
     "omega-no-plants": ("estimate", json.dumps({"mesh_subdivision": 2})),
 }
@@ -470,6 +478,28 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("error: ") and str(bad) in err[0], err[0]
+
+
+NON_FINITE_SPEC = {
+    "days": lambda s: s.update(days=float("inf")),
+    "spec.cloud.sigma": lambda s: s.update(cloud={"sigma": float("nan")}),
+    "spec.plants[1].curtailment_w": lambda s: s["plants"][1].update(curtailment_w=-float("inf")),
+    "spec.plants[0].shadows[0].attenuation": lambda s: s["plants"][0].update(shadows=[
+        {"azimuth_min_deg": 80, "azimuth_max_deg": 150, "attenuation": float("nan")},
+    ]),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NON_FINITE_SPEC))
+def test_non_finite_spec_number_names_its_key(tmp_path, capsys, where):
+    """``json`` reads ``NaN`` and ``Infinity`` as numbers; the spec reader refuses them."""
+    spec = tmp_path / "synth.json"
+    spec.write_text(_spec_text(NON_FINITE_SPEC[where]))
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants ="))
+    assert main(["synth", "--config", str(config), "--spec", str(spec)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert f"{where}: expected a finite number" in err, err
 
 
 @pytest.mark.parametrize(

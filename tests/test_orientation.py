@@ -592,6 +592,51 @@ class TestSplits:
         )
         assert report.chosen_split == 300
 
+    def test_split_scores_and_exported_fold(self, season_scene, site, mesh, params, monkeypatch):
+        """The two normalizations of the split search, recomputed from its fits.
+
+        The split table pools each plant's fold residuals over the rating
+        of its first fold fit; the plant exports the chosen split's fold
+        fit whose RMSE over its own rating is lowest.
+        """
+        south, ts, _, shadow = season_scene
+        spec = SyntheticSpec(plants=(PlantSpec("p", ((south, 8000.0),), shadows=shadow),))
+        synth = synthesize(spec, site, ts, seed=5)
+        fitted, masks = {}, []
+        fit, refine = orientation._ClearFits.__call__, orientation._refine_clear
+
+        def recording_fit(self, rows, start):
+            fitted[rows.tobytes()] = fit(self, rows, start)
+            return fitted[rows.tobytes()]
+
+        def recording_refine(*args):
+            refined = refine(*args)
+            masks.extend(refined[0])
+            return refined
+
+        monkeypatch.setattr(orientation._ClearFits, "__call__", recording_fit)
+        monkeypatch.setattr(orientation, "_refine_clear", recording_refine)
+        res = identify(synth.dataset, synth.ghi_clear, mesh, params, (300, 75), 5.0)
+        _, day, pr = daytime_proxy(synth.dataset, synth.ghi_clear, mesh, params)
+        power = synth.dataset.plants[0].power[day]
+        assert res.report.chosen_split == 75
+
+        for length, pooled in zip(res.report.split_days, res.report.pv_rmse):
+            folds = [masks[0] & fold for fold in orientation._fold_edges(ts, length, day)]
+            omegas = [fitted[rows.tobytes()] for rows in folds]  # every fold is fitted
+            ratings = [estimate_nominal_power(omega, params) for omega in omegas]
+            rmse = [
+                np.sqrt(np.mean((power[rows] - pr[rows] @ omega) ** 2))
+                for rows, omega in zip(folds, omegas)
+            ]
+            n = [rows.sum() for rows in folds]
+            assert pooled == pytest.approx(
+                np.sqrt(np.dot(n, np.square(rmse)) / sum(n)) / ratings[0], rel=1e-12
+            )
+            if length == res.report.chosen_split:
+                own = np.divide(rmse, ratings)
+                np.testing.assert_array_equal(res.omegas[0].omega, omegas[np.argmin(own)])
+
     def test_short_dataset_rejected(self, site, mesh, params):
         south = mesh_vertex(mesh, 26.57, 180.0)
         ts = make_timestamps("2015-05-01T00:00:00", 30, 1800)

@@ -68,9 +68,9 @@ class TestShadowMap:
     def test_morning_obstruction_elevated(self, shadow_scene):
         synth, sp, pred_clear, pnom, sector = shadow_scene
         shadow = build_shadow_map(synth.dataset.plants[0], pred_clear, pnom, sp)
-        n_az = shadow.n_azimuth
+        n_zen, n_az = shadow.values.shape
         az_centers = (np.arange(n_az) + 0.5) * shadow.bin_deg
-        zen_centers = (np.arange(shadow.n_zenith) + 0.5) * shadow.bin_deg
+        zen_centers = (np.arange(n_zen) + 0.5) * shadow.bin_deg
         zz, aa = np.meshgrid(zen_centers, az_centers, indexing="ij")
         inside = (
             (aa >= sector.azimuth_min_deg + 2)
@@ -301,11 +301,12 @@ def test_shadow_map_bins_match_numpy_percentile():
 
     ok = sp.daytime & np.isfinite(power) & (power >= 0.02 * 1000.0)
     rel = (clear[ok] - power[ok]) / power[ok]
-    zen = np.minimum(np.rad2deg(sp.zenith[ok]) // 20.0, shadow.n_zenith - 1)
-    az = np.minimum(np.rad2deg(sp.azimuth[ok]) // 20.0, shadow.n_azimuth - 1)
+    n_zen, n_az = shadow.values.shape
+    zen = np.minimum(np.rad2deg(sp.zenith[ok]) // 20.0, n_zen - 1)
+    az = np.minimum(np.rad2deg(sp.azimuth[ok]) // 20.0, n_az - 1)
     sizes = set()
-    for i in range(shadow.n_zenith):
-        for j in range(shadow.n_azimuth):
+    for i in range(n_zen):
+        for j in range(n_az):
             cell = rel[(zen == i) & (az == j)]
             assert shadow.valid[i, j] == (cell.size >= 10)
             if cell.size >= 10:

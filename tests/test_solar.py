@@ -111,14 +111,13 @@ def test_midnight_below_horizon():
     assert np.rad2deg(sp.zenith[0]) > 90.0
 
 
-def test_elevation_zenith_identity():
+def test_angles_within_their_ranges():
     rng = np.random.default_rng(3)
     ts = np.datetime64("2015-01-01T00:00:00") + rng.integers(
         0, 86400 * 365 * 5, size=1000
     ).astype("timedelta64[s]")
     site = Site(latitude=12.3, longitude=-45.6)
     sp = sun_positions(ts, site)
-    np.testing.assert_allclose(sp.elevation + sp.zenith, np.pi / 2, atol=1e-12)
     assert np.all(sp.azimuth >= 0) and np.all(sp.azimuth < 2 * np.pi)
     assert np.all(sp.zenith >= 0) and np.all(sp.zenith <= np.pi)
 

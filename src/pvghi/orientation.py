@@ -206,12 +206,12 @@ def _refine_clear(
     The seeds and the masks returned index the daytime timesteps, as
     the plants' ``fits`` do. Per plant, up to REFINE_ROUNDS times and
     until the mask stops changing: fit the whole period on the mask
-    (the plant's ``fits``, each round warm-started from the last round's
-    coefficients), predict clear power P^ from the clear-sky proxy, and
-    keep the samples with P^ above
-    REFINE_MIN_FRAC of the fitted rating whose ratio P / P^ lies within
-    REFINE_BAND of the plant's 90th-percentile ratio r90; haze that an
-    envelope takes for clear falls below it. Haze belongs to the hour, a
+    (the plant's ``fits``, each round warm-started from the last
+    round's coefficients), predict clear power P^ from the clear-sky
+    proxy, and keep the samples with P^ above REFINE_MIN_FRAC of the
+    fitted rating whose ratio P / P^ lies within REFINE_BAND of the
+    plant's 90th-percentile ratio r90; haze that an envelope takes for
+    clear falls below it. Haze belongs to the hour, a
     shade to the sun position: a daylight period with at least
     REFINE_DAY_FRAC of its seed kept is clear, and where such clear seed
     samples in a ``bin_deg`` sun bin have a 90th-percentile ratio below

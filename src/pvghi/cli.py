@@ -19,6 +19,7 @@ from .data import (
     align,
     expect,
     load_plant_csv,
+    parse_timestamp,
     read_json,
     read_series_csv,
     save_plant_csv,
@@ -39,6 +40,8 @@ from .synth import (
 )
 
 SYNTH_SAMPLING_SECONDS = 600  # synth's step when [site] sampling_seconds is not set
+LAST_STAMP_TEXT = "9999-12-31T23:59:59Z"  # the last instant parse_timestamp reads
+LAST_STAMP = parse_timestamp(LAST_STAMP_TEXT)
 TRUTH_HEADER = "timestamp,ghi_wm2"
 ESTIMATE_HEADER = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged"
 
@@ -220,11 +223,21 @@ def _read_synth_spec(path, step_seconds: int):
         if len(set(ids)) < len(ids):
             raise InputError(f"spec.plants: plant_id repeated in {ids}")
         try:
-            timestamps = make_timestamps(start, days, step_seconds)
+            t0 = parse_timestamp(start)
         except (ValueError, OverflowError):
             raise InputError(f"start: bad timestamp {start!r}") from None
-        if timestamps.size == 0:
+        try:  # the last stamp make_timestamps would make, checked before it allocates
+            last = t0 + (int(days * 86400 / step_seconds) - 1) * step_seconds
+        except OverflowError:  # an infinite count, or an integer too large for a float
+            last = np.inf
+        if last < t0:
             raise InputError(f"days: {days} holds no {step_seconds} s sample")
+        if last > LAST_STAMP:
+            raise InputError(
+                f"days: {days} from {start} runs past {LAST_STAMP_TEXT}, the last stamp "
+                "pvghi reads"
+            )
+        timestamps = make_timestamps(start, days, step_seconds)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     return spec, timestamps

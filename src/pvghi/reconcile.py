@@ -163,15 +163,6 @@ def _gaussian_smooth(maps: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def lookup_map(shadow: ShadowMap, sp: SolarPosition, floor: float = 0.02) -> np.ndarray:
-    """Map values at each sun position; invalid or night bins give the floor."""
-    keys = sun_bin_keys(sp, slice(None), shadow.bin_deg)
-    vals = shadow.values.flat[keys]
-    day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
-    ok = shadow.valid.flat[keys] & day & np.isfinite(vals)
-    return np.where(ok, vals, floor)
-
-
 def trust_weights(
     maps: list[ShadowMap], sp: SolarPosition, floor: float = 0.02
 ) -> np.ndarray:
@@ -179,11 +170,19 @@ def trust_weights(
 
     A plant's weight is proportional to the inverse of its smoothed
     clear-sky error at the current sun position, so plants shaded at
-    this sun position count less.
+    this sun position count less. An invalid bin, a non-finite value or
+    a night position reads as the floor. The sun positions are binned
+    once for each bin size, and every map of that size is read with the
+    same keys.
     """
-    dists = np.column_stack(
-        [1.0 / np.maximum(lookup_map(m, sp, floor), floor) for m in maps]
-    )
+    keys = {b: sun_bin_keys(sp, slice(None), b) for b in {m.bin_deg for m in maps}}
+    day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
+    dists = np.empty((len(day), len(maps)))
+    for i, m in enumerate(maps):
+        key = keys[m.bin_deg]
+        vals = m.values.flat[key]
+        ok = m.valid.flat[key] & day & np.isfinite(vals)
+        dists[:, i] = 1.0 / np.maximum(np.where(ok, vals, floor), floor)
     total = dists.sum(axis=1, keepdims=True)
     return dists / total
 

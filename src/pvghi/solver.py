@@ -154,13 +154,14 @@ class ForwardModel:
     def proxies(self, ghi: np.ndarray) -> np.ndarray:
         return proxy_matrix(ghi, self.chain).values
 
-    def plant_power(self, pr: np.ndarray) -> np.ndarray:
-        """Plant powers ``pr @ weights`` for this model's rows.
+    def plant_power(self, ghi: np.ndarray) -> np.ndarray:
+        """Plant powers ``proxies(ghi) @ weights`` for this model's rows.
 
         Each plant sums its weighted proxy columns in one fixed order, so
         a row's power reads that row alone and is the same in every
         restriction of the model.
         """
+        pr = self.proxies(ghi)
         out = np.zeros((len(pr), self.weights.shape[1]))
         for j, i in zip(*np.nonzero(self.weights)):
             out[:, i] += pr[:, j] * self.weights[j, i]
@@ -168,7 +169,7 @@ class ForwardModel:
 
     def normalized_errors(self, ghi: np.ndarray) -> np.ndarray:
         """Rating-normalized plant errors (measured − predicted) / rating at ``ghi``."""
-        return (self.power - self.plant_power(self.proxies(ghi))) / self.pnom[None, :]
+        return (self.power - self.plant_power(ghi)) / self.pnom[None, :]
 
 
 def _objective_weights(
@@ -239,48 +240,43 @@ def init_ghi(
     """Grid search over [0, k_safety * clear-sky] per timestep.
 
     Each candidate is a scaled clear-sky profile; per timestep the
-    candidate with the lowest weighted mean absolute error wins. Night
-    steps are zero; daytime steps with no usable plant fall back to the
-    clear-sky value. The grid is evaluated on the daytime steps only.
+    candidate with the lowest weighted mean absolute error wins. The
+    grid covers only the steps it decides: sun up, clear-sky > 0, some
+    plant reporting and not every reporting plant at exactly 0 W. The
+    other steps are seeded without it: night steps at zero, daytime
+    steps with no usable plant at the clear-sky value, and dark steps,
+    where every reporting plant reads 0 W (deep overcast or an outage),
+    at zero rather than the smallest candidate.
     """
-    ghi_max = cfg.k_safety * np.asarray(ghi_clear, float)
+    ghi_clear = np.asarray(ghi_clear, float)
+    ghi_max = cfg.k_safety * ghi_clear
     day = model.chain.daytime & (ghi_max > 0)
     t_count = len(ghi_max)
-    rows = np.flatnonzero(day)
-    day_model = model.rows(rows)
-    day_trust = trust[rows]
-    day_max = ghi_max[rows]
-
-    best_score = np.full(rows.size, np.inf)
-    best_day = np.zeros(rows.size)
-    # errors are finite where power is, so power fixes every candidate's weights
-    w = _objective_weights(day_model.power, day_trust, np.ones_like(day_trust, dtype=bool))
-    day_data = w.sum(axis=1) > 0
-    for g in range(1, cfg.n_grid + 1):
-        cand = (g / cfg.n_grid) * day_max
-        score = _weighted_sum(w, np.abs(day_model.normalized_errors(cand)))
-        better = day_data & (score < best_score)
-        best_score[better] = score[better]
-        best_day[better] = cand[better]
-    best_ghi = np.zeros(t_count)
-    best_ghi[rows] = best_day
-    any_data = np.zeros(t_count, dtype=bool)
-    any_data[rows] = day_data
-
-    no_info = day & ~any_data
-    best_ghi[no_info] = np.asarray(ghi_clear, float)[no_info]
-
-    # every reporting plant at exactly zero power means deep overcast (or
-    # an outage): seed at zero rather than the smallest grid candidate
     power = model.power
+    # errors are finite where power is, so power fixes every candidate's weights
+    w = _objective_weights(power, trust, np.ones_like(trust, dtype=bool))
+    has_data = w.sum(axis=1) > 0
     with np.errstate(invalid="ignore"):
         all_zero = np.where(np.isfinite(power), power == 0.0, True).all(axis=1)
-    dark = day & any_data & all_zero
-    best_ghi[dark] = 0.0
+    ghi = np.where(day & ~has_data, ghi_clear, 0.0)
+
+    rows = np.flatnonzero(day & has_data & ~all_zero)
+    grid_model = model.rows(rows)
+    grid_w = w[rows]
+    top = ghi_max[rows]
+    best_score = np.full(rows.size, np.inf)
+    best = np.zeros(rows.size)
+    for g in range(1, cfg.n_grid + 1):
+        cand = (g / cfg.n_grid) * top
+        score = _weighted_sum(grid_w, np.abs(grid_model.normalized_errors(cand)))
+        better = score < best_score
+        best_score = np.where(better, score, best_score)
+        best = np.where(better, cand, best)
+    ghi[rows] = best
 
     state = EstimationState(
-        ghi=best_ghi,
-        errors=model.normalized_errors(best_ghi),
+        ghi=ghi,
+        errors=model.normalized_errors(ghi),
         lambdas=np.full(t_count, cfg.lambda0),
         ghi_max=ghi_max,
         iterations=np.zeros(t_count, dtype=int),
@@ -313,7 +309,10 @@ def refine_ghi(
     GHI, so they are fixed for the round. A rejected step leaves a
     timestep's GHI and errors as they were, and so its gradient: the
     gradient is taken for every active timestep at the start of the
-    round and retaken only where the last step was kept.
+    round and retaken only where the last step was kept. The model is
+    restricted to the active timesteps at the start of the round and
+    again, from that restriction, each time some of them freeze; the
+    candidate steps run on it as it is, the gradients on its moved rows.
 
     ``state.errors`` must be this model's normalized errors at
     ``state.ghi``, as every state from ``init_ghi`` and ``refine_ghi``
@@ -330,7 +329,6 @@ def refine_ghi(
     active = day & has_data
     scored = np.flatnonzero(active)  # the rows the round's objective sums
     direction = np.zeros_like(ghi)
-    moved = active.copy()  # timesteps whose gradient is to be (re)taken
 
     round_history = [float(h[scored].sum())]
     # np.nansum's own operand, kept up to date row by row
@@ -341,38 +339,49 @@ def refine_ghi(
     bound_violation = max(
         state.bound_violation, _bound_violation(ghi[day], state.ghi_max[day])
     )
+    live = scored  # the timesteps of ``sub``: the active ones, as of the last restriction
+    sub = model.rows(live)
+    moved = np.arange(live.size)  # positions in ``live`` whose gradient is to be (re)taken
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
-        rows = np.flatnonzero(moved)
-        if rows.size:
-            grad = _gradient(model.rows(rows), ghi[rows], w[rows], cfg, errors[rows])
+        if moved.size:
+            rows = live[moved]
+            grad = _gradient(
+                sub if moved.size == live.size else sub.rows(moved),
+                ghi[rows], w[rows], cfg, errors[rows],
+            )
             flat = np.abs(grad) <= GRAD_FLOOR
             direction[rows] = np.where(flat, 0.0, np.sign(grad))
             active[rows[flat]] = False  # a flat gradient freezes the step
+        still = active[live]
+        if not still.all():
+            live = live[still]
+            sub = sub.rows(np.flatnonzero(still))
 
-        rows = np.flatnonzero(active)
+        rows = live
         cand = np.clip(ghi[rows] - lam[rows] * direction[rows], 0.0, state.ghi_max[rows])
-        err_cand = model.rows(rows).normalized_errors(cand)
+        err_cand = sub.normalized_errors(cand)
         h_cand = np.abs(_weighted_sum(w[rows], err_cand))
 
         improved = h_cand < h[rows]
-        kept = rows[improved]
-        ghi[kept] = cand[improved]
-        errors[kept] = err_cand[improved]
-        h[kept] = h_cand[improved]
-        rejected = rows[~improved]
-        lam[rejected] = lam[rejected] * cfg.k_decay
+        moved = np.flatnonzero(improved)  # kept steps keep their step size, so stay active
+        kept = rows[moved]
+        kept_ghi, kept_errors = cand[moved], err_cand[moved]
+        ghi[kept] = kept_ghi
+        errors[kept] = kept_errors
+        h[kept] = h_cand[moved]
+        step = lam[rows]
+        step = np.where(improved, step, step * cfg.k_decay)
+        lam[rows] = step
         iterations[rows] += 1
-        active[rows[lam[rows] < LAMBDA_MIN]] = False
-        moved[:] = False
-        moved[kept] = True
+        active[rows[step < LAMBDA_MIN]] = False
 
         # only the kept rows changed their GHI and errors
         bound_violation = max(
-            bound_violation, _bound_violation(ghi[kept], state.ghi_max[kept])
+            bound_violation, _bound_violation(kept_ghi, state.ghi_max[kept])
         )
-        squared[kept] = _squared(errors[kept])
+        squared[kept] = _squared(kept_errors)
         state.err_history.append(float(np.sqrt(squared.sum())))
         round_history.append(float(h[scored].sum()))
 
@@ -430,8 +439,10 @@ def estimate(
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        # night rows are zero at any GHI, and the chain rejects a negative (free) night value
-        pred_clear = model.plant_power(model.proxies(np.where(sp.daytime, ghi_clear, 0.0)))
+        # night rows give zero power at any GHI, and the maps read daytime rows only
+        day = np.flatnonzero(sp.daytime)
+        pred_clear = np.zeros((dataset.n_steps, n_pv))
+        pred_clear[day] = model.rows(day).plant_power(ghi_clear[day])
         maps = []
         for i, plant in enumerate(dataset.plants):
             raw = build_shadow_map(

@@ -502,6 +502,41 @@ def test_non_finite_spec_number_names_its_key(tmp_path, capsys, where):
     assert f"{where}: expected a finite number" in err, err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the span was not checked before building it")
+
+
+@pytest.mark.parametrize(
+    "days", [1e23, 1e9, 10**400, 1e308], ids=["1e23", "1e9", "10^400", "1e308"]
+)
+def test_too_long_synth_span_names_days(tmp_path, capsys, monkeypatch, days):
+    """A span past the last readable stamp is refused before any array is made.
+
+    1e23 days once overflowed numpy's array size and was reported as a
+    bad start; 1e9 days asked numpy for 1.05 TiB of stamps.
+    """
+    monkeypatch.setattr(cli, "make_timestamps", _refuse)
+    monkeypatch.setattr(cli, "synthesize", _refuse)
+    spec = tmp_path / "synth.json"
+    spec.write_text(_spec_text(lambda s: s.update(days=days)))
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants ="))
+    assert main(["synth", "--config", str(config), "--spec", str(spec)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert f"{spec}: days: " in err and "runs past 9999-12-31" in err, err
+
+
+def test_bad_synth_start_is_named_before_days(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_timestamps", _refuse)
+    spec = tmp_path / "synth.json"
+    spec.write_text(_spec_text(lambda s: s.update(start="yesterday", days=1e23)))
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants ="))
+    assert main(["synth", "--config", str(config), "--spec", str(spec)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "start: bad timestamp 'yesterday'" in err, err
+
+
 @pytest.mark.parametrize(
     "dead_omega", [[], [float("nan")], [float("inf")], [-5.0]],
     ids=["none", "nan", "inf", "negative"],

@@ -19,7 +19,7 @@ from pvghi.reconcile import (
     ShadowMap,
     _gaussian_smooth,
     binned_quantile,
-    lookup_map,
+    sun_bin_keys,
 )
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
@@ -212,11 +212,13 @@ class TestTrust:
         assert np.all((f >= 0) & (f <= 1))
 
     def test_invalid_bins_fall_back_to_floor(self):
-        m = ShadowMap(np.full((45, 180), np.nan), np.zeros((45, 180), bool), 2.0)
-        from pvghi.solar import SolarPosition
-
+        invalid = ShadowMap(np.full((45, 180), np.nan), np.zeros((45, 180), bool), 2.0)
+        valid = ShadowMap(np.full((45, 180), 0.05), np.ones((45, 180), bool), 2.0)
         sp = SolarPosition(azimuth=np.array([np.pi]), zenith=np.array([0.5]))
-        assert lookup_map(m, sp, floor=0.02)[0] == 0.02
+        # inverse errors 1 / 0.02 and 1 / 0.05
+        np.testing.assert_allclose(
+            trust_weights([invalid, valid], sp, floor=0.02)[0], [50 / 70, 20 / 70]
+        )
 
 
 class TestTukey:
@@ -401,3 +403,40 @@ def test_trust_rows_sum_to_one(data):
     assert w.shape == (t, len(maps))
     assert (w > 0).all()
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
+
+
+def reference_trust(maps, sp, floor):
+    """Trust weights with each map's sun-position keys computed for that map alone."""
+    def lookup(shadow):
+        keys = sun_bin_keys(sp, slice(None), shadow.bin_deg)
+        vals = shadow.values.flat[keys]
+        day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
+        ok = shadow.valid.flat[keys] & day & np.isfinite(vals)
+        return np.where(ok, vals, floor)
+
+    dists = np.column_stack([1.0 / np.maximum(lookup(m), floor) for m in maps])
+    return dists / dists.sum(axis=1, keepdims=True)
+
+
+@given(st.data())
+def test_trust_weights_equal_the_per_map_lookup(data):
+    """Binning the sun positions once per bin size changes no bit of the weights."""
+    value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from([np.nan, np.inf, 0.0]))
+    maps = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
+        shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
+        maps.append(ShadowMap(
+            values=data.draw(arrays(np.float64, shape, elements=value)),
+            valid=data.draw(arrays(np.bool_, shape)),
+            bin_deg=bin_deg,
+        ))
+    t = data.draw(st.integers(1, 20))
+    sp = SolarPosition(
+        azimuth=data.draw(arrays(np.float64, t, elements=st.floats(-7.0, 7.0))),
+        zenith=data.draw(arrays(np.float64, t, elements=st.floats(0.0, np.pi))),
+    )
+    floor = data.draw(st.floats(1e-3, 1.0))
+    np.testing.assert_array_equal(
+        trust_weights(maps, sp, floor=floor), reference_trust(maps, sp, floor)
+    )

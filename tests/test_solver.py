@@ -11,7 +11,12 @@ from hypothesis.extra.numpy import arrays
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi import proxy, solver
-from pvghi.reconcile import tukey_gate_matrix
+from pvghi.reconcile import (
+    build_shadow_map,
+    smooth_threshold_map,
+    trust_weights,
+    tukey_gate_matrix,
+)
 from pvghi.solver import (
     GATE_ROUNDS,
     GRAD_FLOOR,
@@ -412,11 +417,19 @@ def test_restricted_model_matches_full_rows(site, mesh, params):
         np.testing.assert_array_equal(half.normalized_errors(ghi[idx[::2]]), errors[idx[::2]])
 
 
-def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkeypatch):
-    """Grid candidates cover the daytime steps, descent the active ones.
+def decided_steps(dataset, sp, ghi_clear):
+    """Solved steps with some plant reporting and not every reporting plant at 0 W."""
+    power = dataset.power_matrix()
+    reported = np.isfinite(power)
+    dark = (np.where(reported, power, 0.0) == 0.0).all(axis=1)
+    return sp.daytime & (ghi_clear > 0) & reported.any(axis=1) & ~dark
 
-    Full-length evaluations remain for the shadow maps' clear-sky power
-    and the grid winner. A step whose
+
+def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkeypatch):
+    """Grid candidates cover the decided steps, descent the active ones.
+
+    The shadow maps' clear-sky power covers the sun-up steps; the one
+    full-length evaluation left is the grid winner's. A step whose
     gradient is flat costs one gradient evaluation without an iteration,
     at most once per round.
     """
@@ -432,12 +445,14 @@ def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkey
     cfg = SolverConfig()
     res = estimate(synth.dataset, omegas, mesh.orientations, params, cfg)
     t_count = len(res.ghi)
-    day = int((sp.daytime & (res.ghi_clear > 0)).sum())
-    assert 0 < day < t_count
-    assert rows_seen[: cfg.n_grid + 2] == [t_count] + [day] * cfg.n_grid + [t_count]
-    fixed = (2 + GATE_ROUNDS) * t_count
+    sun_up = int(sp.daytime.sum())
+    day = int(res.solved.sum())
+    decided = int(decided_steps(synth.dataset, sp, res.ghi_clear).sum())
+    assert 0 < decided < day <= sun_up < t_count
+    assert rows_seen[: cfg.n_grid + 2] == [sun_up] + [decided] * cfg.n_grid + [t_count]
+    fixed = sun_up + t_count
     flat = GATE_ROUNDS * day
-    bound = cfg.n_grid * day + 2 * int(res.state.iterations.sum()) + fixed + flat
+    bound = cfg.n_grid * decided + 2 * int(res.state.iterations.sum()) + fixed + flat
     assert sum(rows_seen) <= bound
     loops = sum(len(h) - 1 for h in res.state.objective_history)
     full_length = (2 + cfg.n_grid + GATE_ROUNDS + 2 * loops) * t_count
@@ -564,6 +579,111 @@ def reference_refine(model, state, trust, gate, cfg):
     state.ghi, state.errors, state.lambdas = ghi, errors, lam
     state.converged = state.converged | (day & has_data & ~active)
     return state
+
+
+def reference_init(model, ghi_clear, trust, cfg):
+    """The grid with all ``n_grid`` candidates on every solved step, dark ones included."""
+    ghi_clear = np.asarray(ghi_clear, float)
+    ghi_max = cfg.k_safety * ghi_clear
+    day = model.chain.daytime & (ghi_max > 0)
+    rows = np.flatnonzero(day)
+    w = solver._objective_weights(model.power, trust, np.ones(trust.shape, dtype=bool))
+    has_data = w.sum(axis=1) > 0
+    best_score = np.full(rows.size, np.inf)
+    ghi = np.zeros(len(ghi_max))
+    for g in range(1, cfg.n_grid + 1):
+        cand = (g / cfg.n_grid) * ghi_max[rows]
+        score = solver._weighted_sum(w[rows], np.abs(model.rows(rows).normalized_errors(cand)))
+        better = has_data[rows] & (score < best_score)
+        best_score[better] = score[better]
+        ghi[rows[better]] = cand[better]
+    ghi[day & ~has_data] = ghi_clear[day & ~has_data]
+    reported = np.isfinite(model.power)
+    dark = (np.where(reported, model.power, 0.0) == 0.0).all(axis=1)
+    ghi[day & has_data & dark] = 0.0
+    return solver.EstimationState(
+        ghi=ghi,
+        errors=model.normalized_errors(ghi),
+        lambdas=np.full(len(ghi), cfg.lambda0),
+        ghi_max=ghi_max,
+        iterations=np.zeros(len(ghi), dtype=int),
+        converged=~day,
+    )
+
+
+@pytest.fixture(scope="module")
+def dark_scene(site, mesh, params):
+    """Three days of four plants with dark steps, a tenth of the power
+    samples missing and no plant reporting at the first noon.
+
+    p1 is halved while the sun's azimuth is within 80-150 degrees, so
+    its shadow map, and with it the trust, varies with the sun.
+    """
+    synth, sp, omegas = build_scene(site, mesh, params, days=3, seed=23)
+    ds = synth.dataset
+    azimuth = np.rad2deg(sp.azimuth) % 360.0
+    sector = (azimuth >= 80.0) & (azimuth <= 150.0)
+    shaded = replace(ds.plants[0], power=np.where(sector, 0.5, 1.0) * ds.plants[0].power)
+    ds = AlignedDataset(ds.timestamps, (shaded, *ds.plants[1:]), ds.site)
+    missing = np.random.default_rng(23).random((ds.n_steps, ds.n_plants)) < 0.1
+    no_data = int(np.argmin(sp.zenith))
+    missing[no_data] = True
+    ds = with_missing(ds, missing)
+    day = sp.daytime & (synth.ghi_clear > 0)
+    decided = decided_steps(ds, sp, synth.ghi_clear)
+    assert missing[day].any(axis=1).sum() > 50
+    assert (day & ~decided).sum() > 20  # the no-data step and the dark ones
+    return synth, sp, omegas, ds, no_data
+
+
+def test_init_matches_the_every_step_grid(dark_scene, mesh, params):
+    """Running the grid on the decided steps alone changes no bit of the state."""
+    synth, sp, omegas, ds, no_data = dark_scene
+    model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
+    trust = np.random.default_rng(23).uniform(0.1, 1.0, (ds.n_steps, ds.n_plants))
+    cfg = SolverConfig()
+    state = init_ghi(model, synth.ghi_clear, trust, cfg)
+    ref = reference_init(model, synth.ghi_clear, trust, cfg)
+    assert state.ghi[no_data] == synth.ghi_clear[no_data] > 0
+    for name in ("ghi", "errors", "lambdas", "ghi_max", "iterations", "converged"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
+
+
+def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
+    """Shadow maps, the grid, the gate and the descent as the every-row references run them.
+
+    The reference trust comes from clear-sky power evaluated on every
+    timestep, night ones included.
+    """
+    synth, sp, omegas, ds, _ = dark_scene
+    cfg = SolverConfig(trust_bin_deg=10.0)  # three days fill few 2-degree bins
+    res = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=synth.ghi_clear)
+    assert np.ptp(res.trust[:, 0]) > 0.1
+
+    model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
+    pred_clear = model.plant_power(np.where(sp.daytime, synth.ghi_clear, 0.0))
+    maps = [
+        smooth_threshold_map(
+            build_shadow_map(plant, pred_clear[:, i], model.pnom[i], sp, cfg.trust_bin_deg),
+            bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
+        )
+        for i, plant in enumerate(ds.plants)
+    ]
+    trust = trust_weights(maps, sp, floor=cfg.trust_floor)
+    np.testing.assert_array_equal(res.trust, trust)
+    ref = reference_init(model, synth.ghi_clear, trust, cfg)
+    for _ in range(GATE_ROUNDS):
+        gate = tukey_gate_matrix(ref.errors, k_q=cfg.k_q)
+        ref = reference_refine(model, ref, trust, gate, cfg)
+
+    np.testing.assert_array_equal(res.gate, gate)
+    np.testing.assert_array_equal(res.ghi, ref.ghi)
+    np.testing.assert_array_equal(res.n_plants_used, (np.isfinite(ref.errors) & gate).sum(axis=1))
+    for name in ("errors", "iterations", "lambdas", "converged"):
+        np.testing.assert_array_equal(getattr(res.state, name), getattr(ref, name), err_msg=name)
+    assert res.state.err_history == ref.err_history
+    assert res.state.objective_history == ref.objective_history
+    assert res.state.bound_violation == ref.bound_violation
 
 
 def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):

@@ -31,7 +31,6 @@ from .orientation import (
     select_clear,
 )
 from .reconcile import (
-    ShadowMap,
     build_shadow_map,
     smooth_threshold_map,
     trust_weights,
@@ -55,7 +54,6 @@ __all__ = [
     "PlantSpec",
     "ProxyMatrix",
     "ProxyParams",
-    "ShadowMap",
     "ShadowSector",
     "Site",
     "SolarPosition",

@@ -29,10 +29,11 @@ class OrientationConfig:
     clear_bin_deg: float = 5.0
 
     def __post_init__(self):
+        splits = self.split_candidates
         check_settings(self, (
             ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
-            ("split_candidates", len(self.split_candidates) > 0
-             and all(d >= 1 for d in self.split_candidates), "one or more positive day counts"),
+            ("split_candidates", len(set(splits)) == len(splits) > 0 and min(splits) >= 1,
+             "one or more distinct positive day counts"),
             ("clear_bin_deg", 0.0 < self.clear_bin_deg < np.inf, "finite and positive"),
         ))
 

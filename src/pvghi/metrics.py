@@ -105,12 +105,16 @@ def block_average(
     Only full blocks are kept; block timestamps are the block starts.
     The sampling step is the smallest spacing, so a series with missing
     samples removed keeps its step and loses only the blocks they fall in.
+    A step that does not divide the period gives no blocks: no count of
+    samples covers a block exactly.
     """
     ts = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
     values = np.asarray(values, dtype=float)
     if len(ts) < 2:
         return values.copy(), np.asarray(timestamps)
     step = int(np.diff(ts).min())
+    if period_seconds % step:
+        return np.empty(0), np.empty(0, dtype="datetime64[s]")
     per_block = period_seconds // step
     if per_block <= 1:
         return values.copy(), np.asarray(timestamps)

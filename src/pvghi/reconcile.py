@@ -3,78 +3,65 @@
 Each plant gets a map over sun positions of its relative power
 prediction error under clear-sky input; positions where the model
 systematically over-predicts (shading, horizon) earn the plant less
-trust there. Independently, per-timestep errors far outside the
-interquartile fences across plants are gated out of the objective.
+trust there. The maps of all plants form one (n_plants, n_zen, n_az)
+array, NaN in the bins without enough samples, and the sun positions
+are binned once for all of them. Independently, per-timestep errors far
+outside the interquartile fences across plants are gated out of the
+objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import PlantSeries
 from .solar import SolarPosition
 
 SHADOW_QUANTILE = 0.01        # low quantile of the relative error per bin
-SHADOW_MIN_SAMPLES = 10       # fewer samples leave a bin invalid
+SHADOW_MIN_SAMPLES = 10       # fewer samples leave a bin NaN
 SHADOW_POWER_FLOOR_FRAC = 0.02  # share of the rating below which samples are dropped
 
 
-@dataclass(frozen=True)
-class ShadowMap:
-    """Clear-sky relative error over (zenith, azimuth) bins.
-
-    ``values[i, j]`` covers zenith bin i and azimuth bin j; bins without
-    enough samples are invalid and excluded from queries.
-    """
-
-    values: np.ndarray
-    valid: np.ndarray
-    bin_deg: float
-
-
 def build_shadow_map(
-    plant: PlantSeries,
+    power: np.ndarray,
     estimated_clear_power: np.ndarray,
-    pnom: float,
+    pnom: np.ndarray,
     sp: SolarPosition,
     bin_deg: float = 2.0,
-) -> ShadowMap:
+) -> np.ndarray:
     """Per-bin low quantile of (predicted clear power - measured) / measured.
 
-    Samples below SHADOW_POWER_FLOOR_FRAC of the plant rating are dropped to
-    guard the division. Shaded sun positions show up as elevated values
-    because even the best observed samples fall short of the clear-sky
-    prediction there.
+    ``power`` and ``estimated_clear_power`` are (T, n_plants) and ``pnom``
+    holds the plant ratings. The result is (n_plants, n_zen, n_az):
+    ``maps[p, i, j]`` covers plant p, zenith bin i and azimuth bin j, and
+    is NaN where that bin holds fewer than SHADOW_MIN_SAMPLES samples.
+    Samples below SHADOW_POWER_FLOOR_FRAC of the plant rating are dropped
+    to guard the division. Shaded sun positions show up as elevated
+    values because even the best observed samples fall short of the
+    clear-sky prediction there.
     """
-    shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
-    values = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-
-    power = plant.power
-    ok = (
-        sp.daytime
-        & np.isfinite(power)
-        & (power >= SHADOW_POWER_FLOOR_FRAC * pnom)
-        & np.isfinite(estimated_clear_power)
-    )
-    if not ok.any():
-        return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
-    rel = (estimated_clear_power[ok] - power[ok]) / power[ok]
-    cells, quantiles = binned_quantile(
-        sun_bin_keys(sp, ok, bin_deg), rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
-    )
-    values.flat[cells] = quantiles
-    valid.flat[cells] = True
-    return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
+    n_zen, n_az = int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg))
+    maps = np.full((power.shape[1], n_zen, n_az), np.nan)
+    day = np.flatnonzero(sp.daytime)
+    keys = sun_bin_keys(sp, day, bin_deg)
+    for plant_map, measured, clear, rating in zip(
+        maps, power[day].T, estimated_clear_power[day].T, pnom, strict=True
+    ):
+        ok = (
+            np.isfinite(measured)
+            & (measured >= SHADOW_POWER_FLOOR_FRAC * rating)
+            & np.isfinite(clear)
+        )
+        rel = (clear[ok] - measured[ok]) / measured[ok]
+        cells, quantiles = binned_quantile(keys[ok], rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES)
+        plant_map.flat[cells] = quantiles
+    return maps
 
 
 def sun_bin_keys(sp: SolarPosition, rows, bin_deg: float) -> np.ndarray:
     """Flat index ``zen * n_az + az`` of each sun position's ``bin_deg`` bin.
 
-    It indexes a ShadowMap's ``values``; zenith past 90 degrees falls in
-    the last zenith bin.
+    It indexes one plant's (n_zen, n_az) shadow map; zenith past 90
+    degrees falls in the last zenith bin.
     """
     n_zen = int(np.ceil(90.0 / bin_deg))
     n_az = int(np.ceil(360.0 / bin_deg))
@@ -106,23 +93,25 @@ def binned_quantile(
 
 
 def smooth_threshold_map(
-    shadow: ShadowMap, bandwidth_deg: float = 6.0, floor: float = 0.02
-) -> ShadowMap:
-    """Gaussian smoothing over valid bins, then a lower threshold.
+    maps: np.ndarray, bin_deg: float, bandwidth_deg: float = 6.0, floor: float = 0.02
+) -> np.ndarray:
+    """Gaussian smoothing over each plant's non-NaN bins, then a lower threshold.
 
-    The kernel is normalized by its mass over valid bins so constants
-    pass through unchanged; azimuth wraps around. The floor bounds the
-    inverse map used for trust weights.
+    The kernel is normalized by its mass over non-NaN bins so constants
+    pass through unchanged; azimuth wraps around. A bin the kernel does
+    not reach from any non-NaN bin stays NaN. The floor bounds the
+    inverse map used for trust weights. Each plant's map is smoothed on
+    its own, which keeps the working set in cache.
     """
-    num, den = _gaussian_smooth(
-        np.stack([np.where(shadow.valid, shadow.values, 0.0), shadow.valid.astype(float)]),
-        bandwidth_deg / shadow.bin_deg,
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        smoothed = num / den
-    reachable = den > 1e-12
-    out = np.where(reachable, np.maximum(smoothed, floor), np.nan)
-    return ShadowMap(values=out, valid=reachable, bin_deg=shadow.bin_deg)
+    out = np.empty_like(maps)
+    for i, plant_map in enumerate(maps):
+        ok = ~np.isnan(plant_map)
+        num, den = _gaussian_smooth(
+            np.stack([np.where(ok, plant_map, 0.0), ok]), bandwidth_deg / bin_deg
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[i] = np.where(den > 1e-12, np.maximum(num / den, floor), np.nan)
+    return out
 
 
 def _gaussian_smooth(maps: np.ndarray, sigma: float) -> np.ndarray:
@@ -164,27 +153,21 @@ def _gaussian_smooth(maps: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def trust_weights(
-    maps: list[ShadowMap], sp: SolarPosition, floor: float = 0.02
+    maps: np.ndarray, sp: SolarPosition, bin_deg: float, floor: float = 0.02
 ) -> np.ndarray:
     """(T, n_plants) weights, each row summing to one.
 
     A plant's weight is proportional to the inverse of its smoothed
     clear-sky error at the current sun position, so plants shaded at
-    this sun position count less. An invalid bin, a non-finite value or
-    a night position reads as the floor. The sun positions are binned
-    once for each bin size, and every map of that size is read with the
-    same keys.
+    this sun position count less. A NaN or otherwise non-finite bin and
+    a night position read as the floor. The sun positions are binned
+    once, and every plant's map is read with the same keys.
     """
-    keys = {b: sun_bin_keys(sp, slice(None), b) for b in {m.bin_deg for m in maps}}
-    day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
-    dists = np.empty((len(day), len(maps)))
-    for i, m in enumerate(maps):
-        key = keys[m.bin_deg]
-        vals = m.values.flat[key]
-        ok = m.valid.flat[key] & day & np.isfinite(vals)
-        dists[:, i] = 1.0 / np.maximum(np.where(ok, vals, floor), floor)
-    total = dists.sum(axis=1, keepdims=True)
-    return dists / total
+    keys = sun_bin_keys(sp, slice(None), bin_deg)
+    vals = maps.reshape(len(maps), -1).T[keys]
+    ok = np.atleast_1d(sp.daytime)[:, None] & np.isfinite(vals)
+    dists = 1.0 / np.maximum(np.where(ok, vals, floor), floor)
+    return dists / dists.sum(axis=1, keepdims=True)
 
 
 def tukey_gate_matrix(error_matrix: np.ndarray, k_q: float = 1.5) -> np.ndarray:

@@ -443,18 +443,11 @@ def estimate(
         day = np.flatnonzero(sp.daytime)
         pred_clear = np.zeros((dataset.n_steps, n_pv))
         pred_clear[day] = model.rows(day).plant_power(ghi_clear[day])
-        maps = []
-        for i, plant in enumerate(dataset.plants):
-            raw = build_shadow_map(
-                plant, pred_clear[:, i], model.pnom[i], sp,
-                bin_deg=cfg.trust_bin_deg,
-            )
-            maps.append(
-                smooth_threshold_map(
-                    raw, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor
-                )
-            )
-        trust = trust_weights(maps, sp, floor=cfg.trust_floor)
+        maps = smooth_threshold_map(
+            build_shadow_map(model.power, pred_clear, model.pnom, sp, cfg.trust_bin_deg),
+            cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
+        )
+        trust = trust_weights(maps, sp, cfg.trust_bin_deg, floor=cfg.trust_floor)
     else:
         trust = np.full((dataset.n_steps, n_pv), 1.0 / n_pv)
 

@@ -599,6 +599,27 @@ def test_evaluate_scores_only_shared_finite_samples(tmp_path):
     )
 
 
+@pytest.mark.parametrize("step, aggregates", [
+    (4, {"agg_60min"}),  # 15 samples an hour; 10 and 30 min are no whole count of steps
+    (7, set()),
+])
+def test_evaluate_leaves_out_aggregates_the_step_does_not_divide(tmp_path, step, aggregates):
+    minutes = range(0, 180, step)
+    est = tmp_path / "est.csv"
+    est.write_text(
+        "timestamp,ghi_est_wm2,n_plants_used,iterations,converged\n"
+        + "".join(f"{_stamp(m)},{500.0 + 3 * m},2,3,1\n" for m in minutes)
+    )
+    truth = tmp_path / "truth.csv"
+    truth.write_text("timestamp,ghi_wm2\n" + "".join(f"{_stamp(m)},{500.0 + m}\n" for m in minutes))
+    report_path = tmp_path / "metrics.json"
+    rc = main([
+        "evaluate", "--est", str(est), "--truth", str(truth), "--output", str(report_path),
+    ])
+    assert rc == 0
+    assert set(json.loads(report_path.read_text())) == {"native"} | aggregates
+
+
 def test_repeated_plant_id_is_input_error(tmp_path, capsys):
     for folder in ("a", "b"):
         (tmp_path / folder).mkdir()

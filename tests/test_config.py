@@ -111,6 +111,7 @@ def test_nan_setting_rejected(cls, name):
 
 @pytest.mark.parametrize("extra, where", [
     ("[orientation]\nsplit_candidates = 30, 0\n", r"\[orientation\] split_candidates"),
+    ("[orientation]\nsplit_candidates = 10, 10, 5\n", r"\[orientation\] split_candidates"),
     ("sampling_seconds = 0\n", r"\[site\] sampling_seconds"),
 ])
 def test_out_of_range_setting_names_section_and_key(tmp_path, extra, where):

@@ -107,7 +107,10 @@ def test_block_average_partial_block_dropped():
 def block_average_loop(values, timestamps, period_seconds):
     """Reference: one pass over the whole series per block."""
     ts = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
-    per_block = period_seconds // int(np.diff(ts).min())
+    step = int(np.diff(ts).min())
+    if period_seconds % step:
+        return np.array([]), np.array([], dtype="datetime64[s]")
+    per_block = period_seconds // step
     anchor = (ts - ts[0]) // period_seconds
     out_vals, out_ts = [], []
     for b in range(int(anchor[-1]) + 1):
@@ -138,6 +141,21 @@ def test_block_average_matches_block_loop():
                 assert_same_blocks(
                     block_average(vals, ts, period), block_average_loop(vals, ts, period)
                 )
+
+
+@pytest.mark.parametrize("step, period, means", [
+    (240, 600, []),  # 4-min data: no count of samples covers 10 or 30 min
+    (240, 1800, []),
+    (240, 3600, [7.0, 22.0, 37.0]),  # 15 samples an hour
+    (420, 600, []),  # 7-min data: none covers 10 or 30 min
+    (420, 1800, []),
+])
+def test_blocks_only_where_the_step_divides_the_period(step, period, means):
+    ts = make_ts(45, step=step)
+    avg, ts_b = block_average(np.arange(45, dtype=float), ts, period)
+    np.testing.assert_array_equal(avg, means)
+    assert ts_b.dtype == np.dtype("datetime64[s]")
+    np.testing.assert_array_equal(ts_b, ts[:: period // step][: len(means)])
 
 
 def test_block_average_without_a_full_block():

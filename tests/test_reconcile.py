@@ -1,5 +1,7 @@
 """Shadow maps, trust weights and interquartile outlier gating."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,9 @@ from pvghi import (
 )
 from pvghi.data import PlantSeries
 from pvghi.reconcile import (
-    ShadowMap,
+    SHADOW_MIN_SAMPLES,
+    SHADOW_POWER_FLOOR_FRAC,
+    SHADOW_QUANTILE,
     _gaussian_smooth,
     binned_quantile,
     sun_bin_keys,
@@ -52,25 +56,31 @@ def shadow_scene(site, mesh, params):
         forward_chain(sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site),
     ).values
     omega = true_omega(mesh, ((south, 8000.0),), "x", params)
-    pred_clear = pr @ omega.omega
-    return synth, sp, pred_clear, omega.estimated_pnom, sector
+    pred_clear = np.column_stack([pr @ omega.omega] * 2)  # the plants share one orientation
+    pnom = np.full(2, omega.estimated_pnom)
+    return synth, sp, pred_clear, pnom, sector
+
+
+def scene_maps(shadow_scene):
+    """The shadow scene's raw (plant, zenith, azimuth) maps at 2-degree bins."""
+    synth, sp, pred_clear, pnom, _ = shadow_scene
+    return build_shadow_map(synth.dataset.power_matrix(), pred_clear, pnom, sp)
 
 
 class TestShadowMap:
     def test_unshaded_plant_small_values(self, shadow_scene):
-        synth, sp, pred_clear, pnom, _ = shadow_scene
-        shadow = build_shadow_map(synth.dataset.plants[1], pred_clear, pnom, sp)
-        vals = shadow.values[shadow.valid]
+        shadow = scene_maps(shadow_scene)[1]
+        vals = shadow[~np.isnan(shadow)]
         assert vals.size > 50
         # the low quantile of the clear-sky relative error stays near zero
         assert np.median(np.abs(vals)) < 0.05
 
     def test_morning_obstruction_elevated(self, shadow_scene):
-        synth, sp, pred_clear, pnom, sector = shadow_scene
-        shadow = build_shadow_map(synth.dataset.plants[0], pred_clear, pnom, sp)
-        n_zen, n_az = shadow.values.shape
-        az_centers = (np.arange(n_az) + 0.5) * shadow.bin_deg
-        zen_centers = (np.arange(n_zen) + 0.5) * shadow.bin_deg
+        sector = shadow_scene[-1]
+        shadow = scene_maps(shadow_scene)[0]
+        n_zen, n_az = shadow.shape
+        az_centers = (np.arange(n_az) + 0.5) * 2.0
+        zen_centers = (np.arange(n_zen) + 0.5) * 2.0
         zz, aa = np.meshgrid(zen_centers, az_centers, indexing="ij")
         inside = (
             (aa >= sector.azimuth_min_deg + 2)
@@ -78,52 +88,38 @@ class TestShadowMap:
             & (zz >= sector.zenith_min_deg + 2)
         )
         outside_afternoon = (aa >= 200) & (aa <= 290)
-        shaded_vals = shadow.values[inside & shadow.valid]
-        open_vals = shadow.values[outside_afternoon & shadow.valid]
+        shaded_vals = shadow[inside & ~np.isnan(shadow)]
+        open_vals = shadow[outside_afternoon & ~np.isnan(shadow)]
         assert shaded_vals.size > 10 and open_vals.size > 10
         # halved power means the clear prediction overshoots by ~100%
         assert np.median(shaded_vals) > 0.5
         assert np.median(open_vals) < 0.2
 
     def test_empty_bins_invalid(self, shadow_scene):
-        synth, sp, pred_clear, pnom, _ = shadow_scene
-        shadow = build_shadow_map(synth.dataset.plants[1], pred_clear, pnom, sp)
+        shadow = scene_maps(shadow_scene)[1]
         # northern-sky bins are never visited at this latitude
-        north = shadow.values[:, :10]
-        assert not shadow.valid[:, :10].any()
-        assert np.isnan(north).all()
+        assert np.isnan(shadow[:, :10]).all()
 
     def test_permutation_invariant(self, shadow_scene):
         synth, sp, pred_clear, pnom, _ = shadow_scene
-        plant = synth.dataset.plants[0]
-        base = build_shadow_map(plant, pred_clear, pnom, sp)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(len(plant.power))
-        from pvghi.solar import SolarPosition
-
-        shuffled_plant = PlantSeries(
-            plant.plant_id, plant.timestamps, plant.power[perm], plant.temperature[perm]
-        )
+        power = synth.dataset.power_matrix()
+        base = build_shadow_map(power, pred_clear, pnom, sp)
+        perm = np.random.default_rng(0).permutation(len(power))
         shuffled_sp = SolarPosition(azimuth=sp.azimuth[perm], zenith=sp.zenith[perm])
-        other = build_shadow_map(shuffled_plant, pred_clear[perm], pnom, shuffled_sp)
-        assert np.array_equal(base.valid, other.valid)
-        np.testing.assert_allclose(
-            base.values[base.valid], other.values[other.valid], rtol=0, atol=1e-12
-        )
+        other = build_shadow_map(power[perm], pred_clear[perm], pnom, shuffled_sp)
+        np.testing.assert_allclose(base, other, rtol=0, atol=1e-12)  # NaN where NaN
 
 
 class TestSmoothing:
     def test_constant_map_unchanged(self):
-        values = np.full((45, 180), 0.07)
-        shadow = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
-        out = smooth_threshold_map(shadow, bandwidth_deg=6.0, floor=0.02)
-        np.testing.assert_allclose(out.values, 0.07, atol=1e-9)
+        values = np.full((1, 45, 180), 0.07)
+        out = smooth_threshold_map(values, 2.0, bandwidth_deg=6.0, floor=0.02)
+        np.testing.assert_allclose(out, 0.07, atol=1e-9)
 
     def test_single_spike_spreads(self):
         values = np.full((45, 180), 0.02)
         values[20, 90] = 1.0
-        shadow = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
-        out = smooth_threshold_map(shadow, bandwidth_deg=6.0, floor=0.0)
+        out = smooth_threshold_map(values[None], 2.0, bandwidth_deg=6.0, floor=0.0)[0]
 
         # oracle: direct truncated-Gaussian convolution at the peak
         sigma = 6.0 / 2.0
@@ -134,22 +130,20 @@ class TestSmoothing:
         k2d = np.outer(kern, kern)
         patch = values[20 - radius : 20 + radius + 1, 90 - radius : 90 + radius + 1]
         expected_peak = float((patch * k2d).sum())
-        np.testing.assert_allclose(out.values[20, 90], expected_peak, rtol=1e-6)
-        assert out.values[20, 90] < 1.0
-        assert out.values[20, 92] > 0.02
+        np.testing.assert_allclose(out[20, 90], expected_peak, rtol=1e-6)
+        assert out[20, 90] < 1.0
+        assert out[20, 92] > 0.02
 
     def test_floor_applies(self):
-        values = np.full((45, 180), 0.001)
-        shadow = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
-        out = smooth_threshold_map(shadow, bandwidth_deg=6.0, floor=0.02)
-        np.testing.assert_allclose(out.values, 0.02)
+        values = np.full((1, 45, 180), 0.001)
+        out = smooth_threshold_map(values, 2.0, bandwidth_deg=6.0, floor=0.02)
+        np.testing.assert_allclose(out, 0.02)
 
     def test_azimuth_wraps(self):
-        values = np.full((45, 180), 0.02)
-        values[10, 0] = 1.0
-        shadow = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
-        out = smooth_threshold_map(shadow, bandwidth_deg=6.0, floor=0.0)
-        assert out.values[10, 179] > 0.025  # mass crossed the wrap seam
+        values = np.full((1, 45, 180), 0.02)
+        values[0, 10, 0] = 1.0
+        out = smooth_threshold_map(values, 2.0, bandwidth_deg=6.0, floor=0.0)
+        assert out[0, 10, 179] > 0.025  # mass crossed the wrap seam
 
     @settings(max_examples=300)
     @example(seed=0, n_zenith=3, n_azimuth=3, sigma=7.3)
@@ -172,52 +166,40 @@ class TestSmoothing:
             )
 
     def test_smoothed_output_at_least_floor(self, shadow_scene):
-        synth, sp, pred_clear, pnom, _ = shadow_scene
-        raw = build_shadow_map(synth.dataset.plants[0], pred_clear, pnom, sp)
-        out = smooth_threshold_map(raw, floor=0.02)
-        assert np.all(out.values[out.valid] >= 0.02 - 1e-12)
+        out = smooth_threshold_map(scene_maps(shadow_scene), 2.0, floor=0.02)
+        assert np.all(out[~np.isnan(out)] >= 0.02 - 1e-12)
 
 
 class TestTrust:
     def test_identical_maps_equal_weights(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        values = np.full((45, 180), 0.05)
-        m = ShadowMap(values=values, valid=np.ones_like(values, bool), bin_deg=2.0)
-        f = trust_weights([m, m, m], sp)
+        f = trust_weights(np.full((3, 45, 180), 0.05), sp, 2.0)
         np.testing.assert_allclose(f, 1.0 / 3.0, atol=1e-12)
 
     def test_double_error_gets_third_weight(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        a = ShadowMap(np.full((45, 180), 0.10), np.ones((45, 180), bool), 2.0)
-        b = ShadowMap(np.full((45, 180), 0.05), np.ones((45, 180), bool), 2.0)
-        f = trust_weights([a, b], sp)
+        f = trust_weights(np.stack([np.full((45, 180), 0.10), np.full((45, 180), 0.05)]), sp, 2.0)
         day = sp.daytime
         np.testing.assert_allclose(f[day, 0], 1.0 / 3.0, atol=1e-12)
         np.testing.assert_allclose(f[day, 1], 2.0 / 3.0, atol=1e-12)
 
     def test_single_plant_full_trust(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        m = ShadowMap(np.full((45, 180), 0.05), np.ones((45, 180), bool), 2.0)
-        f = trust_weights([m], sp)
+        f = trust_weights(np.full((1, 45, 180), 0.05), sp, 2.0)
         np.testing.assert_allclose(f, 1.0)
 
     def test_rows_sum_to_one(self, shadow_scene):
-        synth, sp, pred_clear, pnom, _ = shadow_scene
-        maps = [
-            smooth_threshold_map(build_shadow_map(p, pred_clear, pnom, sp))
-            for p in synth.dataset.plants
-        ]
-        f = trust_weights(maps, sp)
+        sp = shadow_scene[1]
+        f = trust_weights(smooth_threshold_map(scene_maps(shadow_scene), 2.0), sp, 2.0)
         np.testing.assert_allclose(f.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((f >= 0) & (f <= 1))
 
     def test_invalid_bins_fall_back_to_floor(self):
-        invalid = ShadowMap(np.full((45, 180), np.nan), np.zeros((45, 180), bool), 2.0)
-        valid = ShadowMap(np.full((45, 180), 0.05), np.ones((45, 180), bool), 2.0)
+        maps = np.stack([np.full((45, 180), np.nan), np.full((45, 180), 0.05)])
         sp = SolarPosition(azimuth=np.array([np.pi]), zenith=np.array([0.5]))
         # inverse errors 1 / 0.02 and 1 / 0.05
         np.testing.assert_allclose(
-            trust_weights([invalid, valid], sp, floor=0.02)[0], [50 / 70, 20 / 70]
+            trust_weights(maps, sp, 2.0, floor=0.02)[0], [50 / 70, 20 / 70]
         )
 
 
@@ -299,24 +281,24 @@ def test_shadow_map_bins_match_numpy_percentile():
     clear = np.round(power * rng.uniform(0.8, 1.5, n), 1)  # rounding makes ties
     stamps = np.datetime64("2015-05-01", "s") + np.arange(n) * np.timedelta64(60, "s")
     plant = PlantSeries("p", stamps, power, np.full(n, 15.0))
-    shadow = build_shadow_map(plant, clear, 1000.0, sp, bin_deg=20.0)
+    shadow = build_shadow_map(power[:, None], clear[:, None], np.array([1000.0]), sp, 20.0)[0]
 
     ok = sp.daytime & np.isfinite(power) & (power >= 0.02 * 1000.0)
     rel = (clear[ok] - power[ok]) / power[ok]
-    n_zen, n_az = shadow.values.shape
+    n_zen, n_az = shadow.shape
     zen = np.minimum(np.rad2deg(sp.zenith[ok]) // 20.0, n_zen - 1)
     az = np.minimum(np.rad2deg(sp.azimuth[ok]) // 20.0, n_az - 1)
     sizes = set()
     for i in range(n_zen):
         for j in range(n_az):
             cell = rel[(zen == i) & (az == j)]
-            assert shadow.valid[i, j] == (cell.size >= 10)
+            assert np.isnan(shadow[i, j]) == (cell.size < 10)
             if cell.size >= 10:
-                assert shadow.values[i, j] == np.percentile(cell, 1.0)
+                assert shadow[i, j] == np.percentile(cell, 1.0)
                 sizes.add(cell.size)
     # bins on both sides of the interpolation's g = 0.5 switch, and a thin one
     assert min(sizes) < 50 < max(sizes)
-    assert not shadow.valid.all()
+    assert np.isnan(shadow).any()
 
     # the clear-sky envelope bins every daytime sample with power the
     # same way and selects at 0.9 x each bin's 95th percentile
@@ -382,36 +364,30 @@ def test_gate_matches_reference_percentile(e, k_q):
 
 @given(st.data())
 def test_trust_rows_sum_to_one(data):
-    """Any maps, valid or not, finite or not, give positive weights summing to 1."""
+    """Any maps, NaN or not, finite or not, give positive weights summing to 1."""
     bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
     shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
     value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from([np.nan, np.inf, 0.0]))
-    maps = [
-        ShadowMap(
-            values=data.draw(arrays(np.float64, shape, elements=value)),
-            valid=data.draw(arrays(np.bool_, shape)),
-            bin_deg=bin_deg,
-        )
-        for _ in range(data.draw(st.integers(1, 5)))
-    ]
+    n_plants = data.draw(st.integers(1, 5))
+    maps = data.draw(arrays(np.float64, (n_plants, *shape), elements=value))
     t = data.draw(st.integers(1, 20))
     sp = SolarPosition(
         azimuth=data.draw(arrays(np.float64, t, elements=st.floats(-7.0, 7.0))),
         zenith=data.draw(arrays(np.float64, t, elements=st.floats(0.0, np.pi))),
     )
-    w = trust_weights(maps, sp, floor=data.draw(st.floats(1e-3, 1.0)))
-    assert w.shape == (t, len(maps))
+    w = trust_weights(maps, sp, bin_deg, floor=data.draw(st.floats(1e-3, 1.0)))
+    assert w.shape == (t, n_plants)
     assert (w > 0).all()
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
 
 
-def reference_trust(maps, sp, floor):
+def per_map_trust(maps, sp, bin_deg, floor):
     """Trust weights with each map's sun-position keys computed for that map alone."""
     def lookup(shadow):
-        keys = sun_bin_keys(sp, slice(None), shadow.bin_deg)
-        vals = shadow.values.flat[keys]
+        keys = sun_bin_keys(sp, slice(None), bin_deg)
+        vals = shadow.flat[keys]
         day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
-        ok = shadow.valid.flat[keys] & day & np.isfinite(vals)
+        ok = day & np.isfinite(vals)
         return np.where(ok, vals, floor)
 
     dists = np.column_stack([1.0 / np.maximum(lookup(m), floor) for m in maps])
@@ -420,17 +396,11 @@ def reference_trust(maps, sp, floor):
 
 @given(st.data())
 def test_trust_weights_equal_the_per_map_lookup(data):
-    """Binning the sun positions once per bin size changes no bit of the weights."""
+    """Binning the sun positions once for all maps changes no bit of the weights."""
     value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from([np.nan, np.inf, 0.0]))
-    maps = []
-    for _ in range(data.draw(st.integers(1, 5))):
-        bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
-        shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
-        maps.append(ShadowMap(
-            values=data.draw(arrays(np.float64, shape, elements=value)),
-            valid=data.draw(arrays(np.bool_, shape)),
-            bin_deg=bin_deg,
-        ))
+    bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
+    shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
+    maps = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), *shape), elements=value))
     t = data.draw(st.integers(1, 20))
     sp = SolarPosition(
         azimuth=data.draw(arrays(np.float64, t, elements=st.floats(-7.0, 7.0))),
@@ -438,5 +408,165 @@ def test_trust_weights_equal_the_per_map_lookup(data):
     )
     floor = data.draw(st.floats(1e-3, 1.0))
     np.testing.assert_array_equal(
-        trust_weights(maps, sp, floor=floor), reference_trust(maps, sp, floor)
+        trust_weights(maps, sp, bin_deg, floor=floor), per_map_trust(maps, sp, bin_deg, floor)
     )
+
+
+# The per-plant pipeline the (plant, zenith, azimuth) arrays replaced, kept
+# as it was, with a ``reference_`` prefix on its functions: the array
+# pipeline must reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class ShadowMap:
+    """Clear-sky relative error over (zenith, azimuth) bins.
+
+    ``values[i, j]`` covers zenith bin i and azimuth bin j; bins without
+    enough samples are invalid and excluded from queries.
+    """
+
+    values: np.ndarray
+    valid: np.ndarray
+    bin_deg: float
+
+
+def reference_build_shadow_map(
+    plant: PlantSeries,
+    estimated_clear_power: np.ndarray,
+    pnom: float,
+    sp: SolarPosition,
+    bin_deg: float = 2.0,
+) -> ShadowMap:
+    """Per-bin low quantile of (predicted clear power - measured) / measured.
+
+    Samples below SHADOW_POWER_FLOOR_FRAC of the plant rating are dropped to
+    guard the division. Shaded sun positions show up as elevated values
+    because even the best observed samples fall short of the clear-sky
+    prediction there.
+    """
+    shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
+    values = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
+
+    power = plant.power
+    ok = (
+        sp.daytime
+        & np.isfinite(power)
+        & (power >= SHADOW_POWER_FLOOR_FRAC * pnom)
+        & np.isfinite(estimated_clear_power)
+    )
+    if not ok.any():
+        return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
+    rel = (estimated_clear_power[ok] - power[ok]) / power[ok]
+    cells, quantiles = binned_quantile(
+        sun_bin_keys(sp, ok, bin_deg), rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
+    )
+    values.flat[cells] = quantiles
+    valid.flat[cells] = True
+    return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
+
+
+def reference_smooth_threshold_map(
+    shadow: ShadowMap, bandwidth_deg: float = 6.0, floor: float = 0.02
+) -> ShadowMap:
+    """Gaussian smoothing over valid bins, then a lower threshold.
+
+    The kernel is normalized by its mass over valid bins so constants
+    pass through unchanged; azimuth wraps around. The floor bounds the
+    inverse map used for trust weights.
+    """
+    num, den = _gaussian_smooth(
+        np.stack([np.where(shadow.valid, shadow.values, 0.0), shadow.valid.astype(float)]),
+        bandwidth_deg / shadow.bin_deg,
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        smoothed = num / den
+    reachable = den > 1e-12
+    out = np.where(reachable, np.maximum(smoothed, floor), np.nan)
+    return ShadowMap(values=out, valid=reachable, bin_deg=shadow.bin_deg)
+
+
+def reference_trust_weights(
+    maps: list[ShadowMap], sp: SolarPosition, floor: float = 0.02
+) -> np.ndarray:
+    """(T, n_plants) weights, each row summing to one.
+
+    A plant's weight is proportional to the inverse of its smoothed
+    clear-sky error at the current sun position, so plants shaded at
+    this sun position count less. An invalid bin, a non-finite value or
+    a night position reads as the floor. The sun positions are binned
+    once for each bin size, and every map of that size is read with the
+    same keys.
+    """
+    keys = {b: sun_bin_keys(sp, slice(None), b) for b in {m.bin_deg for m in maps}}
+    day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
+    dists = np.empty((len(day), len(maps)))
+    for i, m in enumerate(maps):
+        key = keys[m.bin_deg]
+        vals = m.values.flat[key]
+        ok = m.valid.flat[key] & day & np.isfinite(vals)
+        dists[:, i] = 1.0 / np.maximum(np.where(ok, vals, floor), floor)
+    total = dists.sum(axis=1, keepdims=True)
+    return dists / total
+
+
+@st.composite
+def shadow_scenes(draw):
+    """Plants seen at a few sun positions, so that bins fill.
+
+    Power samples go missing, fall under or exactly on the power floor or
+    lack a clear-sky prediction; one plant may have no usable sample at all.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_plants = draw(st.integers(1, 10))
+    n = draw(st.sampled_from([1, 300, 3000]))
+    positions = rng.integers(0, draw(st.integers(2, 12)), n)
+    zenith = rng.uniform(0.0, 1.8, positions.max() + 1)[positions]  # a fifth past sunset
+    azimuth = rng.uniform(-7.0, 7.0, positions.max() + 1)[positions]
+    pnom = rng.uniform(100.0, 10_000.0, n_plants)
+    power = rng.uniform(0.0, 1.0, (n, n_plants)) * pnom
+    power = np.where(rng.random(power.shape) < 0.05, SHADOW_POWER_FLOOR_FRAC * pnom, power)
+    power[rng.random(power.shape) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = np.nan
+    clear = np.round(power * rng.uniform(0.8, 1.5, power.shape), 1)  # rounding makes ties
+    clear[rng.random(clear.shape) < 0.05] = np.nan
+    empty = draw(st.one_of(st.none(), st.integers(0, n_plants - 1)))
+    if empty is not None:
+        power[:, empty] = np.nan
+    sp = SolarPosition(azimuth=azimuth, zenith=zenith)
+    return power, clear, pnom, sp, empty
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shadow_scenes(),
+    st.sampled_from([2.0, 10.0, 20.0]),
+    st.sampled_from([0.0, 3.0, 6.0, 15.0]),
+    st.floats(1e-3, 1.0),
+)
+def test_array_pipeline_equals_the_per_plant_reference(scene, bin_deg, bandwidth, floor):
+    """Maps NaN exactly where the reference is invalid, equal values, equal trust."""
+    power, clear, pnom, sp, empty = scene
+    stamps = np.datetime64("2015-05-01", "s") + np.arange(len(power)) * np.timedelta64(60, "s")
+    ref_raw = [
+        reference_build_shadow_map(
+            PlantSeries(f"p{i}", stamps, power[:, i], np.full(len(power), 15.0)),
+            clear[:, i], pnom[i], sp, bin_deg,
+        )
+        for i in range(len(pnom))
+    ]
+    ref_smooth = [reference_smooth_threshold_map(m, bandwidth, floor) for m in ref_raw]
+
+    raw = build_shadow_map(power, clear, pnom, sp, bin_deg)
+    smooth = smooth_threshold_map(raw, bin_deg, bandwidth, floor)
+    for got, want in ((raw, ref_raw), (smooth, ref_smooth)):
+        assert got.shape == (len(pnom), *want[0].values.shape)
+        for plant_map, ref in zip(got, want):
+            np.testing.assert_array_equal(np.isnan(plant_map), ~ref.valid)
+            np.testing.assert_array_equal(plant_map[ref.valid], ref.values[ref.valid])
+
+    trust = trust_weights(smooth, sp, bin_deg, floor)
+    np.testing.assert_array_equal(trust, reference_trust_weights(ref_smooth, sp, floor))
+    if empty is not None:
+        assert np.isnan(raw[empty]).all() and np.isnan(smooth[empty]).all()
+        # every weight's inverse error is at least the floor, the empty plant's exactly
+        np.testing.assert_array_equal(trust[:, empty], trust.max(axis=1))

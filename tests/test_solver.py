@@ -11,12 +11,7 @@ from hypothesis.extra.numpy import arrays
 from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi import proxy, solver
-from pvghi.reconcile import (
-    build_shadow_map,
-    smooth_threshold_map,
-    trust_weights,
-    tukey_gate_matrix,
-)
+from pvghi.reconcile import tukey_gate_matrix
 from pvghi.solver import (
     GATE_ROUNDS,
     GRAD_FLOOR,
@@ -27,6 +22,11 @@ from pvghi.solver import (
 )
 from pvghi.synth import CloudModel, PlantSpec, SyntheticSpec, make_timestamps, synthesize
 from conftest import mesh_vertex, true_omega
+from test_reconcile import (
+    reference_build_shadow_map,
+    reference_smooth_threshold_map,
+    reference_trust_weights,
+)
 
 
 def objective(errors, trust, gate):
@@ -652,8 +652,8 @@ def test_init_matches_the_every_step_grid(dark_scene, mesh, params):
 def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
     """Shadow maps, the grid, the gate and the descent as the every-row references run them.
 
-    The reference trust comes from clear-sky power evaluated on every
-    timestep, night ones included.
+    The reference trust comes from the per-plant shadow-map pipeline and
+    clear-sky power evaluated on every timestep, night ones included.
     """
     synth, sp, omegas, ds, _ = dark_scene
     cfg = SolverConfig(trust_bin_deg=10.0)  # three days fill few 2-degree bins
@@ -663,13 +663,15 @@ def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
     model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
     pred_clear = model.plant_power(np.where(sp.daytime, synth.ghi_clear, 0.0))
     maps = [
-        smooth_threshold_map(
-            build_shadow_map(plant, pred_clear[:, i], model.pnom[i], sp, cfg.trust_bin_deg),
+        reference_smooth_threshold_map(
+            reference_build_shadow_map(
+                plant, pred_clear[:, i], model.pnom[i], sp, cfg.trust_bin_deg
+            ),
             bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
         )
         for i, plant in enumerate(ds.plants)
     ]
-    trust = trust_weights(maps, sp, floor=cfg.trust_floor)
+    trust = reference_trust_weights(maps, sp, floor=cfg.trust_floor)
     np.testing.assert_array_equal(res.trust, trust)
     ref = reference_init(model, synth.ghi_clear, trust, cfg)
     for _ in range(GATE_ROUNDS):

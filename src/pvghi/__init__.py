@@ -23,6 +23,7 @@ from .solar import (
 from .proxy import ForwardChain, ProxyMatrix, ProxyParams, forward_chain, proxy_matrix
 from .orientation import (
     OmegaCoefficients,
+    OrientationConfig,
     OrientationMesh,
     estimate_nominal_power,
     generate_mesh,
@@ -49,6 +50,7 @@ __all__ = [
     "MetricReport",
     "OmegaCoefficients",
     "Orientation",
+    "OrientationConfig",
     "OrientationMesh",
     "PlantSeries",
     "PlantSpec",

@@ -76,10 +76,7 @@ def cmd_identify(args) -> int:
         dataset.timestamps, dataset.site, override_path=cfg.clearsky_override,
         linke_turbidity=cfg.solver.linke_turbidity,
     )
-    result = identify(
-        dataset, ghi_clear, generate_mesh(cfg.orientation.subdivision), cfg.proxy,
-        cfg.orientation.split_candidates, cfg.orientation.clear_bin_deg,
-    )
+    result = identify(dataset, ghi_clear, cfg.proxy, cfg.orientation)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     omega_path = cfg.output_dir / "omega.json"
     save_omegas(result, omega_path)

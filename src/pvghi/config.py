@@ -1,5 +1,13 @@
 """Run configuration: one INI file carries every tunable of a run.
 
+Each field of ``Site``, ``ProxyParams``, ``OrientationConfig`` and
+``SolverConfig`` is a setting: its key is the field's name in the
+section its class names in ``_SECTIONS``, its value is read by the
+reader of the field's annotated type, and a key left out takes the
+field's default (``[site]`` requires the ``Site`` fields that have
+none). Only the solver's trust and gate settings, listed in
+``_RECONCILIATION``, sit under other keys, in ``[reconciliation]``.
+
 Unknown sections or keys are rejected so typos cannot silently fall
 back to defaults, and a value that does not parse or is out of the
 range it needs is an input error naming its section and key. Paths are
@@ -10,32 +18,13 @@ compatibility and ignored: runs are single-threaded.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .data import InputError, SettingError, Site, check_settings
+from .data import InputError, SettingError, Site
+from .orientation import OrientationConfig
 from .proxy import ProxyParams
 from .solver import SolverConfig
-
-
-@dataclass(frozen=True)
-class OrientationConfig:
-    """Identification settings; a value out of range is a SettingError."""
-
-    subdivision: int = 2
-    split_candidates: tuple[int, ...] = (365, 182, 121, 91, 73)
-    clear_bin_deg: float = 5.0
-
-    def __post_init__(self):
-        splits = self.split_candidates
-        check_settings(self, (
-            ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
-            ("split_candidates", len(set(splits)) == len(splits) > 0 and min(splits) >= 1,
-             "one or more distinct positive day counts"),
-            ("clear_bin_deg", 0.0 < self.clear_bin_deg < np.inf, "finite and positive"),
-        ))
 
 
 @dataclass(frozen=True)
@@ -51,102 +40,70 @@ class RunConfig:
     seed: int = 0
 
 
-def _convert(section, key, default, kind):
-    try:
-        return kind(section.get(key, default))
-    except ValueError:
-        raise InputError(
-            f"[{section.name}] {key}: expected {kind.__name__}, got {section[key]!r}"
-        ) from None
+def _integers(raw: str) -> tuple[int, ...] | None:
+    """Comma-separated integers; None, which keeps the default, for an empty value."""
+    return tuple(int(x) for x in raw.split(",") if x.strip()) if raw.strip() else None
 
 
-def _getfloat(section, key, default):
-    return _convert(section, key, default, float)
-
-
-def _getint(section, key, default):
-    return _convert(section, key, default, int)
-
-
-def _getbool(section, key, default):
-    raw = section.get(key, None)
-    if raw is None:
-        return default
-    raw = raw.strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise InputError(f"[{section.name}] {key}: expected a boolean, got {raw!r}")
-
-
-def _getsplits(section, key, default):
-    raw = section.get(key, "")
-    if not raw.strip():
-        return default
-    try:
-        return tuple(int(x.strip()) for x in raw.split(",") if x.strip())
-    except ValueError:
-        raise InputError(
-            f"[{section.name}] {key}: expected integers, got {raw!r}"
-        ) from None
-
-
-# settings field -> (INI section, key, reader)
-_SITE_KEYS = {
-    name: ("site", name, _getfloat)
-    for name in ("latitude", "longitude", "altitude", "albedo")
+# annotated field type -> (reader of an INI value, what the value must be)
+_READERS = {
+    "float": (float, "float"),
+    "int": (int, "int"),
+    "bool": (configparser.ConfigParser.BOOLEAN_STATES.__getitem__, "a boolean"),
+    "tuple[int, ...]": (_integers, "integers"),
 }
-_PROXY_KEYS = {
-    name: ("proxy", name, _getfloat)
-    for name in ("k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4")
+_SECTIONS = {
+    Site: "site",
+    ProxyParams: "proxy",
+    OrientationConfig: "orientation",
+    SolverConfig: "solver",
 }
-_ORIENTATION_KEYS = {
-    "subdivision": ("orientation", "subdivision", _getint),
-    "split_candidates": ("orientation", "split_candidates", _getsplits),
-    "clear_bin_deg": ("orientation", "clear_bin_deg", _getfloat),
+_RECONCILIATION = {
+    "trust_bin_deg": ("reconciliation", "bin_deg"),
+    "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg"),
+    "trust_floor": ("reconciliation", "floor"),
+    "k_q": ("reconciliation", "k_q"),
 }
-_SOLVER_KEYS = {
-    "n_grid": ("solver", "n_grid", _getint),
-    "k_safety": ("solver", "k_safety", _getfloat),
-    "delta_ghi": ("solver", "delta_ghi", _getfloat),
-    "lambda0": ("solver", "lambda0", _getfloat),
-    "k_decay": ("solver", "k_decay", _getfloat),
-    "max_iterations": ("solver", "max_iterations", _getint),
-    "use_trust": ("solver", "use_trust", _getbool),
-    "use_gate": ("solver", "use_gate", _getbool),
-    "linke_turbidity": ("solver", "linke_turbidity", _getfloat),
-    "trust_bin_deg": ("reconciliation", "bin_deg", _getfloat),
-    "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg", _getfloat),
-    "trust_floor": ("reconciliation", "floor", _getfloat),
-    "k_q": ("reconciliation", "k_q", _getfloat),
+# per settings class: field -> (INI section, key, field type)
+_KEYS = {
+    cls: {f.name: (*_RECONCILIATION.get(f.name, (section, f.name)), f.type) for f in fields(cls)}
+    for cls, section in _SECTIONS.items()
 }
 _KNOWN_KEYS = {
     "site": {"sampling_seconds"},
     "paths": {"plants", "clearsky_override", "output_dir"},
     "run": {"seed", "threads"},
 }
-for _section, _key, _ in (
-    *_SITE_KEYS.values(), *_PROXY_KEYS.values(),
-    *_ORIENTATION_KEYS.values(), *_SOLVER_KEYS.values(),
-):
+for _section, _key, _kind in (k for keys in _KEYS.values() for k in keys.values()):
+    if _kind not in _READERS:
+        raise TypeError(f"[{_section}] {_key}: no reader for a {_kind!r} setting")
     _KNOWN_KEYS.setdefault(_section, set()).add(_key)
 
 
-def _settings(cls, parser, keys):
+def _convert(section, key: str, kind: str):
+    """``section[key]`` read as the field type ``kind``; an InputError if it does not parse."""
+    raw = section[key].lower() if kind == "bool" else section[key]  # booleans ignore case
+    read, expected = _READERS[kind]
+    try:
+        return read(raw)
+    except (KeyError, ValueError):
+        raise InputError(f"[{section.name}] {key}: expected {expected}, got {raw!r}") from None
+
+
+def _settings(cls, parser):
     """``cls`` from the INI values present, its defaults for the rest.
 
     A value that does not parse or is out of range is an InputError
     naming its section and key.
     """
-    defaults = {f.name: f.default for f in fields(cls)}
+    keys = _KEYS[cls]
     values = {
-        name: read(parser[section], key, defaults[name])
-        for name, (section, key, read) in keys.items()
+        name: _convert(parser[section], key, kind)
+        for name, (section, key, kind) in keys.items()
         if parser.has_option(section, key)
     }
     try:
-        return cls(**values)
+        return cls(**{name: value for name, value in values.items() if value is not None})
     except SettingError as err:
         section, key, _ = keys[err.field]
         raise InputError(f"[{section}] {key}: {err.reason}") from None
@@ -169,11 +126,11 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
     if "site" not in parser:
         raise InputError("config is missing the [site] section")
     s = parser["site"]
-    for required in ("latitude", "longitude"):
-        if required not in s:
-            raise InputError(f"[site] is missing {required!r}")
-    site = _settings(Site, parser, _SITE_KEYS)
-    sampling_seconds = _getint(s, "sampling_seconds", None) if "sampling_seconds" in s else None
+    for f in fields(Site):
+        if f.default is MISSING and f.name not in s:
+            raise InputError(f"[site] is missing {f.name!r}")
+    site = _settings(Site, parser)
+    sampling_seconds = _convert(s, "sampling_seconds", "int") if "sampling_seconds" in s else None
     if sampling_seconds is not None and sampling_seconds < 1:
         raise InputError(f"[site] sampling_seconds: must be >= 1, got {sampling_seconds}")
 
@@ -199,19 +156,14 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
             raise InputError(f"clear-sky override not found: {override}")
     output_dir = (base / paths.get("output_dir", "out")).resolve()
 
-    proxy = _settings(ProxyParams, parser, _PROXY_KEYS)
-    orientation = _settings(OrientationConfig, parser, _ORIENTATION_KEYS)
-    solver = _settings(SolverConfig, parser, _SOLVER_KEYS)
-
-    run_sec = parser["run"] if "run" in parser else {}
     return RunConfig(
         site=site,
         sampling_seconds=sampling_seconds,
         plant_paths=plant_paths,
         output_dir=output_dir,
         clearsky_override=override,
-        proxy=proxy,
-        orientation=orientation,
-        solver=solver,
-        seed=_getint(run_sec, "seed", 0),
+        proxy=_settings(ProxyParams, parser),
+        orientation=_settings(OrientationConfig, parser),
+        solver=_settings(SolverConfig, parser),
+        seed=_convert(parser["run"], "seed", "int") if parser.has_option("run", "seed") else 0,
     )

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AlignedDataset, InputError, PlantSeries, expect, read_json, write_json
+from .data import (
+    AlignedDataset, InputError, PlantSeries, check_settings, expect, read_json, write_json,
+)
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import binned_quantile, sun_bin_keys
 from .solar import Orientation, SolarPosition, check_clearsky, sun_positions
@@ -41,6 +43,24 @@ NORTH_HALFWIDTH_DEG = 60.0     # and facing within this angle of north
 
 class InsufficientDataError(InputError):
     """Not enough samples to fit."""
+
+
+@dataclass(frozen=True)
+class OrientationConfig:
+    """Identification settings; a value out of range is a SettingError."""
+
+    subdivision: int = 2
+    split_candidates: tuple[int, ...] = (365, 182, 121, 91, 73)
+    clear_bin_deg: float = 5.0
+
+    def __post_init__(self):
+        splits = self.split_candidates
+        check_settings(self, (
+            ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
+            ("split_candidates", len(set(splits)) == len(splits) > 0 and min(splits) >= 1,
+             "one or more distinct positive day counts"),
+            ("clear_bin_deg", 0.0 < self.clear_bin_deg < np.inf, "finite and positive"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -563,20 +583,19 @@ def _split_search(
 def identify(
     dataset: AlignedDataset,
     ghi_clear: np.ndarray,
-    mesh: OrientationMesh,
     params: ProxyParams,
-    split_days: tuple[int, ...],
-    bin_deg: float,
+    cfg: OrientationConfig,
 ) -> IdentificationResult:
     """Each plant's coefficients, identified from its clear-sky samples.
 
-    The clear-sky proxy is built once, on the daytime timesteps.
-    ``select_clear`` seeds each plant's clear samples in ``bin_deg``
-    sun bins, ``_refine_clear`` narrows them with the forward model, and
-    ``_split_search`` fits them per fold of each length in
-    ``split_days`` that the data span. Both fit through one
-    ``_ClearFits`` per plant, so no row set is fitted twice. A dataset
-    shorter than every candidate, or a clear-sky GHI that
+    The mesh is ``generate_mesh(cfg.subdivision)``, which the result
+    returns as ``mesh``. The clear-sky proxy is built once, on the
+    daytime timesteps. ``select_clear`` seeds each plant's clear samples
+    in ``cfg.clear_bin_deg`` sun bins, ``_refine_clear`` narrows them
+    with the forward model, and ``_split_search`` fits them per fold of
+    each length in ``cfg.split_candidates`` that the data span. Both fit
+    through one ``_ClearFits`` per plant, so no row set is fitted twice.
+    A dataset shorter than every candidate, or a clear-sky GHI that
     ``check_clearsky`` rejects, is an InputError; a plant left with too
     few clear samples or with all-zero coefficients is an
     InsufficientDataError naming it.
@@ -585,19 +604,20 @@ def identify(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
         // 86400
     ) + 1
-    usable = [d for d in split_days if d <= span_days]
+    usable = [d for d in cfg.split_candidates if d <= span_days]
     if not usable:
         raise InputError(
             f"dataset spans {span_days} d, shorter than every candidate split "
-            f"{sorted(split_days)}"
+            f"{sorted(cfg.split_candidates)}"
         )
+    mesh = generate_mesh(cfg.subdivision)
     sp = sun_positions(dataset.timestamps, dataset.site)
     ghi_clear = check_clearsky(ghi_clear, sp)
     day = np.flatnonzero(sp.daytime)
     pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
-    seeds = [select_clear(p, sp, bin_deg)[day] for p in dataset.plants]
+    seeds = [select_clear(p, sp, cfg.clear_bin_deg)[day] for p in dataset.plants]
     fits = [_ClearFits(p.power[day], pr) for p in dataset.plants]
-    masks, starts = _refine_clear(dataset, sp, mesh, params, seeds, bin_deg, fits)
+    masks, starts = _refine_clear(dataset, sp, mesh, params, seeds, cfg.clear_bin_deg, fits)
     return _split_search(dataset, day, mesh, params, masks, starts, usable, fits)
 
 
@@ -634,8 +654,9 @@ def save_omegas(result: IdentificationResult, path) -> None:
 def load_omegas(path, mesh: OrientationMesh) -> tuple[OmegaCoefficients, ...]:
     """Read coefficients written by save_omegas back onto a mesh.
 
-    A file that does not parse, or a field read here that is missing or
-    of the wrong type, is an InputError naming the file.
+    A file that does not parse, a field read here that is missing or of
+    the wrong type, or a plant or a plant's orientation listed twice is
+    an InputError naming the file.
     """
     payload = expect(read_json(path), str(path), dict)
     subdivision = expect(payload.get("mesh_subdivision"), f"{path}: mesh_subdivision")
@@ -651,6 +672,7 @@ def load_omegas(path, mesh: OrientationMesh) -> tuple[OmegaCoefficients, ...]:
     for i, rec in enumerate(expect(payload.get("plants"), f"{path}: plants", list)):
         where = f"{path}: plants[{i}]"
         omega = np.zeros(len(mesh))
+        placed = set()
         expect(rec, where, dict)
         for k, entry in enumerate(
             expect(rec.get("coefficients"), f"{where}.coefficients", list)
@@ -662,8 +684,13 @@ def load_omegas(path, mesh: OrientationMesh) -> tuple[OmegaCoefficients, ...]:
             )
             if (tilt, azimuth) not in lookup:
                 raise InputError(f"{at}: orientation {(tilt, azimuth)} not on mesh")
+            if (tilt, azimuth) in placed:
+                raise InputError(f"{at}: orientation {(tilt, azimuth)} listed twice")
+            placed.add((tilt, azimuth))
             omega[lookup[tilt, azimuth]] = value
         plant_id = expect(rec.get("plant_id"), f"{where}.plant_id", str)
+        if any(oc.plant_id == plant_id for oc in out):
+            raise InputError(f"{where}: plant {plant_id!r} listed twice")
         pnom = expect(rec.get("estimated_pnom_w"), f"{where}.estimated_pnom_w")
         out.append(OmegaCoefficients(plant_id, omega, float(pnom)))
     return tuple(out)

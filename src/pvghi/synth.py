@@ -117,8 +117,11 @@ def synthesize(
     coefficient is nominal_power / (k2 * I_STC); shading sectors, then
     multiplicative noise, then the curtailment cap are applied in that
     order. Per-plant noise streams are seeded independently, so the
-    output never depends on evaluation order.
+    output never depends on evaluation order. A seed below 0 is an
+    InputError.
     """
+    if seed < 0:
+        raise InputError(f"seed: must be >= 0, got {seed}")
     timestamps = np.asarray(timestamps, dtype="datetime64[s]")
     rng = np.random.default_rng(seed)
     sp = sun_positions(timestamps, site)

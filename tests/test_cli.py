@@ -348,6 +348,14 @@ def test_sampling_seconds_must_be_the_files_period(pipeline_dir, tmp_path, capsy
     assert not (tmp_path / "fast").exists()
 
 
+def src_env():
+    """This process's environment with the tested pvghi first on PYTHONPATH."""
+    src = str(Path(pvghi.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 def test_commands_import_no_scipy(pipeline_dir, tmp_path):
     """``estimate`` and ``evaluate`` in a fresh interpreter load no SciPy module."""
     _, _, out = pipeline_dir
@@ -362,12 +370,8 @@ def test_commands_import_no_scipy(pipeline_dir, tmp_path):
         f"'--output', {str(tmp_path / 'metrics.json')!r}])\n"
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    src = str(Path(pvghi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
@@ -399,6 +403,15 @@ def _spec_text(edit):
     edit(spec)
     return json.dumps(spec)
 
+
+def _omega_text(*coefficients):
+    """An ``omega.json`` on mesh level 2 with one plant ``p`` entry per coefficient list."""
+    return json.dumps({"mesh_subdivision": 2, "plants": [
+        {"plant_id": "p", "coefficients": c, "estimated_pnom_w": 942.0} for c in coefficients
+    ]})
+
+
+_ZENITH = {"tilt_deg": 0.0, "azimuth_deg": 0.0, "omega_m2": 1.0}
 
 MALFORMED = {
     "truth-no-timestamp-column": (
@@ -448,6 +461,8 @@ MALFORMED = {
     ),
     "omega-invalid-json": ("estimate", '{"mesh_subdivision": 2,'),
     "omega-no-plants": ("estimate", json.dumps({"mesh_subdivision": 2})),
+    "omega-repeated-plant": ("estimate", _omega_text([_ZENITH], [_ZENITH])),
+    "omega-repeated-orientation": ("estimate", _omega_text([_ZENITH, _ZENITH])),
 }
 
 
@@ -500,6 +515,20 @@ def test_non_finite_spec_number_names_its_key(tmp_path, capsys, where):
     assert main(["synth", "--config", str(config), "--spec", str(spec)]) == 1
     (err,) = capsys.readouterr().err.splitlines()
     assert f"{where}: expected a finite number" in err, err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_negative_seed_is_input_error(tmp_path, capsys, route):
+    spec = tmp_path / "synth.json"
+    spec.write_text(json.dumps(SYNTH_SPEC))
+    body = CONFIG_TEMPLATE.format(plants_line="plants =")
+    flag = ["--seed", "-1"] if route == "flag" else []
+    if route == "config":
+        body = body.replace("seed = 0", "seed = -1")
+    config = tmp_path / "config.ini"
+    config.write_text(body)
+    assert main(["synth", "--config", str(config), "--spec", str(spec), *flag]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed: must be >= 0, got -1"]
 
 
 def _refuse(*args, **kwargs):
@@ -661,6 +690,17 @@ def test_smoke_scene_from_crlf_files_with_quoted_numbers(tmp_path):
         ]
         (out / f"{plant}.csv").write_bytes("\r\n".join([header, *quoted, ""]).encode())
     assert identify_and_estimate() == written
+
+
+def test_smoke_script(tmp_path):
+    """``tests/smoke/run.sh`` runs synth, identify, estimate and evaluate, then
+    reruns identify and estimate under another PYTHONHASHSEED byte for byte."""
+    proc = subprocess.run(
+        ["bash", str(SMOKE / "run.sh"), str(tmp_path / "smoke"), sys.executable, "-m",
+         "pvghi.cli"],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def one_day_inputs(tmp_path, site, mesh, params):

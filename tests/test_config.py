@@ -1,11 +1,12 @@
 """Run-configuration parsing and validation."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from pvghi import InputError, ProxyParams, SolverConfig
-from pvghi.config import OrientationConfig, load_run_config
+from pvghi import InputError, OrientationConfig, ProxyParams, Site, SolverConfig
+from pvghi import config
+from pvghi.config import load_run_config
 from pvghi.data import SettingError
 
 
@@ -56,6 +57,12 @@ def test_split_candidates_parsed(tmp_path):
     cfg = load_run_config(write_config(tmp_path, body), require_plants=False)
     assert cfg.orientation.split_candidates == (60, 30)
     assert cfg.orientation.subdivision == 1
+
+
+def test_empty_split_candidates_keep_the_default(tmp_path):
+    body = MINIMAL + "\n[orientation]\nsplit_candidates =\n"
+    cfg = load_run_config(write_config(tmp_path, body), require_plants=False)
+    assert cfg.orientation == OrientationConfig()
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -117,3 +124,92 @@ def test_nan_setting_rejected(cls, name):
 def test_out_of_range_setting_names_section_and_key(tmp_path, extra, where):
     with pytest.raises(InputError, match=where + ": must be"):
         load_run_config(write_config(tmp_path, MINIMAL + extra), require_plants=False)
+
+
+# The (section, key, reader) of every setting as config.py once listed them
+# by hand, field by field, with each reader named by the field type it reads
+# (_getfloat: "float", _getint: "int", _getbool: "bool",
+# _getsplits: "tuple[int, ...]").
+SITE_KEYS = {
+    name: ("site", name, "float")
+    for name in ("latitude", "longitude", "altitude", "albedo")
+}
+PROXY_KEYS = {
+    name: ("proxy", name, "float")
+    for name in ("k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4")
+}
+ORIENTATION_KEYS = {
+    "subdivision": ("orientation", "subdivision", "int"),
+    "split_candidates": ("orientation", "split_candidates", "tuple[int, ...]"),
+    "clear_bin_deg": ("orientation", "clear_bin_deg", "float"),
+}
+SOLVER_KEYS = {
+    "n_grid": ("solver", "n_grid", "int"),
+    "k_safety": ("solver", "k_safety", "float"),
+    "delta_ghi": ("solver", "delta_ghi", "float"),
+    "lambda0": ("solver", "lambda0", "float"),
+    "k_decay": ("solver", "k_decay", "float"),
+    "max_iterations": ("solver", "max_iterations", "int"),
+    "use_trust": ("solver", "use_trust", "bool"),
+    "use_gate": ("solver", "use_gate", "bool"),
+    "linke_turbidity": ("solver", "linke_turbidity", "float"),
+    "trust_bin_deg": ("reconciliation", "bin_deg", "float"),
+    "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg", "float"),
+    "trust_floor": ("reconciliation", "floor", "float"),
+    "k_q": ("reconciliation", "k_q", "float"),
+}
+KEYS = {Site: SITE_KEYS, ProxyParams: PROXY_KEYS, OrientationConfig: ORIENTATION_KEYS,
+        SolverConfig: SOLVER_KEYS}
+KNOWN_KEYS = {
+    "site": {"sampling_seconds", "latitude", "longitude", "altitude", "albedo"},
+    "paths": {"plants", "clearsky_override", "output_dir"},
+    "run": {"seed", "threads"},
+    "proxy": {"k1", "phi", "gamma", "t_ref", "i_stc", "k2", "k3", "k4"},
+    "orientation": {"subdivision", "split_candidates", "clear_bin_deg"},
+    "solver": {
+        "n_grid", "k_safety", "delta_ghi", "lambda0", "k_decay", "max_iterations",
+        "use_trust", "use_gate", "linke_turbidity",
+    },
+    "reconciliation": {"bin_deg", "bandwidth_deg", "floor", "k_q"},
+}
+
+
+def test_keys_derived_from_the_settings_classes():
+    assert config._KEYS == KEYS
+    assert config._KNOWN_KEYS == KNOWN_KEYS
+
+
+# per setting: a valid value other than the default, as written and as read
+NON_DEFAULT = {
+    "latitude": ("-12.25", -12.25), "longitude": ("33.5", 33.5),
+    "altitude": ("812", 812.0), "albedo": ("0.35", 0.35),
+    "k1": ("0.07", 0.07), "phi": ("0.025", 0.025), "gamma": ("-0.004", -0.004),
+    "t_ref": ("20", 20.0), "i_stc": ("900", 900.0), "k2": ("0.9", 0.9),
+    "k3": ("-0.04", -0.04), "k4": ("-0.03", -0.03),
+    "subdivision": ("3", 3), "split_candidates": ("60, 30", (60, 30)),
+    "clear_bin_deg": ("4", 4.0),
+    "n_grid": ("12", 12), "k_safety": ("1.5", 1.5), "delta_ghi": ("0.5", 0.5),
+    "lambda0": ("10", 10.0), "k_decay": ("0.25", 0.25), "max_iterations": ("7", 7),
+    "use_trust": ("off", False), "use_gate": ("no", False), "linke_turbidity": ("4", 4.0),
+    "trust_bin_deg": ("3", 3.0), "trust_bandwidth_deg": ("4", 4.0),
+    "trust_floor": ("0.05", 0.05), "k_q": ("2", 2.0),
+}
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in KEYS for f in fields(cls)])
+def test_every_setting_is_read(tmp_path, cls, name):
+    """A value written under a setting's section and key reaches that field, and only it."""
+    section, key, _ = KEYS[cls][name]
+    text, value = NON_DEFAULT[name]
+    sections = {"site": {"latitude": "47.5", "longitude": "7.5"}}
+    sections.setdefault(section, {})[key] = text
+    body = "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for sec, entries in sections.items()
+    )
+    cfg = load_run_config(write_config(tmp_path, body), require_plants=False)
+    loaded = {Site: cfg.site, ProxyParams: cfg.proxy, OrientationConfig: cfg.orientation,
+              SolverConfig: cfg.solver}[cls]
+    default = Site(47.5, 7.5) if cls is Site else cls()
+    assert getattr(default, name) != value
+    assert loaded == replace(default, **{name: value})

@@ -1,5 +1,6 @@
 """Mesh generation, clear-sky selection and coefficient identification."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,11 +21,12 @@ from pvghi import (
     sun_positions,
 )
 from pvghi import orientation
-from pvghi.data import AlignedDataset, PlantSeries
+from pvghi.data import AlignedDataset, PlantSeries, SettingError
 from pvghi.orientation import (
     IdentificationResult,
     InsufficientDataError,
     OmegaCoefficients,
+    OrientationConfig,
     SplitReport,
     load_omegas,
     save_omegas,
@@ -41,6 +43,11 @@ from pvghi.synth import (
 from conftest import mesh_vertex
 from test_acceptance import standard_fields
 from test_solver import with_missing
+
+
+def by_splits(*days):
+    """Identification settings with the split lengths ``days``, other settings default."""
+    return OrientationConfig(split_candidates=days)
 
 
 def daytime_proxy(dataset, ghi_clear, mesh, params):
@@ -240,7 +247,7 @@ class TestRefineClear:
             plants=tuple(PlantSpec(pid, f, noise_rel=0.01) for pid, f in fields.items())
         )
         synth = synthesize(spec, site, ts, seed=seed)
-        res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45, 30, 15), 5.0)
+        res = identify(synth.dataset, synth.ghi_clear, params, by_splits(45, 30, 15))
         for oc in res.omegas:
             true_pnom = sum(pnom for _, pnom in fields[oc.plant_id])
             assert abs(oc.estimated_pnom - true_pnom) / true_pnom < 0.05, oc.plant_id
@@ -259,7 +266,7 @@ class TestRefineClear:
         dead = replace(single, plant_id="dead", power=np.zeros(len(single.power)))
         dataset = AlignedDataset(synth.dataset.timestamps, (single, dead), synth.dataset.site)
         with pytest.raises(InsufficientDataError, match="dead"):
-            identify(dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
+            identify(dataset, synth.ghi_clear, params, by_splits(45))
 
     def test_plant_too_short_for_a_mask_named(self, clear_scene, mesh, params):
         """Two days of data leave every 5-degree bin below its sample floor."""
@@ -270,7 +277,7 @@ class TestRefineClear:
         late = replace(single, plant_id="late", power=power)
         dataset = AlignedDataset(synth.dataset.timestamps, (single, late), synth.dataset.site)
         with pytest.raises(InsufficientDataError, match="late"):
-            identify(dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
+            identify(dataset, synth.ghi_clear, params, by_splits(45))
 
 
 class TestIdentifyOmega:
@@ -491,7 +498,7 @@ def test_identify_fits_each_row_set_once(clear_scene, mesh, params, monkeypatch)
     _, refined = refined_masks(dataset, synth.ghi_clear, mesh, params)
     refine_sets = set(calls)
     calls.clear()
-    identify(dataset, synth.ghi_clear, mesh, params, splits, 5.0)
+    identify(dataset, synth.ghi_clear, params, by_splits(*splits))
     assert len(calls) == len(set(calls))
 
     # the row sets the split search fits, on the refined masks
@@ -563,7 +570,7 @@ class TestSplits:
                 synth.dataset, synth.ghi_clear, mesh, params, [synth.clear_true], (300, 75)
             )
         else:
-            res = identify(synth.dataset, synth.ghi_clear, mesh, params, (300, 75), 5.0)
+            res = identify(synth.dataset, synth.ghi_clear, params, by_splits(300, 75))
         return res.report
 
     def test_seasonal_shading_prefers_short_split(self, season_scene, site, mesh, params):
@@ -616,7 +623,7 @@ class TestSplits:
 
         monkeypatch.setattr(orientation._ClearFits, "__call__", recording_fit)
         monkeypatch.setattr(orientation, "_refine_clear", recording_refine)
-        res = identify(synth.dataset, synth.ghi_clear, mesh, params, (300, 75), 5.0)
+        res = identify(synth.dataset, synth.ghi_clear, params, by_splits(300, 75))
         _, day, pr = daytime_proxy(synth.dataset, synth.ghi_clear, mesh, params)
         power = synth.dataset.plants[0].power[day]
         assert res.report.chosen_split == 75
@@ -643,7 +650,7 @@ class TestSplits:
         spec = SyntheticSpec(plants=(PlantSpec("p", ((south, 8000.0),)),))
         synth = synthesize(spec, site, ts, seed=1)
         with pytest.raises(InputError, match="shorter than every candidate"):
-            identify(synth.dataset, synth.ghi_clear, mesh, params, (91,), 5.0)
+            identify(synth.dataset, synth.ghi_clear, params, by_splits(91))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
@@ -653,9 +660,9 @@ def test_identify_rejects_a_bad_daytime_clear_sky(clear_scene, mesh, params, bad
     clear = synth.ghi_clear.copy()
     clear[rows] = bad
     with pytest.raises(InputError, match=f"{len(rows)} daytime value"):
-        identify(synth.dataset, clear, mesh, params, (45,), 5.0)
+        identify(synth.dataset, clear, params, by_splits(45))
     with pytest.raises(InputError, match="values for"):
-        identify(synth.dataset, synth.ghi_clear[:-1], mesh, params, (45,), 5.0)
+        identify(synth.dataset, synth.ghi_clear[:-1], params, by_splits(45))
 
 
 def test_identify_uses_site_pressure(mesh, params):
@@ -674,7 +681,7 @@ def test_identify_uses_site_pressure(mesh, params):
 
 def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):
     synth = clear_scene[0]
-    res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45,), 5.0)
+    res = identify(synth.dataset, synth.ghi_clear, params, by_splits(45))
     path = tmp_path / "omega.json"
     save_omegas(res, path)
     loaded = load_omegas(path, mesh)
@@ -683,6 +690,36 @@ def test_omega_roundtrip(tmp_path, clear_scene, site, mesh, params):
         assert a.plant_id == b.plant_id
         np.testing.assert_allclose(a.omega, b.omega, rtol=0, atol=0)
         assert a.estimated_pnom == b.estimated_pnom
+
+
+@pytest.mark.parametrize("repeat, where", [
+    ("plant", "plants[1]: plant 'p' listed twice"),
+    ("orientation", "plants[0].coefficients[1]: orientation (0.0, 0.0) listed twice"),
+])
+def test_load_omegas_names_a_repeated_entry(tmp_path, mesh, repeat, where):
+    """A second entry for a plant or for one of its orientations would
+    overwrite the first; it is an InputError naming the file and the entry."""
+    zenith = {"tilt_deg": 0.0, "azimuth_deg": 0.0, "omega_m2": 1.0}
+    entry = {"plant_id": "p", "coefficients": [zenith], "estimated_pnom_w": 942.0}
+    plants = [entry, entry] if repeat == "plant" else [{**entry, "coefficients": [zenith] * 2}]
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"mesh_subdivision": 2, "plants": plants}))
+    with pytest.raises(InputError) as info:
+        load_omegas(path, mesh)
+    assert str(info.value) == f"{path}: {where}"
+
+
+def test_identify_takes_its_mesh_and_splits_from_the_settings(clear_scene, params):
+    """The result's mesh is ``generate_mesh(cfg.subdivision)`` and its split
+    table lists each length once: the settings refuse a repeated one."""
+    synth = clear_scene[0]
+    with pytest.raises(SettingError, match="split_candidates"):
+        by_splits(45, 45, 15)
+    cfg = OrientationConfig(subdivision=1, split_candidates=(45, 15))
+    res = identify(synth.dataset, synth.ghi_clear, params, cfg)
+    assert res.mesh == generate_mesh(1)
+    assert all(len(oc.omega) == len(res.mesh) for oc in res.omegas)
+    assert res.report.split_days == (45, 15)
 
 
 @pytest.fixture(scope="module")
@@ -741,14 +778,14 @@ def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, mo
 
     monkeypatch.setattr(orientation, "forward_chain", recording_chain)
     monkeypatch.setattr(orientation, "proxy_matrix", recording_stage)
-    res = identify(synth.dataset, synth.ghi_clear, mesh, params, (45, 15), 5.0)
+    res = identify(synth.dataset, synth.ghi_clear, params, by_splits(45, 15))
     assert len(stamps_seen) == 1
     np.testing.assert_array_equal(stamps_seen[0], synth.dataset.timestamps[sp.daytime])
     assert rows_seen == [int(sp.daytime.sum())]
 
     garbage = synth.ghi_clear.copy()
     garbage[~sp.daytime] = np.nan
-    again = identify(synth.dataset, garbage, mesh, params, (45, 15), 5.0)
+    again = identify(synth.dataset, garbage, params, by_splits(45, 15))
     assert again.report == res.report
     for a, b in zip(res.omegas, again.omegas):
         np.testing.assert_array_equal(a.omega, b.omega)

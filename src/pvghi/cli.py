@@ -16,6 +16,7 @@ from . import __version__
 from .config import RunConfig, load_run_config
 from .data import (
     InputError,
+    _at_stamps,
     align,
     expect,
     load_plant_csv,
@@ -266,16 +267,13 @@ def cmd_synth(args) -> int:
 def cmd_evaluate(args) -> int:
     est_ts, (est, *_) = read_series_csv(args.est, ESTIMATE_HEADER)
     ref_ts, (ref,) = read_series_csv(args.truth, TRUTH_HEADER)
-    common, ei, ri = np.intersect1d(
-        est_ts.astype("int64"), ref_ts.astype("int64"), return_indices=True
-    )
-    est, ref = est[ei], ref[ri]
+    ref, _ = _at_stamps(ref_ts, ref, est_ts)  # NaN where the truth has no row
     shared = np.isfinite(est) & np.isfinite(ref)
     if not shared.any():
         raise InputError(
             f"{args.est} and {args.truth} share no timestamp where both are finite"
         )
-    timestamps = common[shared].astype("datetime64[s]")
+    timestamps = est_ts[shared]
     est, ref = est[shared], ref[shared]
 
     report = {}

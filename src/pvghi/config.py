@@ -116,6 +116,9 @@ def load_run_config(path, require_plants: bool = True) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(path)
 
+    if parser.defaults():  # configparser would copy its keys into every section
+        keys = ", ".join(map(repr, parser.defaults()))
+        raise InputError(f"config section [DEFAULT] is not supported (it sets {keys})")
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise InputError(f"unknown config section [{section}]")

@@ -178,10 +178,10 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     with one row per value column. Blank lines are skipped; empty,
     unparseable or non-finite (``inf``, ``nan``) numbers are NaN. A
     missing or unreadable file, another header, a row with the wrong
-    number of fields, a bad timestamp or no data rows is an InputError
-    naming the file. A file in the form ``write_series_csv`` writes is
-    split in whole-text passes and any other by ``csv.reader`` row by
-    row; both give the same result.
+    number of fields, a bad timestamp, a stamp not after the one before
+    it or no data rows is an InputError naming the file. A file in the
+    form ``write_series_csv`` writes is split in whole-text passes and
+    any other by ``csv.reader`` row by row; both give the same result.
     """
     try:
         with open(path, newline="") as fh:
@@ -197,8 +197,16 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
         except csv.Error as exc:
             raise InputError(f"{path}: cannot read ({exc})") from None
     stamps, *texts = columns
+    times = _parse_stamps(path, stamps)
+    back = np.flatnonzero(np.diff(times.astype("int64")) <= 0)
+    if back.size:
+        k = int(back[0]) + 2
+        raise InputError(
+            f"{path}: data row {k}: non-monotonic timestamps, "
+            f"{stamps[k - 1]!r} is not after {stamps[k - 2]!r}"
+        )
     values = [_parse_column(column) for column in texts]
-    return _parse_stamps(path, stamps), np.array(values, dtype=float)
+    return times, np.array(values, dtype=float)
 
 
 def _split_plain(text: str, header: str) -> list[list[str]] | None:
@@ -410,24 +418,27 @@ def align(plants: list[PlantSeries], site: Site) -> AlignedDataset:
         raise InputError(f"mismatched sampling periods: {sorted(periods)}")
     start = max(p.timestamps[0] for p in plants)
     end = min(p.timestamps[-1] for p in plants)
-    if start > end:
-        raise InputError("empty timestamp intersection")
     base = plants[0].timestamps
     grid = base[(base >= start) & (base <= end)]
     if grid.size == 0:
         raise InputError("empty timestamp intersection")
-    grid_i = grid.astype("int64")
     aligned = []
     for p in plants:
-        ts_i = p.timestamps.astype("int64")
-        pos = np.searchsorted(ts_i, grid_i)
-        pos_c = np.clip(pos, 0, len(ts_i) - 1)
-        hit = ts_i[pos_c] == grid_i
+        (power, temp), hit = _at_stamps(p.timestamps, np.stack((p.power, p.temperature)), grid)
         if not hit.any():
             raise InputError(f"{p.plant_id}: no samples on the shared grid")
-        power = np.full(grid.size, np.nan)
-        temp = np.full(grid.size, np.nan)
-        power[hit] = p.power[pos_c[hit]]
-        temp[hit] = p.temperature[pos_c[hit]]
         aligned.append(replace(p, timestamps=grid, power=power, temperature=temp))
     return AlignedDataset(grid, tuple(aligned), site)
+
+
+def _at_stamps(stamps, values, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, whose last axis runs over the strictly increasing
+    ``stamps``, at the stamps ``wanted`` (NaN where ``stamps`` lacks
+    one), and the mask of ``wanted`` found in ``stamps``."""
+    have = stamps.astype("int64")
+    want = np.asarray(wanted, dtype="datetime64[s]").astype("int64")
+    pos = np.clip(np.searchsorted(have, want), 0, len(have) - 1)
+    hit = have[pos] == want
+    out = np.full(values.shape[:-1] + hit.shape, np.nan)
+    out[..., hit] = values[..., pos[hit]]
+    return out, hit

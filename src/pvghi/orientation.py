@@ -11,6 +11,7 @@ shading.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,15 +194,17 @@ def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
 
 
 class _ClearFits:
-    """One plant's clear-sky fits, ``identify_omega`` once per row set.
+    """One plant during identification: its data, fits and errors.
 
-    ``power`` and ``pr`` are the plant's power and the clear-sky proxy
-    on the daytime timesteps, which the row masks index. A row set
-    fitted before returns that fit again.
+    ``power`` (``finite`` where it is) and the shared clear-sky proxy
+    ``pr`` hold the daytime timesteps, which every row mask indexes. A
+    fit needs ``n_min`` rows. A row set fitted before returns that fit
+    again. ``error`` makes each InsufficientDataError, naming the plant.
     """
 
-    def __init__(self, power: np.ndarray, pr: np.ndarray):
-        self.power, self.pr = power, pr
+    def __init__(self, plant_id: str, power: np.ndarray, pr: np.ndarray, n_min: int):
+        self.plant_id, self.power, self.pr, self.n_min = plant_id, power, pr, n_min
+        self.finite = np.isfinite(power)
         self.by_rows: dict[bytes, np.ndarray] = {}
 
     def __call__(self, rows: np.ndarray, start: np.ndarray | None) -> np.ndarray:
@@ -211,90 +214,76 @@ class _ClearFits:
             self.by_rows[key] = identify_omega(self.power[rows], self.pr[rows], start)
         return self.by_rows[key]
 
+    def error(self, rule: str) -> InsufficientDataError:
+        return InsufficientDataError(f"{self.plant_id}: {rule}")
+
+    def enough(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` if it holds at least ``n_min`` rows; else raises."""
+        if rows.sum() < self.n_min:
+            raise self.error(f"{int(rows.sum())} clear samples, need >= {self.n_min}")
+        return rows
+
 
 def _refine_clear(
-    dataset: AlignedDataset,
-    sp: SolarPosition,
-    mesh: OrientationMesh,
+    fit: _ClearFits,
+    seed: np.ndarray,
+    period: np.ndarray,
+    keys: np.ndarray,
     params: ProxyParams,
-    seeds: list[np.ndarray],
-    bin_deg: float,
-    fits: list[_ClearFits],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Clear-sky masks the forward model explains at one clear level.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clear-sky mask the forward model explains at one clear level.
 
-    The seeds and the masks returned index the daytime timesteps, as
-    the plants' ``fits`` do. Per plant, up to REFINE_ROUNDS times and
-    until the mask stops changing: fit the whole period on the mask
-    (the plant's ``fits``, each round warm-started from the last
-    round's coefficients), predict clear power P^ from the clear-sky
-    proxy, and keep the samples with P^ above REFINE_MIN_FRAC of the
-    fitted rating whose ratio P / P^ lies within REFINE_BAND of the
-    plant's 90th-percentile ratio r90; haze that an envelope takes for
-    clear falls below it. Haze belongs to the hour, a
-    shade to the sun position: a daylight period with at least
-    REFINE_DAY_FRAC of its seed kept is clear, and where such clear seed
-    samples in a ``bin_deg`` sun bin have a 90th-percentile ratio below
-    the band, those within REFINE_BAND of it are kept too, so a seasonal
-    shade stays visible to the split search. A mask below max(mesh size,
-    MIN_FIT_SAMPLES) samples or an all-zero fit raises
-    InsufficientDataError naming the plant. Returned with the masks is
-    each plant's last fit.
+    ``seed`` and the mask returned index the daytime timesteps, as
+    ``fit`` does; ``period`` is each daytime row's daylight period and
+    ``keys`` its sun-bin key. Up to REFINE_ROUNDS times and until the
+    mask stops changing: fit the whole period on the mask (``fit``, each
+    round warm-started from the last round's coefficients), predict
+    clear power P^ from the clear-sky proxy, and keep the samples with
+    P^ above REFINE_MIN_FRAC of the fitted rating whose ratio P / P^
+    lies within REFINE_BAND of the plant's 90th-percentile ratio r90;
+    haze that an envelope takes for clear falls below it. Haze belongs
+    to the hour, a shade to the sun position: a daylight period with at
+    least REFINE_DAY_FRAC of its seed kept is clear, and where such
+    clear seed samples in a sun bin have a 90th-percentile ratio below
+    the band, those within REFINE_BAND of it are kept too, so a
+    seasonal shade stays visible to the split search. The mask holds
+    finite power only. A mask below ``fit.n_min`` samples or an all-zero
+    fit raises the plant's InsufficientDataError. Returned with the mask
+    is the last fit.
     """
-    day = np.flatnonzero(sp.daytime)
-    # the daylight period of each daytime row counts the sunrises so far
-    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
     n_periods = int(period.max(initial=0)) + 1
-    keys = sun_bin_keys(sp, day, bin_deg)
     n_keys = int(keys.max(initial=0)) + 1
-    n_min = max(len(mesh), MIN_FIT_SAMPLES)
-
-    def enough(plant_id, keep):
-        if keep.sum() < n_min:
-            raise InsufficientDataError(
-                f"{plant_id}: {int(keep.sum())} clear samples, need >= {n_min}"
-            )
-        return keep
-
-    refined, last = [], []
-    for plant, seed, fit in zip(dataset.plants, seeds, fits):
-        power = fit.power
-        finite = np.isfinite(power)
-        seeded = keep = seed & finite
-        omega = None
-        for _ in range(REFINE_ROUNDS):
-            enough(plant.plant_id, keep)
-            omega = fit(keep, omega)
-            used = np.flatnonzero(omega)
-            if not used.size:
-                raise InsufficientDataError(
-                    f"{plant.plant_id}: the clear-sky fit left every orientation at zero"
-                )
-            predicted = fit.pr[:, used] @ omega[used]
-            band = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
-            ratio = np.divide(power, predicted, out=np.zeros_like(power), where=band)
-            r90 = np.percentile(ratio[band], 90.0) if band.any() else 0.0
-            band &= np.abs(ratio - r90) <= REFINE_BAND * r90
-            clear_sky = seeded & (
-                np.bincount(period[seeded & band], minlength=n_periods)
-                >= REFINE_DAY_FRAC * np.bincount(period[seeded], minlength=n_periods)
-            )[period]
-            cells, level = binned_quantile(
-                keys[clear_sky], ratio[clear_sky], 0.9, ENVELOPE_MIN_SAMPLES
-            )
-            short = level < (1.0 - REFINE_BAND) * r90
-            shade_of = np.zeros(n_keys)
-            shade_of[cells[short]] = level[short]
-            shade = shade_of[keys]
-            refit = band | (
-                clear_sky & (shade > 0) & (np.abs(ratio - shade) <= REFINE_BAND * shade)
-            )
-            if np.array_equal(refit, keep):
-                break
-            keep = refit
-        refined.append(enough(plant.plant_id, keep))
-        last.append(omega)
-    return refined, last
+    power, finite = fit.power, fit.finite
+    seeded = keep = seed & finite
+    omega = None
+    for _ in range(REFINE_ROUNDS):
+        omega = fit(fit.enough(keep), omega)
+        used = np.flatnonzero(omega)
+        if not used.size:
+            raise fit.error("the clear-sky fit left every orientation at zero")
+        predicted = fit.pr[:, used] @ omega[used]
+        band = finite & (predicted > REFINE_MIN_FRAC * estimate_nominal_power(omega, params))
+        ratio = np.divide(power, predicted, out=np.zeros_like(power), where=band)
+        r90 = np.percentile(ratio[band], 90.0) if band.any() else 0.0
+        band &= np.abs(ratio - r90) <= REFINE_BAND * r90
+        clear_sky = seeded & (
+            np.bincount(period[seeded & band], minlength=n_periods)
+            >= REFINE_DAY_FRAC * np.bincount(period[seeded], minlength=n_periods)
+        )[period]
+        cells, level = binned_quantile(
+            keys[clear_sky], ratio[clear_sky], 0.9, ENVELOPE_MIN_SAMPLES
+        )
+        short = level < (1.0 - REFINE_BAND) * r90
+        shade_of = np.zeros(n_keys)
+        shade_of[cells[short]] = level[short]
+        shade = shade_of[keys]
+        refit = band | (
+            clear_sky & (shade > 0) & (np.abs(ratio - shade) <= REFINE_BAND * shade)
+        )
+        if np.array_equal(refit, keep):
+            break
+        keep = refit
+    return fit.enough(keep), omega
 
 
 def _huber_weights(residuals: np.ndarray, scale: float, c: float) -> np.ndarray:
@@ -495,27 +484,25 @@ def _fold_edges(timestamps: np.ndarray, length_days: int, rows: np.ndarray) -> l
 
 
 def _split_search(
-    dataset: AlignedDataset,
-    day: np.ndarray,
-    mesh: OrientationMesh,
+    fits: Sequence[_ClearFits],
+    masks: Sequence[np.ndarray],
+    starts: Sequence[np.ndarray | None],
+    folds: dict[int, list[np.ndarray]],
     params: ProxyParams,
-    clear_masks: list[np.ndarray],
-    starts: list[np.ndarray | None],
-    split_days: list[int],
-    fits: list[_ClearFits],
-) -> IdentificationResult:
-    """Identify coefficients per plant, choosing the best temporal split.
+) -> tuple[tuple[OmegaCoefficients, ...], SplitReport]:
+    """Coefficients per plant from the best temporal split, and its report.
 
-    The clear masks index the daytime timesteps ``day``, as the plants'
-    ``fits`` do. For every candidate fold length the coefficients are
-    fit per fold; a fold too small to fit borrows the previous fold's
-    fit, or the plant's first. A split scores the clear-sample
-    reconstruction RMSE over the whole dataset, each plant's residuals
-    normalized by the rating of its first fold fit; the lowest wins,
-    longest split on ties. A plant exports the chosen split's fold fit
-    with the lowest RMSE on its fold, normalized by that fit's own
-    rating. Only clear samples with finite power are fitted or scored.
-    A plant whose exported coefficients are all zero raises
+    ``folds`` holds, per candidate fold length in order, the folds'
+    memberships of the daytime rows, which the plants' clear ``masks``
+    (finite power only) and ``fits`` index. For every length the
+    coefficients are fit per fold; a fold below ``fit.n_min`` clear
+    samples borrows the previous fold's fit, or the plant's first. A
+    split scores the clear-sample reconstruction RMSE over the whole
+    dataset, each plant's residuals normalized by the rating of its
+    first fold fit; the lowest wins, longest split on ties. A plant
+    exports the chosen split's fold fit with the lowest RMSE on its
+    fold, normalized by that fit's own rating. A plant with no fold to
+    fit, or whose exported coefficients are all zero, raises its
     InsufficientDataError.
 
     Each plant's ``fits`` fit a row set once, so a fold equal to a mask
@@ -523,29 +510,24 @@ def _split_search(
     fitted again. Each fold's fit starts from the previous fold's, and a
     split's first fold from the plant's ``starts`` entry.
     """
-    n_min = max(len(mesh), MIN_FIT_SAMPLES)
-    masks = [m & np.isfinite(fit.power) for m, fit in zip(clear_masks, fits)]
 
     def rating(omega):
         return max(estimate_nominal_power(omega, params), 1e-9)
 
     rmse_per_split = []
     fold_scores = {}  # per split and plant: (own-rating RMSE, fit) of each scored fold
-    for length in split_days:
-        folds = _fold_edges(dataset.timestamps, length, day)
+    for length, length_folds in folds.items():
         sq_sum, n_sq = 0.0, 0
         fold_scores[length] = []
-        for plant, mask, fit, start in zip(dataset.plants, masks, fits, starts):
-            fold_rows = [mask & fold_sel for fold_sel in folds]
+        for mask, fit, start in zip(masks, fits, starts):
+            fold_rows = [mask & fold_sel for fold_sel in length_folds]
             fold_fits, carried = [], None
             for rows in fold_rows:
-                if rows.sum() >= n_min:
+                if rows.sum() >= fit.n_min:
                     carried = start = fit(rows, start)
                 fold_fits.append(carried)
             if carried is None:
-                raise InsufficientDataError(
-                    f"{plant.plant_id}: no fold has enough clear samples"
-                )
+                raise fit.error("no fold has enough clear samples")
             first = next(f for f in fold_fits if f is not None)
             pnom, scores = rating(first), []
             for rows, omega in zip(fold_rows, fold_fits):
@@ -563,21 +545,18 @@ def _split_search(
     # the longest of them wins
     tie_tol = 0.05
     best_len = max(
-        d for d, r in zip(split_days, rmse_per_split)
+        d for d, r in zip(folds, rmse_per_split)
         if r <= (1.0 + tie_tol) * min(rmse_per_split)
     )
     omegas = []
-    for plant, scores in zip(dataset.plants, fold_scores[best_len]):
+    for fit, scores in zip(fits, fold_scores[best_len]):
         omega = min(scores, key=lambda score: score[0])[1]
         if not omega.any():
-            raise InsufficientDataError(
-                f"{plant.plant_id}: identification left every orientation at zero"
-            )
+            raise fit.error("identification left every orientation at zero")
         omegas.append(
-            OmegaCoefficients(plant.plant_id, omega, estimate_nominal_power(omega, params))
+            OmegaCoefficients(fit.plant_id, omega, estimate_nominal_power(omega, params))
         )
-    report = SplitReport(tuple(split_days), tuple(rmse_per_split), best_len)
-    return IdentificationResult(omegas=tuple(omegas), mesh=mesh, report=report)
+    return tuple(omegas), SplitReport(tuple(folds), tuple(rmse_per_split), best_len)
 
 
 def identify(
@@ -590,15 +569,17 @@ def identify(
 
     The mesh is ``generate_mesh(cfg.subdivision)``, which the result
     returns as ``mesh``. The clear-sky proxy is built once, on the
-    daytime timesteps. ``select_clear`` seeds each plant's clear samples
-    in ``cfg.clear_bin_deg`` sun bins, ``_refine_clear`` narrows them
-    with the forward model, and ``_split_search`` fits them per fold of
-    each length in ``cfg.split_candidates`` that the data span. Both fit
-    through one ``_ClearFits`` per plant, so no row set is fitted twice.
-    A dataset shorter than every candidate, or a clear-sky GHI that
-    ``check_clearsky`` rejects, is an InputError; a plant left with too
-    few clear samples or with all-zero coefficients is an
-    InsufficientDataError naming it.
+    daytime timesteps, and so are each daytime row's daylight period,
+    its ``cfg.clear_bin_deg`` sun-bin key, its fold of each length in
+    ``cfg.split_candidates`` that the data span, and the fit minimum
+    max(mesh size, MIN_FIT_SAMPLES). Each plant is one ``_ClearFits``
+    record: ``select_clear`` seeds its clear samples in the same sun
+    bins, ``_refine_clear`` narrows them with the forward model, and
+    ``_split_search`` fits them per fold; both fit through the record,
+    so no row set is fitted twice. A dataset shorter than every
+    candidate, or a clear-sky GHI that ``check_clearsky`` rejects, is an
+    InputError; a plant left with too few clear samples or with all-zero
+    coefficients is an InsufficientDataError naming it.
     """
     span_days = int(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
@@ -615,10 +596,18 @@ def identify(
     ghi_clear = check_clearsky(ghi_clear, sp)
     day = np.flatnonzero(sp.daytime)
     pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
-    seeds = [select_clear(p, sp, cfg.clear_bin_deg)[day] for p in dataset.plants]
-    fits = [_ClearFits(p.power[day], pr) for p in dataset.plants]
-    masks, starts = _refine_clear(dataset, sp, mesh, params, seeds, cfg.clear_bin_deg, fits)
-    return _split_search(dataset, day, mesh, params, masks, starts, usable, fits)
+    # the daylight period of each daytime row counts the sunrises so far
+    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
+    keys = sun_bin_keys(sp, day, cfg.clear_bin_deg)
+    n_min = max(len(mesh), MIN_FIT_SAMPLES)
+    fits = [_ClearFits(p.plant_id, p.power[day], pr, n_min) for p in dataset.plants]
+    masks, starts = zip(*(
+        _refine_clear(fit, select_clear(p, sp, cfg.clear_bin_deg)[day], period, keys, params)
+        for p, fit in zip(dataset.plants, fits)
+    ))
+    folds = {length: _fold_edges(dataset.timestamps, length, day) for length in usable}
+    omegas, report = _split_search(fits, masks, starts, folds, params)
+    return IdentificationResult(omegas=omegas, mesh=mesh, report=report)
 
 
 def save_omegas(result: IdentificationResult, path) -> None:

@@ -11,7 +11,7 @@ The chain runs in two stages:
 
 - ``forward_chain`` computes, once per set of timesteps and planes,
   every input that does not depend on GHI: per timestep the
-  extraterrestrial irradiance, the zenith cosines, DISC's air mass and
+  extraterrestrial irradiance, the zenith cosine, DISC's air mass and
   clear-sky transmittance and the ambient temperature; per plane the
   incidence cosine and the IAM factor; and the site's albedo (its
   pressure is folded into the air mass).
@@ -78,8 +78,7 @@ class ProxyMatrix:
 
 
 _FIELDS_IN_TIME = (
-    "daytime", "disc_ok", "e0", "cos_zen", "cos_zen_floor", "kt_norm", "am", "knc",
-    "t_ambient", "cos_aoi", "iam",
+    "daytime", "disc_ok", "e0", "cos_zen", "am", "knc", "t_ambient", "cos_aoi", "iam",
 )
 
 
@@ -94,9 +93,7 @@ class ForwardChain:
     daytime: np.ndarray     # sun above the horizon; other rows give zero power
     disc_ok: np.ndarray     # zenith below DISC_ZENITH_CUTOFF
     e0: np.ndarray          # extraterrestrial normal irradiance, W/m^2
-    cos_zen: np.ndarray     # cos(zenith)
-    cos_zen_floor: np.ndarray  # max(cos(zenith), cos(cutoff))
-    kt_norm: np.ndarray     # e0 * cos_zen_floor, the clearness-index scale
+    cos_zen: np.ndarray     # cos(zenith); DISC and the beam ratio floor it at cos(cutoff)
     am: np.ndarray          # pressure-corrected air mass, capped at 12; 1 past the cutoff
     knc: np.ndarray         # DISC clear-sky beam transmittance at ``am``
     t_ambient: np.ndarray   # degC
@@ -150,8 +147,6 @@ def forward_chain(
     if not len(zenith) == len(timestamps) == len(t_ambient):
         raise InputError("sun positions, timestamps and temperature differ in length")
     e0 = extraterrestrial_normal(day_of_year(timestamps))
-    cos_zen = np.cos(zenith)
-    cos_zen_floor = np.maximum(cos_zen, np.cos(DISC_ZENITH_CUTOFF))
     disc_ok = zenith < DISC_ZENITH_CUTOFF
     am_rel = np.where(disc_ok, relative_airmass(zenith), 1.0)
     am = np.minimum(am_rel * pressure_at_altitude(site.altitude) / SEA_LEVEL_PRESSURE, 12.0)
@@ -167,9 +162,7 @@ def forward_chain(
         daytime=sp.daytime,
         disc_ok=disc_ok,
         e0=e0,
-        cos_zen=cos_zen,
-        cos_zen_floor=cos_zen_floor,
-        kt_norm=e0 * cos_zen_floor,
+        cos_zen=np.cos(zenith),
         am=am,
         knc=knc,
         t_ambient=t_ambient,
@@ -190,7 +183,8 @@ def disc_dni(ghi, chain: ForwardChain):
     ghi = np.asarray(ghi, dtype=float)
     usable = (ghi > 0) & chain.disc_ok
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        kt = np.clip(ghi / chain.kt_norm, 0.0, 1.0)
+        kt_norm = chain.e0 * np.maximum(chain.cos_zen, np.cos(DISC_ZENITH_CUTOFF))
+        kt = np.clip(ghi / kt_norm, 0.0, 1.0)
         kt2 = kt * kt
         kt3 = kt2 * kt
         low = kt <= 0.6
@@ -242,6 +236,7 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     beam_share = np.clip(dni / chain.e0, 0.0, 1.0)  # Hay-Davies anisotropy index
     sky_share = 1.0 - beam_share
     reflected = chain.albedo * ghi
+    cos_zen_floor = np.maximum(chain.cos_zen, np.cos(DISC_ZENITH_CUTOFF))
     # one scalar cosine per plane, as the per-plane chain takes it
     cos_tilt = np.array([np.cos(tilt) for tilt in chain.tilt]).reshape(-1, 1)
     n_rows, n_planes = len(ghi), len(chain.tilt)
@@ -254,7 +249,7 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
         a, b, c = scratch[:, : len(ct)]
         # diffuse dhi * (beam_share * r_b + sky_share * (1 + cos_tilt) / 2),
         # with r_b = cos_aoi / cos_zen_floor
-        np.divide(cos_aoi, chain.cos_zen_floor, out=a)
+        np.divide(cos_aoi, cos_zen_floor, out=a)
         np.multiply(beam_share, a, out=a)
         np.multiply(sky_share, (1.0 + ct) / 2.0, out=b)
         np.add(a, b, out=a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError, Site, read_series_csv
+from .data import InputError, Site, _at_stamps, read_series_csv
 
 SOLAR_CONSTANT = 1367.0  # W/m^2
 AIRMASS_NIGHT = np.inf  # sentinel for sun below horizon
@@ -192,12 +192,11 @@ def load_clearsky_csv(path, timestamps: np.ndarray) -> np.ndarray:
     """Read a ``timestamp,ghi_clear_wm2`` override CSV onto the requested grid.
 
     Every requested timestamp must be in the file with a finite,
-    non-negative value.
+    non-negative value; the file's stamps must be strictly increasing.
     """
     stamps, (values,) = read_series_csv(path, "timestamp,ghi_clear_wm2")
-    table = dict(zip(stamps.astype("int64").tolist(), values.tolist()))
     wanted = np.asarray(timestamps, dtype="datetime64[s]")
-    out = np.array([table.get(t, np.nan) for t in wanted.astype("int64").tolist()])
+    out, _ = _at_stamps(stamps, values, wanted)
     bad = ~(np.isfinite(out) & (out >= 0))
     if bad.any():
         raise InputError(

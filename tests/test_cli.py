@@ -421,6 +421,12 @@ MALFORMED = {
     "truth-short-row": (
         "evaluate", f"timestamp,ghi_wm2\n{_stamp(0)},1.0\n{_stamp(10)}\n"
     ),
+    "truth-repeated-stamp": (
+        "evaluate", f"timestamp,ghi_wm2\n{_stamp(0)},500.0\n{_stamp(0)},900.0\n{_stamp(10)},1.0\n"
+    ),
+    "truth-out-of-order-stamp": (
+        "evaluate", f"timestamp,ghi_wm2\n{_stamp(10)},520.0\n{_stamp(0)},500.0\n{_stamp(20)},1.0\n"
+    ),
     "clearsky-short-row": (
         "override", f"timestamp,ghi_clear_wm2\n{_stamp(0)},1.0\n{_stamp(10)}\n"
     ),
@@ -773,3 +779,26 @@ def test_daytime_convergence_counts_the_solved_rows(
     monkeypatch.setattr(cli, "estimate", six_short)
     assert main(argv) == 2
     assert "daytime convergence: 93.5%" in capsys.readouterr().out
+
+
+def test_a_repeated_clear_sky_override_stamp_is_named(tmp_path, capsys, site, mesh, params):
+    """An override that gives 12:00 twice, the second time 400 W/m^2 higher."""
+    synth, _, argv = one_day_inputs(tmp_path, site, mesh, params)
+    override = tmp_path / "clear.csv"
+    write_series_csv(
+        override, "timestamp,ghi_clear_wm2", synth.dataset.timestamps, (synth.ghi_clear,)
+    )
+    lines = override.read_text().splitlines(keepends=True)
+    noon = 1 + 72  # the header, then one row per 10 min from midnight
+    stamp, value = lines[noon].rstrip("\n").split(",")
+    assert stamp.endswith("T12:00:00Z")
+    lines.insert(noon + 1, f"{stamp},{float(value) + 400.0!r}\n")
+    override.write_text("".join(lines))
+    config = Path(argv[2])
+    config.write_text(config.read_text().replace(
+        "[orientation]", f"clearsky_override = {override}\n\n[orientation]"
+    ))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert f"error: {override}: data row {noon + 1}: non-monotonic timestamps" in err[0]

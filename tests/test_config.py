@@ -81,6 +81,17 @@ def test_unknown_key_rejected(tmp_path):
         )
 
 
+@pytest.mark.parametrize("key", ["k1", "seed"])
+def test_default_section_rejected_by_name(tmp_path, key):
+    """configparser copies [DEFAULT]'s keys into every section; the error names [DEFAULT]."""
+    with pytest.raises(InputError, match=rf"section \[DEFAULT\] .*'{key}'") as err:
+        load_run_config(
+            write_config(tmp_path, f"[DEFAULT]\n{key} = 1\n\n" + MINIMAL),
+            require_plants=False,
+        )
+    assert "[site]" not in str(err.value)
+
+
 def test_missing_site_rejected(tmp_path):
     with pytest.raises(InputError, match="site"):
         load_run_config(write_config(tmp_path, "[paths]\n"), require_plants=False)

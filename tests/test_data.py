@@ -292,7 +292,7 @@ HEADER = "timestamp,power_w,temp_c"
 def read_rows_reference(path, header):
     """The row-by-row reader the whole-column one replaced: ``csv.reader``
     rows, blank ones skipped, each stamp read by ``parse_timestamp`` and
-    each number by ``float``."""
+    each number by ``float``; the stamps must increase."""
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if "".join(row).strip()]
@@ -314,6 +314,12 @@ def read_rows_reference(path, header):
             seconds.append(parse_timestamp(row[0]))
         except (ValueError, OverflowError):
             raise InputError(f"{path}: data row {k}: bad timestamp {row[0]!r}") from None
+    for k in range(2, len(seconds) + 1):
+        if seconds[k - 1] <= seconds[k - 2]:
+            raise InputError(
+                f"{path}: data row {k}: non-monotonic timestamps, "
+                f"{rows[k][0]!r} is not after {rows[k - 1][0]!r}"
+            )
     values = []
     for row in rows[1:]:
         numbers = []
@@ -356,14 +362,19 @@ CALENDAR_EDGES = (
 )
 
 
+INSTANTS = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda t: t.replace(microsecond=0)
+)
+
+
 @st.composite
-def stamp_texts(draw, form="Z"):
-    """A stamp in the form pvghi writes or in ``form``; the "calendar"
-    form moves one field of a valid stamp to one of ``CALENDAR_EDGES``
-    or makes it Feb 29."""
+def stamp_texts(draw, form="Z", t=None):
+    """A stamp of ``t`` (or of a drawn instant) in the form pvghi writes
+    or in ``form``; the "calendar" form moves one field of a valid stamp
+    to one of ``CALENDAR_EDGES`` or makes it Feb 29."""
     if form == "junk":
         return draw(st.sampled_from(["", " ", "yesterday", "2021-06-01", "\uff11"]))
-    t = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+    t = draw(INSTANTS) if t is None else t
     parts = [t.year, t.month, t.day, t.hour, t.minute, t.second]
     if form == "calendar":
         k = draw(st.integers(0, len(parts)))
@@ -388,8 +399,8 @@ NUMBER_TEXTS = st.one_of(
 STAMP_FORMS = ["naive", "offset", "z", "space", "junk"]
 INSERTED_CHARS = list('\0\r\n,"\x0c\x1c\x85\xa0')
 BENDS = [
-    "header", "blank", "quotes", "calendar", "stamps", "fields", "endings", "no final newline",
-    "char",
+    "header", "blank", "quotes", "calendar", "stamps", "repeat", "fields", "endings",
+    "no final newline", "char",
 ]
 
 
@@ -398,7 +409,8 @@ def series_files(draw):
     """The text of a plant file as pvghi writes it, with none, one or a
     few of ``BENDS`` applied, each to a row or two: the reader must either
     read it as the row-by-row reader does or reject it with the same
-    message."""
+    message. Unbent rows hold increasing instants; the "repeat" bend
+    gives a row the instant of the row before it."""
     n_rows = draw(st.integers(0, 12))
     n_bends = draw(st.sampled_from([0, 0, 1, 1, 2, 3]))
     bends = {
@@ -414,13 +426,15 @@ def series_files(draw):
         header = draw(
             st.sampled_from([" timestamp, power_w ,temp_c"] * 3 + ["time,p,t", "", ",,"])
         )
+    times = sorted(draw(st.lists(INSTANTS, min_size=n_rows, max_size=n_rows, unique=True)))
     lines = [header]
     for row in range(n_rows):
         if bent("blank", row):
             lines.append(draw(st.sampled_from(["", "   ", "\t", ",,", " , ,", "\t, ,\xa0"])))
         form = "calendar" if bent("calendar", row) else "Z"
         form = draw(st.sampled_from(STAMP_FORMS)) if bent("stamps", row) else form
-        fields = [draw(stamp_texts(form)), draw(NUMBER_TEXTS), draw(NUMBER_TEXTS)]
+        t = times[row - 1] if row and bent("repeat", row) else times[row]
+        fields = [draw(stamp_texts(form, t)), draw(NUMBER_TEXTS), draw(NUMBER_TEXTS)]
         if bent("quotes", row):
             fields = [f'"{text}"' for text in fields]
         if bent("fields", row):
@@ -455,8 +469,14 @@ def test_read_matches_row_reader(tmp_path_factory, text):
 def test_stamp_at_a_calendar_edge_reads_as_parse_timestamp_reads_it(
     tmp_path_factory, stamps, edge, data
 ):
-    """One stamp at or past a calendar field's edge among stamps pvghi writes."""
-    stamps.insert(data.draw(st.integers(0, len(stamps))), edge)
+    """One stamp at or past a calendar field's edge among stamps pvghi
+    writes, in time order; an edge stamp that parses takes its place in it."""
+    stamps = sorted(set(stamps))  # one width, so text order is time order
+    try:
+        at = sum(parse_timestamp(s) < parse_timestamp(edge) for s in stamps)
+    except (ValueError, OverflowError):
+        at = data.draw(st.integers(0, len(stamps)))
+    stamps.insert(at, edge)
     path = write_csv(tmp_path_factory.mktemp("csv") / "p.csv", [f"{s},1,2" for s in stamps])
     assert read_outcome(read_series_csv, path) == read_outcome(read_rows_reference, path)
 

@@ -32,6 +32,7 @@ from pvghi.orientation import (
     save_omegas,
 )
 from pvghi.proxy import forward_chain, proxy_matrix
+from pvghi.reconcile import sun_bin_keys
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -57,16 +58,23 @@ def daytime_proxy(dataset, ghi_clear, mesh, params):
     return sp, day, orientation._clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
 
 
+def clear_fits(dataset, ghi_clear, mesh, params):
+    """The sun positions, daytime rows and per-plant records ``identify`` makes."""
+    sp, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
+    n_min = max(len(mesh), orientation.MIN_FIT_SAMPLES)
+    fits = [orientation._ClearFits(p.plant_id, p.power[day], pr, n_min) for p in dataset.plants]
+    return sp, day, fits
+
+
 def refined_masks(dataset, ghi_clear, mesh, params):
     """Seed and refined clear masks over all timesteps, as ``identify`` makes them."""
-    sp, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
+    sp, day, fits = clear_fits(dataset, ghi_clear, mesh, params)
+    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
+    keys = sun_bin_keys(sp, day, 5.0)
     seeds = [select_clear(p, sp) for p in dataset.plants]
-    fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
-    masks, _ = orientation._refine_clear(
-        dataset, sp, mesh, params, [seed[day] for seed in seeds], 5.0, fits
-    )
     refined = []
-    for mask in masks:
+    for seed, fit in zip(seeds, fits):
+        mask, _ = orientation._refine_clear(fit, seed[day], period, keys, params)
         full = np.zeros(dataset.n_steps, dtype=bool)
         full[day] = mask
         refined.append(full)
@@ -75,12 +83,13 @@ def refined_masks(dataset, ghi_clear, mesh, params):
 
 def split_search(dataset, ghi_clear, mesh, params, masks, split_days):
     """The split search alone, on clear masks over all timesteps."""
-    _, day, pr = daytime_proxy(dataset, ghi_clear, mesh, params)
-    fits = [orientation._ClearFits(p.power[day], pr) for p in dataset.plants]
-    return orientation._split_search(
-        dataset, day, mesh, params, [m[day] for m in masks], [None] * len(fits),
-        list(split_days), fits,
+    _, day, fits = clear_fits(dataset, ghi_clear, mesh, params)
+    folds = {n: orientation._fold_edges(dataset.timestamps, n, day) for n in split_days}
+    omegas, report = orientation._split_search(
+        fits, [m[day] & fit.finite for m, fit in zip(masks, fits)], [None] * len(fits),
+        folds, params,
     )
+    return IdentificationResult(omegas, mesh, report)
 
 
 def huber_losses(power, pr_clear):
@@ -265,7 +274,9 @@ class TestRefineClear:
         single, _ = synth.dataset.plants
         dead = replace(single, plant_id="dead", power=np.zeros(len(single.power)))
         dataset = AlignedDataset(synth.dataset.timestamps, (single, dead), synth.dataset.site)
-        with pytest.raises(InsufficientDataError, match="dead"):
+        with pytest.raises(
+            InsufficientDataError, match="dead: the clear-sky fit left every orientation at zero"
+        ):
             identify(dataset, synth.ghi_clear, params, by_splits(45))
 
     def test_plant_too_short_for_a_mask_named(self, clear_scene, mesh, params):
@@ -276,7 +287,7 @@ class TestRefineClear:
         power[-288:] = single.power[-288:]
         late = replace(single, plant_id="late", power=power)
         dataset = AlignedDataset(synth.dataset.timestamps, (single, late), synth.dataset.site)
-        with pytest.raises(InsufficientDataError, match="late"):
+        with pytest.raises(InsufficientDataError, match="late: 2 clear samples, need >= 62"):
             identify(dataset, synth.ghi_clear, params, by_splits(45))
 
 
@@ -618,7 +629,7 @@ class TestSplits:
 
         def recording_refine(*args):
             refined = refine(*args)
-            masks.extend(refined[0])
+            masks.append(refined[0])
             return refined
 
         monkeypatch.setattr(orientation._ClearFits, "__call__", recording_fit)
@@ -754,8 +765,22 @@ def test_identify_refuses_all_zero_coefficients(site, mesh, params):
     sp = sun_positions(ts, site)
     dead = PlantSeries("dead", ts, np.zeros(len(ts)), np.full(len(ts), 15.0))
     dataset = AlignedDataset(ts, (dead,), site)
-    with pytest.raises(InsufficientDataError, match="dead"):
+    with pytest.raises(
+        InsufficientDataError, match="dead: identification left every orientation at zero"
+    ):
         split_search(dataset, clearsky_ghi(ts, site), mesh, params, [sp.daytime], (7,))
+
+
+def test_split_search_names_a_plant_without_a_fold_to_fit(site, mesh, params):
+    """A clear mask one sample short of a fit in the first fold and empty in the second."""
+    ts = make_timestamps("2015-05-01T00:00:00", 14, 600)
+    sp = sun_positions(ts, site)
+    plant = PlantSeries("sparse", ts, np.full(len(ts), 1000.0), np.full(len(ts), 15.0))
+    n_min = max(len(mesh), orientation.MIN_FIT_SAMPLES)
+    mask = sp.daytime & (np.cumsum(sp.daytime) < n_min)
+    dataset = AlignedDataset(ts, (plant,), site)
+    with pytest.raises(InsufficientDataError, match="sparse: no fold has enough clear samples"):
+        split_search(dataset, clearsky_ghi(ts, site), mesh, params, [mask], (7,))
 
 
 def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvghi import InputError, Orientation, Site, generate_mesh, sun_positions
 from pvghi.proxy import (
+    DISC_ZENITH_CUTOFF,
     I_MIN,
     PLANE_BLOCK_CELLS,
     ForwardChain,
@@ -62,7 +63,7 @@ def transpose_hay_davies(ghi, dhi, dni, chain: ForwardChain, plane: int) -> Irra
     i_b = dni * cos_aoi
     i_g = chain.albedo * ghi * (1.0 - cos_tilt) / 2.0
     anisotropy = np.clip(dni / chain.e0, 0.0, 1.0)
-    r_b = cos_aoi / chain.cos_zen_floor
+    r_b = cos_aoi / np.maximum(chain.cos_zen, np.cos(DISC_ZENITH_CUTOFF))
     iso = (1.0 + cos_tilt) / 2.0
     i_d = dhi * (anisotropy * r_b + (1.0 - anisotropy) * iso)
     return IrradianceComponents(

@@ -81,16 +81,22 @@ def normalized_rmse(
 def bias_std_daily(
     est: np.ndarray, ref: np.ndarray, timestamps: np.ndarray
 ) -> DailyDecomposition:
-    """Per-calendar-day bias and spread of the estimation error."""
+    """Per-calendar-day bias and spread of the estimation error.
+
+    The stamps need not be sorted: each day's errors are taken in series
+    order, in one contiguous slice after a stable sort by day.
+    """
     ts = np.asarray(timestamps, dtype="datetime64[s]")
     days = ts.astype("datetime64[D]")
     err = np.asarray(est, float) - np.asarray(ref, float)
-    uniq = np.unique(days)
+    order = np.argsort(days, kind="stable")
+    uniq, first, counts = np.unique(days[order], return_index=True, return_counts=True)
+    err = err[order]
     bias = np.empty(len(uniq))
     std = np.empty(len(uniq))
     rmse = np.empty(len(uniq))
-    for k, d in enumerate(uniq):
-        e = err[days == d]
+    for k, (i, n) in enumerate(zip(first, counts)):
+        e = err[i:i + n]
         bias[k] = e.mean()
         std[k] = e.std()
         rmse[k] = np.sqrt(np.mean(e**2))
@@ -106,13 +112,19 @@ def block_average(
     The sampling step is the smallest spacing, so a series with missing
     samples removed keeps its step and loses only the blocks they fall in.
     A step that does not divide the period gives no blocks: no count of
-    samples covers a block exactly.
+    samples covers a block exactly. A stamp that is not after the one
+    before it is an InputError.
     """
     ts = np.asarray(timestamps, dtype="datetime64[s]").astype("int64")
     values = np.asarray(values, dtype=float)
     if len(ts) < 2:
         return values.copy(), np.asarray(timestamps)
-    step = int(np.diff(ts).min())
+    gaps = np.diff(ts)
+    back = np.flatnonzero(gaps <= 0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise InputError(f"non-monotonic timestamps: stamp {k} is not after stamp {k - 1}")
+    step = int(gaps.min())
     if period_seconds % step:
         return np.empty(0), np.empty(0, dtype="datetime64[s]")
     per_block = period_seconds // step

@@ -40,6 +40,7 @@ NNLS_MAX_ADDS = 3          # an NNLS search ends after this many additions per c
 SPARSITY_FRAC = 0.01       # coefficients below this share of the largest are zeroed
 NORTH_TILT_CUTOFF_DEG = 15.0   # the mesh drops orientations tilted more than this
 NORTH_HALFWIDTH_DEG = 60.0     # and facing within this angle of north
+PROXY_BLOCKS = 8           # the clear-sky proxy is built in at most this many blocks of planes
 
 
 class InsufficientDataError(InputError):
@@ -182,15 +183,25 @@ def select_clear(
 
 
 def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
-    """The mesh's proxy matrix at clear-sky GHI on the timesteps ``rows``."""
-    return proxy_matrix(
-        np.asarray(ghi_clear, dtype=float)[rows],
-        forward_chain(
-            SolarPosition(azimuth=sp.azimuth[rows], zenith=sp.zenith[rows]),
-            dataset.timestamps[rows], dataset.mean_temperature()[rows],
-            mesh.orientations, params, dataset.site,
-        ),
-    ).values
+    """The mesh's proxy matrix at clear-sky GHI on the timesteps ``rows``.
+
+    The (rows, planes) result is filled in at most PROXY_BLOCKS blocks
+    of ceil(K / PROXY_BLOCKS) planes, each with its own forward chain,
+    so the per-plane geometry alive at any time (one block's incidence
+    cosines and IAM factors) is about a quarter of the result's size,
+    not twice it. The proxy is elementwise per plane, so the result
+    equals one chain over the whole mesh bit for bit.
+    """
+    ghi = np.asarray(ghi_clear, dtype=float)[rows]
+    sun = SolarPosition(azimuth=sp.azimuth[rows], zenith=sp.zenith[rows])
+    stamps, temp = dataset.timestamps[rows], dataset.mean_temperature()[rows]
+    planes = mesh.orientations
+    block = -(-len(planes) // PROXY_BLOCKS)
+    pr = np.empty((len(ghi), len(planes)))
+    for j0 in range(0, len(planes), block):
+        chain = forward_chain(sun, stamps, temp, planes[j0:j0 + block], params, dataset.site)
+        pr[:, j0:j0 + block] = proxy_matrix(ghi, chain).values
+    return pr
 
 
 class _ClearFits:
@@ -572,14 +583,17 @@ def identify(
     daytime timesteps, and so are each daytime row's daylight period,
     its ``cfg.clear_bin_deg`` sun-bin key, its fold of each length in
     ``cfg.split_candidates`` that the data span, and the fit minimum
-    max(mesh size, MIN_FIT_SAMPLES). Each plant is one ``_ClearFits``
-    record: ``select_clear`` seeds its clear samples in the same sun
-    bins, ``_refine_clear`` narrows them with the forward model, and
-    ``_split_search`` fits them per fold; both fit through the record,
-    so no row set is fitted twice. A dataset shorter than every
-    candidate, or a clear-sky GHI that ``check_clearsky`` rejects, is an
-    InputError; a plant left with too few clear samples or with all-zero
-    coefficients is an InsufficientDataError naming it.
+    max(mesh size, MIN_FIT_SAMPLES). ``_clear_proxy`` builds the proxy
+    a block of planes at a time, so identification holds the proxy and
+    one block's incidence geometry, never the whole mesh's. Each plant
+    is one ``_ClearFits`` record: ``select_clear`` seeds its clear
+    samples in the same sun bins, ``_refine_clear`` narrows them with
+    the forward model, and ``_split_search`` fits them per fold; both
+    fit through the record, so no row set is fitted twice. A dataset
+    shorter than every candidate, or a clear-sky GHI that
+    ``check_clearsky`` rejects, is an InputError; a plant left with too
+    few clear samples or with all-zero coefficients is an
+    InsufficientDataError naming it.
     """
     span_days = int(
         (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))

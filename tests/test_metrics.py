@@ -89,6 +89,45 @@ def test_daily_alternating_errors():
     np.testing.assert_allclose(daily.std, 10.0)
 
 
+def bias_std_daily_loop(est, ref, timestamps):
+    """Reference: one pass over the whole series per day."""
+    days = np.asarray(timestamps, dtype="datetime64[s]").astype("datetime64[D]")
+    err = est - ref
+    uniq = np.unique(days)
+    rows = [(e.mean(), e.std(), np.sqrt(np.mean(e**2))) for e in (err[days == d] for d in uniq)]
+    return uniq, np.array(rows).reshape(-1, 3).T
+
+
+def test_daily_decomposition_matches_the_per_day_loop():
+    """Gapped and shuffled stamps, an empty series among them, bit for bit."""
+    rng = np.random.default_rng(34)
+    for trial in range(60):
+        n = 0 if trial == 0 else int(rng.integers(1, 3000))
+        ts = make_ts(n, step=int(rng.choice([60, 300, 600])), start="2021-06-01T00:07:00")
+        ts = ts[rng.random(n) >= rng.uniform(0.0, 0.5)]
+        if trial % 2:
+            ts = rng.permutation(ts)
+        ref = rng.uniform(0.0, 900.0, len(ts))
+        est = ref + rng.normal(0.0, 30.0, len(ts))
+        daily = bias_std_daily(est, ref, ts)
+        dates, (bias, std, rmse) = bias_std_daily_loop(est, ref, ts)
+        np.testing.assert_array_equal(np.array(daily.dates, dtype="datetime64[D]"), dates)
+        for got, want in ((daily.bias, bias), (daily.std, std), (daily.rmse, rmse)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bend", ["repeat", "out-of-order"])
+def test_block_average_refuses_non_monotonic_stamps(bend):
+    """A repeated stamp divided by a zero step; one out of order came back unaveraged."""
+    ts = make_ts(12, step=600)
+    if bend == "repeat":
+        ts[5] = ts[4]
+    else:
+        ts[[4, 5]] = ts[[5, 4]]
+    with pytest.raises(InputError, match="non-monotonic timestamps: stamp 5 is not after stamp 4"):
+        block_average(np.arange(12, dtype=float), ts, 1800)
+
+
 def test_block_average_basic():
     ts = make_ts(12, step=600)
     vals = np.arange(12, dtype=float)

@@ -1,6 +1,7 @@
 """Mesh generation, clear-sky selection and coefficient identification."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from pvghi.orientation import (
 )
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.reconcile import sun_bin_keys
+from pvghi.solar import SolarPosition
 from pvghi.synth import (
     CloudModel,
     PlantSpec,
@@ -43,6 +45,7 @@ from pvghi.synth import (
 )
 from conftest import mesh_vertex
 from test_acceptance import standard_fields
+from test_proxy import assert_same_bits
 from test_solver import with_missing
 
 
@@ -786,16 +789,18 @@ def test_split_search_names_a_plant_without_a_fold_to_fit(site, mesh, params):
 def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, monkeypatch):
     """Seed, refinement and split search share one proxy of the daytime rows.
 
-    No other row is read: clear-sky GHI at night changes no coefficient
-    and no split score.
+    It is built a block of at most ceil(K / PROXY_BLOCKS) planes at a
+    time, the blocks in mesh order, each chain on the daytime stamps. No
+    other row is read: clear-sky GHI at night changes no coefficient and
+    no split score.
     """
     synth, sp, _, _, _, _ = clear_scene
-    stamps_seen, rows_seen = [], []
+    blocks_seen, rows_seen = [], []
     chain, stage = orientation.forward_chain, orientation.proxy_matrix
 
-    def recording_chain(sp_, timestamps, *args):
-        stamps_seen.append(timestamps)
-        return chain(sp_, timestamps, *args)
+    def recording_chain(sp_, timestamps, t_ambient, planes, *args):
+        blocks_seen.append((timestamps, list(planes)))
+        return chain(sp_, timestamps, t_ambient, planes, *args)
 
     def recording_stage(ghi, *args):
         rows_seen.append(len(ghi))
@@ -804,9 +809,13 @@ def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, mo
     monkeypatch.setattr(orientation, "forward_chain", recording_chain)
     monkeypatch.setattr(orientation, "proxy_matrix", recording_stage)
     res = identify(synth.dataset, synth.ghi_clear, params, by_splits(45, 15))
-    assert len(stamps_seen) == 1
-    np.testing.assert_array_equal(stamps_seen[0], synth.dataset.timestamps[sp.daytime])
-    assert rows_seen == [int(sp.daytime.sum())]
+    block = -(-len(mesh) // orientation.PROXY_BLOCKS)  # 8 of the 62 level-2 planes
+    assert len(blocks_seen) == 8
+    for stamps, planes in blocks_seen:
+        np.testing.assert_array_equal(stamps, synth.dataset.timestamps[sp.daytime])
+        assert 1 <= len(planes) <= block
+    assert [o for _, planes in blocks_seen for o in planes] == list(mesh.orientations)
+    assert rows_seen == [int(sp.daytime.sum())] * len(blocks_seen)
 
     garbage = synth.ghi_clear.copy()
     garbage[~sp.daytime] = np.nan
@@ -814,3 +823,43 @@ def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, mo
     assert again.report == res.report
     for a, b in zip(res.omegas, again.omegas):
         np.testing.assert_array_equal(a.omega, b.omega)
+
+
+@pytest.mark.parametrize("level, n_blocks, block", [(1, 6, 3), (2, 8, 8)])
+def test_block_built_proxy_equals_one_chain(clear_scene, params, level, n_blocks, block):
+    """The clear-sky proxy built a block of planes at a time, bit for bit."""
+    synth, sp, _, _, _, _ = clear_scene
+    dataset, mesh = synth.dataset, generate_mesh(level)
+    assert -(-len(mesh) // orientation.PROXY_BLOCKS) == block
+    assert -(-len(mesh) // block) == n_blocks
+    day = np.flatnonzero(sp.daytime)
+    got = orientation._clear_proxy(dataset, sp, synth.ghi_clear, mesh, params, day)
+    whole = forward_chain(
+        SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day]),
+        dataset.timestamps[day], dataset.mean_temperature()[day],
+        mesh.orientations, params, dataset.site,
+    )
+    want = proxy_matrix(synth.ghi_clear[day], whole).values
+    assert got.shape == (len(day), len(mesh)) and got.flags.c_contiguous
+    assert_same_bits(got, want)
+
+
+def test_clear_proxy_holds_one_block_of_geometry(clear_scene, params):
+    """The traced peak of building the level-3 proxy stays under 2x its size.
+
+    A chain over the whole mesh holds (K, T) incidence cosines and IAM
+    factors beside the proxy: 3.2x the proxy's bytes on this scene (232
+    planes, 4,090 daytime rows). Blocks of 29 planes read 1.6x.
+    """
+    synth, sp, _, _, _, _ = clear_scene
+    mesh = generate_mesh(3)
+    day = np.flatnonzero(sp.daytime)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pr = orientation._clear_proxy(synth.dataset, sp, synth.ghi_clear, mesh, params, day)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pr.shape == (len(day), 232)
+    assert peak - before < 2.0 * pr.nbytes

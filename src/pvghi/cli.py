@@ -19,6 +19,7 @@ from .data import (
     _at_stamps,
     align,
     expect,
+    load_clearsky_csv,
     load_plant_csv,
     parse_timestamp,
     read_json,
@@ -29,7 +30,7 @@ from .data import (
 )
 from .metrics import block_average, normalized_rmse
 from .orientation import generate_mesh, identify, load_omegas, save_omegas
-from .solar import Orientation, clearsky_ghi
+from .solar import Orientation, clearsky_ghi, sun_positions
 from .solver import estimate
 from .synth import (
     CloudModel,
@@ -70,14 +71,19 @@ def _load_dataset(cfg: RunConfig):
     return dataset
 
 
+def _clear_sky(cfg: RunConfig, dataset) -> np.ndarray:
+    """The dataset's clear-sky GHI: the ``[paths] clearsky_override`` file
+    if set, else ``clearsky_ghi`` at the configured Linke turbidity."""
+    if cfg.clearsky_override is not None:
+        return load_clearsky_csv(cfg.clearsky_override, dataset.timestamps)
+    sp = sun_positions(dataset.timestamps, dataset.site)
+    return clearsky_ghi(sp, dataset.timestamps, dataset.site, cfg.solver.linke_turbidity)
+
+
 def cmd_identify(args) -> int:
     cfg = load_run_config(args.config)
     dataset = _load_dataset(cfg)
-    ghi_clear = clearsky_ghi(
-        dataset.timestamps, dataset.site, override_path=cfg.clearsky_override,
-        linke_turbidity=cfg.solver.linke_turbidity,
-    )
-    result = identify(dataset, ghi_clear, cfg.proxy, cfg.orientation)
+    result = identify(dataset, _clear_sky(cfg, dataset), cfg.proxy, cfg.orientation)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     omega_path = cfg.output_dir / "omega.json"
     save_omegas(result, omega_path)
@@ -113,13 +119,9 @@ def cmd_estimate(args) -> int:
     except KeyError as exc:
         raise InputError(f"no coefficients for plant {exc}") from None
 
-    ghi_clear = clearsky_ghi(
-        dataset.timestamps, dataset.site, override_path=cfg.clearsky_override,
-        linke_turbidity=cfg.solver.linke_turbidity,
-    )
     result = estimate(
         dataset, ordered, mesh.orientations, cfg.proxy, cfg.solver,
-        ghi_clear=ghi_clear,
+        ghi_clear=_clear_sky(cfg, dataset),
     )
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -139,8 +139,8 @@ class AlignedDataset:
         power samples stay missing.
         """
         temps = np.column_stack([p.temperature for p in self.plants])
-        with np.errstate(invalid="ignore"):
-            mean = np.nanmean(temps, axis=1)
+        with np.errstate(invalid="ignore"):  # 0 / 0 is NaN where no plant reports
+            mean = np.nansum(temps, axis=1) / (~np.isnan(temps)).sum(axis=1)
         if np.isnan(mean).all():
             return np.zeros(len(mean)) + 15.0
         if np.isnan(mean).any():
@@ -182,9 +182,10 @@ def read_series_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     it or no data rows is an InputError naming the file. A file in the
     form ``write_series_csv`` writes is split in whole-text passes and
     any other by ``csv.reader`` row by row; both give the same result.
+    The file is read as UTF-8, and a leading byte-order mark is skipped.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise InputError(f"{path}: file not found") from None
@@ -402,6 +403,24 @@ def save_plant_csv(series: PlantSeries, path) -> None:
     write_series_csv(
         path, PLANT_CSV_HEADER, series.timestamps, (series.power, series.temperature)
     )
+
+
+def load_clearsky_csv(path, timestamps: np.ndarray) -> np.ndarray:
+    """Read a ``timestamp,ghi_clear_wm2`` override CSV onto the requested grid.
+
+    Every requested timestamp must be in the file with a finite,
+    non-negative value; the file's stamps must be strictly increasing.
+    """
+    stamps, (values,) = read_series_csv(path, "timestamp,ghi_clear_wm2")
+    wanted = np.asarray(timestamps, dtype="datetime64[s]")
+    out, _ = _at_stamps(stamps, values, wanted)
+    bad = ~(np.isfinite(out) & (out >= 0))
+    if bad.any():
+        raise InputError(
+            f"{path}: no finite non-negative value for {int(bad.sum())} requested timestamps "
+            f"(first: {wanted[bad][0]})"
+        )
+    return out
 
 
 def align(plants: list[PlantSeries], site: Site) -> AlignedDataset:

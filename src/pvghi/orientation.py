@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    AlignedDataset, InputError, PlantSeries, check_settings, expect, read_json, write_json,
+    AlignedDataset, InputError, check_settings, expect, read_json, write_json,
 )
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import binned_quantile, sun_bin_keys
@@ -158,22 +158,17 @@ def generate_mesh(subdivision: int = 2) -> OrientationMesh:
     return OrientationMesh(orientations=tuple(selected), subdivision_level=subdivision)
 
 
-def select_clear(
-    plant: PlantSeries, sp: SolarPosition, bin_deg: float = 5.0
-) -> np.ndarray:
-    """Boolean clear-sky seed mask for one plant, from its power envelope.
+def select_clear(power: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean clear-sky seed mask of a plant's daytime ``power``, from its envelope.
 
-    Daytime samples with power are grouped by (zenith, azimuth) bin of
-    ``bin_deg`` degrees. In a bin with at least ENVELOPE_MIN_SAMPLES of
-    them, a sample is clear when its power reaches ENVELOPE_FRAC of the
-    bin's ENVELOPE_QUANTILE quantile. Smaller bins, night and missing
-    samples are never clear. ``identify`` narrows the seed with the
-    forward model.
+    Samples with power are grouped by their daytime step's sun-bin key in
+    ``keys``. In a bin with at least ENVELOPE_MIN_SAMPLES of them, a
+    sample is clear when its power reaches ENVELOPE_FRAC of the bin's
+    ENVELOPE_QUANTILE quantile. Smaller bins and missing samples are
+    never clear. ``identify`` narrows the seed with the forward model.
     """
-    power = plant.power
-    rows = np.flatnonzero(sp.daytime & np.isfinite(power))
-    keys = sun_bin_keys(sp, rows, bin_deg)
-    x = power[rows]
+    rows = np.isfinite(power)
+    x, keys = power[rows], keys[rows]
     cells, level = binned_quantile(keys, x, ENVELOPE_QUANTILE, ENVELOPE_MIN_SAMPLES)
     level_of = np.full(keys.max(initial=0) + 1, np.inf)
     level_of[cells] = level
@@ -486,12 +481,15 @@ class IdentificationResult:
     report: SplitReport
 
 
-def _fold_edges(timestamps: np.ndarray, length_days: int, rows: np.ndarray) -> list[np.ndarray]:
-    """Fold membership of the timesteps ``rows``; folds start at the first timestamp."""
-    start = timestamps[0].astype("int64")
-    day = ((timestamps.astype("int64") - start) // 86400).astype(int)
-    fold = day // length_days
-    return [fold[rows] == k for k in range(int(fold.max()) + 1)]
+def _folds(days: np.ndarray, lengths, rows: np.ndarray) -> dict[int, list[np.ndarray]]:
+    """Per fold length, the fold memberships of the timesteps ``rows``; ``days``
+    counts each timestep's days since the first, where the folds start. The
+    folds cover every timestep, so the last may hold none of ``rows``."""
+    folds = {}
+    for length in lengths:
+        fold = days[rows] // length
+        folds[length] = [fold == k for k in range(int(days[-1]) // length + 1)]
+    return folds
 
 
 def _split_search(
@@ -581,24 +579,23 @@ def identify(
     The mesh is ``generate_mesh(cfg.subdivision)``, which the result
     returns as ``mesh``. The clear-sky proxy is built once, on the
     daytime timesteps, and so are each daytime row's daylight period,
-    its ``cfg.clear_bin_deg`` sun-bin key, its fold of each length in
-    ``cfg.split_candidates`` that the data span, and the fit minimum
-    max(mesh size, MIN_FIT_SAMPLES). ``_clear_proxy`` builds the proxy
-    a block of planes at a time, so identification holds the proxy and
-    one block's incidence geometry, never the whole mesh's. Each plant
-    is one ``_ClearFits`` record: ``select_clear`` seeds its clear
-    samples in the same sun bins, ``_refine_clear`` narrows them with
-    the forward model, and ``_split_search`` fits them per fold; both
-    fit through the record, so no row set is fitted twice. A dataset
-    shorter than every candidate, or a clear-sky GHI that
-    ``check_clearsky`` rejects, is an InputError; a plant left with too
-    few clear samples or with all-zero coefficients is an
-    InsufficientDataError naming it.
+    its ``cfg.clear_bin_deg`` sun-bin key, the day index that gives the
+    span and its fold of each length in ``cfg.split_candidates`` that
+    the data span, and the fit minimum max(mesh size, MIN_FIT_SAMPLES).
+    ``_clear_proxy`` builds the proxy a block of planes at a time, so
+    identification holds the proxy and one block's incidence geometry,
+    never the whole mesh's. Each plant is one ``_ClearFits`` record:
+    ``select_clear`` seeds its clear samples in the shared sun bins,
+    ``_refine_clear`` narrows them with the forward model, and
+    ``_split_search`` fits them per fold; both fit through the record,
+    so no row set is fitted twice. A dataset shorter than every
+    candidate, or a clear-sky GHI that ``check_clearsky`` rejects, is an
+    InputError; a plant left with too few clear samples or with
+    all-zero coefficients is an InsufficientDataError naming it.
     """
-    span_days = int(
-        (dataset.timestamps[-1].astype("int64") - dataset.timestamps[0].astype("int64"))
-        // 86400
-    ) + 1
+    seconds = dataset.timestamps.astype("int64")
+    days = (seconds - seconds[0]) // 86400
+    span_days = int(days[-1]) + 1
     usable = [d for d in cfg.split_candidates if d <= span_days]
     if not usable:
         raise InputError(
@@ -616,11 +613,9 @@ def identify(
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
     fits = [_ClearFits(p.plant_id, p.power[day], pr, n_min) for p in dataset.plants]
     masks, starts = zip(*(
-        _refine_clear(fit, select_clear(p, sp, cfg.clear_bin_deg)[day], period, keys, params)
-        for p, fit in zip(dataset.plants, fits)
+        _refine_clear(fit, select_clear(fit.power, keys), period, keys, params) for fit in fits
     ))
-    folds = {length: _fold_edges(dataset.timestamps, length, day) for length in usable}
-    omegas, report = _split_search(fits, masks, starts, folds, params)
+    omegas, report = _split_search(fits, masks, starts, _folds(days, usable, day), params)
     return IdentificationResult(omegas=omegas, mesh=mesh, report=report)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputError, Site, _at_stamps, read_series_csv
+from .data import InputError, Site
 
 SOLAR_CONSTANT = 1367.0  # W/m^2
 AIRMASS_NIGHT = np.inf  # sentinel for sun below horizon
@@ -148,10 +148,11 @@ def relative_airmass(zenith) -> np.ndarray:
     return np.where(zdeg < 90.0, am, AIRMASS_NIGHT)
 
 
-def _ineichen(
-    sp: SolarPosition, timestamps: np.ndarray, site: Site, linke_turbidity: float
+def clearsky_ghi(
+    sp: SolarPosition, timestamps: np.ndarray, site: Site, linke_turbidity: float = 3.0
 ) -> np.ndarray:
-    """Ineichen-Perez clear-sky GHI with a fixed Linke turbidity at the sun positions ``sp``."""
+    """Ineichen-Perez clear-sky GHI with a fixed Linke turbidity at the sun
+    positions ``sp`` of ``timestamps``; 0 at night."""
     e0 = extraterrestrial_normal(day_of_year(timestamps))
     am = relative_airmass(sp.zenith)
     h = site.altitude
@@ -168,8 +169,7 @@ def _ineichen(
             * np.exp(-cg2 * am * (fh1 + fh2 * (tl - 1.0)))
             * np.exp(0.01 * am**1.8)
         )
-    ghi = np.where(np.isfinite(am) & (ghi > 0), ghi, 0.0)
-    return ghi
+    return np.where(np.isfinite(am) & (ghi > 0), ghi, 0.0)
 
 
 def check_clearsky(ghi_clear, sp: SolarPosition) -> np.ndarray:
@@ -186,33 +186,3 @@ def check_clearsky(ghi_clear, sp: SolarPosition) -> np.ndarray:
     if bad:
         raise InputError(f"clear-sky GHI: {bad} daytime value(s) not finite and >= 0")
     return ghi_clear
-
-
-def load_clearsky_csv(path, timestamps: np.ndarray) -> np.ndarray:
-    """Read a ``timestamp,ghi_clear_wm2`` override CSV onto the requested grid.
-
-    Every requested timestamp must be in the file with a finite,
-    non-negative value; the file's stamps must be strictly increasing.
-    """
-    stamps, (values,) = read_series_csv(path, "timestamp,ghi_clear_wm2")
-    wanted = np.asarray(timestamps, dtype="datetime64[s]")
-    out, _ = _at_stamps(stamps, values, wanted)
-    bad = ~(np.isfinite(out) & (out >= 0))
-    if bad.any():
-        raise InputError(
-            f"{path}: no finite non-negative value for {int(bad.sum())} requested timestamps "
-            f"(first: {wanted[bad][0]})"
-        )
-    return out
-
-
-def clearsky_ghi(
-    timestamps: np.ndarray,
-    site: Site,
-    override_path=None,
-    linke_turbidity: float = 3.0,
-) -> np.ndarray:
-    """Clear-sky GHI series: file override if given, built-in model otherwise."""
-    if override_path is not None:
-        return load_clearsky_csv(override_path, timestamps)
-    return _ineichen(sun_positions(timestamps, site), timestamps, site, linke_turbidity)

@@ -33,7 +33,7 @@ from .reconcile import (
     trust_weights,
     tukey_gate_matrix,
 )
-from .solar import SolarPosition, _ineichen, check_clearsky, sun_positions
+from .solar import SolarPosition, check_clearsky, clearsky_ghi, sun_positions
 
 
 ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
@@ -426,14 +426,15 @@ def estimate(
     Builds shadow maps and trust weights (for two or more plants), runs
     the grid initialization, then alternates outlier gating with descent
     refinement a fixed number of rounds. A single plant reduces to the
-    ungated, unweighted objective. ``ghi_clear`` defaults to the model
-    of ``clearsky_ghi`` and must pass ``check_clearsky``. ``threads`` is
-    accepted and ignored: the solve is single-threaded.
+    ungated, unweighted objective. ``ghi_clear`` defaults to
+    ``clearsky_ghi`` at ``cfg.linke_turbidity`` and must pass
+    ``check_clearsky``. ``threads`` is accepted and ignored: the solve
+    is single-threaded.
     """
     t0 = time.perf_counter()
     sp = sun_positions(dataset.timestamps, dataset.site)
     if ghi_clear is None:
-        ghi_clear = _ineichen(sp, dataset.timestamps, dataset.site, cfg.linke_turbidity)
+        ghi_clear = clearsky_ghi(sp, dataset.timestamps, dataset.site, cfg.linke_turbidity)
     ghi_clear = check_clearsky(ghi_clear, sp)
     model = ForwardModel(dataset, omegas, mesh_orientations, params, sp)
 

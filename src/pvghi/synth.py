@@ -117,15 +117,17 @@ def synthesize(
     coefficient is nominal_power / (k2 * I_STC); shading sectors, then
     multiplicative noise, then the curtailment cap are applied in that
     order. Per-plant noise streams are seeded independently, so the
-    output never depends on evaluation order. A seed below 0 is an
-    InputError.
+    output never depends on evaluation order. A seed below 0 or an empty
+    ``timestamps`` is an InputError.
     """
     if seed < 0:
         raise InputError(f"seed: must be >= 0, got {seed}")
     timestamps = np.asarray(timestamps, dtype="datetime64[s]")
+    if timestamps.size == 0:
+        raise InputError("timestamps: empty grid, nothing to synthesize")
     rng = np.random.default_rng(seed)
     sp = sun_positions(timestamps, site)
-    clear = clearsky_ghi(timestamps, site, linke_turbidity=linke_turbidity)
+    clear = clearsky_ghi(sp, timestamps, site, linke_turbidity)
     att = spec.cloud.attenuation(len(timestamps), rng)
     ghi_true = clear * att
     ghi_true[~sp.daytime] = 0.0

@@ -8,7 +8,9 @@ from pvghi import (
     Site,
     estimate_nominal_power,
     generate_mesh,
+    select_clear,
 )
+from pvghi.reconcile import sun_bin_keys
 from pvghi.synth import make_timestamps
 
 # Property tests draw the same examples on every run and keep none on disk.
@@ -42,6 +44,15 @@ def mesh_vertex(mesh, tilt_deg, azimuth_deg, tol_deg=1.0):
             best, best_d = o, d
     assert best_d < 25, "no mesh vertex near the requested orientation"
     return best
+
+
+def clear_seed(plant, sp, bin_deg=5.0):
+    """``select_clear``'s seed mask of ``plant`` over all timesteps, on the
+    daytime steps' ``bin_deg`` sun bins; night is never clear."""
+    day = np.flatnonzero(sp.daytime)
+    mask = np.zeros(len(plant.power), dtype=bool)
+    mask[day] = select_clear(plant.power[day], sun_bin_keys(sp, day, bin_deg))
+    return mask
 
 
 def true_omega(mesh, fields, plant_id, params=ProxyParams()):

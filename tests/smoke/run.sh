@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Runs synth, identify, estimate and evaluate on the 10-day scene in this
 # directory (spec.json, run.ini), inside <workdir>, through a pvghi command,
-# then reruns identify and estimate under another PYTHONHASHSEED and fails
-# unless omega.json, split_table.csv and ghi_estimate.csv are byte-equal:
+# with Python warnings as errors and one daytime step where no plant reports
+# its temperature, then reruns identify and estimate under another
+# PYTHONHASHSEED and fails unless omega.json, split_table.csv and
+# ghi_estimate.csv are byte-equal:
 #
 #   bash tests/smoke/run.sh <workdir> <pvghi command...>
 #
@@ -16,7 +18,17 @@ shift
 mkdir -p "$workdir"
 cp "$here/spec.json" "$here/run.ini" "$workdir/"
 cd "$workdir"
+export PYTHONWARNINGS=error
 "$@" synth --config run.ini --spec spec.json
+
+# Blank every plant's temperature at one daytime stamp; the commands must
+# fill that step from its neighbours without a warning.
+gap="2015-05-03T12:00:00Z"
+for f in out/p*.csv; do
+  sed -i "s/^\($gap,[^,]*\),[^,]*\$/\1,/" "$f"
+  grep -q "^$gap,[^,]*,\$" "$f"
+done
+
 PYTHONHASHSEED=1 "$@" identify --config run.ini
 PYTHONHASHSEED=1 "$@" estimate --config run.ini
 "$@" evaluate --est out/ghi_estimate.csv --truth out/ghi_truth.csv --output out/metrics.json

@@ -16,7 +16,6 @@ from pvghi import (
     estimate,
     identify_omega,
     normalized_rmse,
-    select_clear,
     sun_positions,
     tukey_gate_matrix,
 )
@@ -25,7 +24,7 @@ from pvghi.proxy import disc_dni, forward_chain, incidence_modifier, proxy_matri
 from pvghi.solar import SolarPosition, extraterrestrial_normal
 from pvghi.solver import ForwardModel, init_ghi, refine_ghi
 from pvghi.synth import PlantSpec, SyntheticSpec, make_timestamps, synthesize
-from conftest import mesh_vertex, true_omega
+from conftest import clear_seed, mesh_vertex, true_omega
 from test_proxy import (
     apply_temperature,
     chain_at,
@@ -135,13 +134,13 @@ def test_criterion_3_orientation_recovery(site, mesh, params):
     ).values
 
     plant = synth.dataset.plants[0]
-    mask = select_clear(plant, sp)
+    mask = clear_seed(plant, sp)
     omega = identify_omega(plant.power[mask], pr_clear[mask])
     j = mesh.orientations.index(south)
     dominance = float(omega[j] / omega.sum())
 
     plant2 = synth.dataset.plants[1]
-    mask2 = select_clear(plant2, sp)
+    mask2 = clear_seed(plant2, sp)
     omega2 = identify_omega(plant2.power[mask2], pr_clear[mask2])
     je, jw = mesh.orientations.index(east), mesh.orientations.index(west)
     p_east = omega2[je] * params.k2 * params.i_stc

@@ -233,13 +233,13 @@ def test_evaluate_no_overlap(pipeline_dir, tmp_path):
 def test_clearsky_override_wiring(pipeline_dir, tmp_path):
     """An override file reproducing the built-in model changes nothing."""
     import numpy as np
-    from pvghi import Site, clearsky_ghi
+    from pvghi import Site, clearsky_ghi, sun_positions
     from pvghi.data import load_plant_csv
 
     root, config, out = pipeline_dir
     site = Site(latitude=47.5, longitude=7.5, altitude=300.0)
     ts = load_plant_csv(out / "south.csv", "south").timestamps
-    clear = clearsky_ghi(ts, site)
+    clear = clearsky_ghi(sun_positions(ts, site), ts, site)
     override = tmp_path / "clear.csv"
     lines = ["timestamp,ghi_clear_wm2"] + [
         f"{np.datetime_as_string(t, timezone='UTC')},{float(g)!r}"

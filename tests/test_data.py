@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvghi import InputError, PlantSeries, Site, align, load_plant_csv
-from pvghi.data import parse_timestamp, read_series_csv, save_plant_csv, write_series_csv
+from pvghi.data import (
+    AlignedDataset,
+    load_clearsky_csv,
+    parse_timestamp,
+    read_series_csv,
+    save_plant_csv,
+    write_series_csv,
+)
 
 
 def write_csv(path, rows):
@@ -108,6 +115,37 @@ def test_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(first.temperature, second.temperature, equal_nan=True)
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    """A file saved as Excel's "CSV UTF-8" starts with a byte-order mark."""
+    body = b"timestamp,power_w,temp_c\n2021-06-01T10:00:00Z,1,10\n2021-06-01T10:10:00Z,2,11\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    assert read_outcome(read_series_csv, marked) == read_outcome(read_series_csv, plain)
+
+
+def clearsky_file(path, rows):
+    path.write_text("timestamp,ghi_clear_wm2\n" + "".join(f"{t},{v}\n" for t, v in rows))
+    return path
+
+
+def test_clearsky_override_passthrough(tmp_path):
+    ts = np.datetime64("2021-06-10T10:00:00") + np.arange(3) * np.timedelta64(600, "s")
+    stamps = np.datetime_as_string(ts, timezone="UTC")
+    path = clearsky_file(tmp_path / "clear.csv", zip(stamps, ["100.0", "200.0", "300.0"]))
+    np.testing.assert_array_equal(load_clearsky_csv(path, ts), [100.0, 200.0, 300.0])
+
+
+def test_clearsky_override_missing_timestamp(tmp_path):
+    ts = np.datetime64("2021-06-10T10:00:00") + np.arange(3) * np.timedelta64(600, "s")
+    path = clearsky_file(tmp_path / "clear.csv", [("2021-06-10T10:00:00Z", "100.0")])
+    with pytest.raises(
+        InputError, match="no finite non-negative value for 2 requested timestamps "
+        r"\(first: 2021-06-10T10:10:00\)"
+    ):
+        load_clearsky_csv(path, ts)
+
+
 def make_series(pid, start, n, step=600, power=None):
     ts = np.datetime64(start, "s") + np.arange(n) * np.timedelta64(step, "s")
     power = np.arange(n, dtype=float) if power is None else power
@@ -155,6 +193,16 @@ def test_align_idempotent(site):
     assert np.array_equal(once.timestamps, twice.timestamps)
     for p1, p2 in zip(once.plants, twice.plants):
         assert np.array_equal(p1.power, p2.power, equal_nan=True)
+
+
+def test_mean_temperature_interpolates_a_gap_every_plant_shares(site):
+    """A step where no plant reports takes the interpolation of its
+    neighbours, without a warning; the others average the plants that report."""
+    ts = np.datetime64("2021-06-01T00:00:00", "s") + np.arange(4) * np.timedelta64(600, "s")
+    a = PlantSeries("a", ts, np.ones(4), np.array([10.0, 12.0, np.nan, 14.0]))
+    b = PlantSeries("b", ts, np.ones(4), np.array([20.0, np.nan, np.nan, 16.0]))
+    mean = AlignedDataset(ts, (a, b), site).mean_temperature()
+    np.testing.assert_array_equal(mean, [15.0, 12.0, 13.5, 15.0])
 
 
 def test_site_validation():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls as scipy_nnls
 
@@ -33,7 +33,7 @@ from pvghi.orientation import (
     save_omegas,
 )
 from pvghi.proxy import forward_chain, proxy_matrix
-from pvghi.reconcile import sun_bin_keys
+from pvghi.reconcile import binned_quantile, sun_bin_keys
 from pvghi.solar import SolarPosition
 from pvghi.synth import (
     CloudModel,
@@ -43,7 +43,7 @@ from pvghi.synth import (
     make_timestamps,
     synthesize,
 )
-from conftest import mesh_vertex
+from conftest import clear_seed, mesh_vertex
 from test_acceptance import standard_fields
 from test_proxy import assert_same_bits
 from test_solver import with_missing
@@ -52,6 +52,39 @@ from test_solver import with_missing
 def by_splits(*days):
     """Identification settings with the split lengths ``days``, other settings default."""
     return OrientationConfig(split_candidates=days)
+
+
+def day_index(timestamps):
+    """Whole days since the first timestamp, as ``identify`` counts them."""
+    seconds = timestamps.astype("int64")
+    return (seconds - seconds[0]) // 86400
+
+
+def select_clear_reference(plant, sp, bin_deg=5.0):
+    """Reference seed mask over all timesteps: bins the plant's daytime
+    samples with power by their own sun positions, then selects as
+    ``select_clear`` does."""
+    power = plant.power
+    rows = np.flatnonzero(sp.daytime & np.isfinite(power))
+    keys = sun_bin_keys(sp, rows, bin_deg)
+    x = power[rows]
+    cells, level = binned_quantile(
+        keys, x, orientation.ENVELOPE_QUANTILE, orientation.ENVELOPE_MIN_SAMPLES
+    )
+    level_of = np.full(keys.max(initial=0) + 1, np.inf)
+    level_of[cells] = level
+    mask = np.zeros(len(power), dtype=bool)
+    mask[rows] = x >= orientation.ENVELOPE_FRAC * level_of[keys]
+    return mask
+
+
+def fold_edges_reference(timestamps, length_days, rows):
+    """Reference fold membership of the timesteps ``rows`` for one fold
+    length, from a day index of its own; folds start at the first timestamp."""
+    start = timestamps[0].astype("int64")
+    day = ((timestamps.astype("int64") - start) // 86400).astype(int)
+    fold = day // length_days
+    return [fold[rows] == k for k in range(int(fold.max()) + 1)]
 
 
 def daytime_proxy(dataset, ghi_clear, mesh, params):
@@ -74,7 +107,7 @@ def refined_masks(dataset, ghi_clear, mesh, params):
     sp, day, fits = clear_fits(dataset, ghi_clear, mesh, params)
     period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
     keys = sun_bin_keys(sp, day, 5.0)
-    seeds = [select_clear(p, sp) for p in dataset.plants]
+    seeds = [clear_seed(p, sp) for p in dataset.plants]
     refined = []
     for seed, fit in zip(seeds, fits):
         mask, _ = orientation._refine_clear(fit, seed[day], period, keys, params)
@@ -87,10 +120,9 @@ def refined_masks(dataset, ghi_clear, mesh, params):
 def split_search(dataset, ghi_clear, mesh, params, masks, split_days):
     """The split search alone, on clear masks over all timesteps."""
     _, day, fits = clear_fits(dataset, ghi_clear, mesh, params)
-    folds = {n: orientation._fold_edges(dataset.timestamps, n, day) for n in split_days}
     omegas, report = orientation._split_search(
         fits, [m[day] & fit.finite for m, fit in zip(masks, fits)], [None] * len(fits),
-        folds, params,
+        orientation._folds(day_index(dataset.timestamps), split_days, day), params,
     )
     return IdentificationResult(omegas, mesh, report)
 
@@ -190,7 +222,7 @@ class TestSelectClear:
         synth, sp, _, _, _, _ = clear_scene
         truly = synth.clear_true
         for plant in synth.dataset.plants:
-            mask = select_clear(plant, sp)
+            mask = clear_seed(plant, sp)
             recall = (mask & truly).sum() / truly.sum()
             precision = (mask & truly).sum() / mask.sum()
             assert recall >= 0.45
@@ -198,7 +230,7 @@ class TestSelectClear:
 
     def test_night_never_clear(self, clear_scene):
         synth, sp, _, _, _, _ = clear_scene
-        mask = select_clear(synth.dataset.plants[0], sp)
+        mask = clear_seed(synth.dataset.plants[0], sp)
         assert not mask[~sp.daytime].any()
 
     def test_fully_clear_series_still_selects(self, site, mesh):
@@ -209,7 +241,7 @@ class TestSelectClear:
         synth = synthesize(spec, site, ts, seed=1)
         assert synth.clear_true[sun_positions(ts, site).daytime].all()
         sp = sun_positions(ts, site)
-        mask = select_clear(synth.dataset.plants[0], sp)
+        mask = clear_seed(synth.dataset.plants[0], sp)
         day_power = sp.daytime & (synth.dataset.plants[0].power > 0)
         assert mask.sum() / day_power.sum() >= 0.4
 
@@ -219,7 +251,7 @@ class TestSelectClear:
         power = plant.power.copy()
         power[:: 2] = np.nan
         holed = PlantSeries(plant.plant_id, plant.timestamps, power, plant.temperature)
-        mask = select_clear(holed, sp)
+        mask = clear_seed(holed, sp)
         assert not mask[::2].any()
 
 
@@ -242,6 +274,75 @@ def test_missing_power_is_never_selected_clear(clear_scene, mesh, params, data):
     for i, (seed, mask) in enumerate(zip(seeds, refined)):
         assert not (seed & missing[:, i]).any()
         assert not (mask & missing[:, i]).any()
+
+
+def plant_of(power):
+    """A plant with ``power`` on a 10-min grid."""
+    step = np.timedelta64(600, "s")
+    ts = np.datetime64("2015-05-01T00:00:00", "s") + np.arange(len(power)) * step
+    return PlantSeries("p", ts, power, np.full(len(power), 15.0))
+
+
+@st.composite
+def sun_and_power(draw):
+    """Sun positions above and below the horizon, a power series with
+    gaps and a bin size; coarse bins hold many samples, fine ones few."""
+    n = draw(st.integers(1, 150))
+    zenith = draw(arrays(float, n, elements=st.floats(0.0, np.pi)))
+    azimuth = draw(arrays(float, n, elements=st.floats(0.0, 2 * np.pi)))
+    power = draw(arrays(float, n, elements=st.one_of(st.floats(0.0, 1e4), st.just(np.nan))))
+    return SolarPosition(azimuth, zenith), power, draw(st.sampled_from([5.0, 30.0, 90.0]))
+
+
+# a night row, a gap, one bin of six samples with power and one of two (below
+# ENVELOPE_MIN_SAMPLES)
+@example((
+    SolarPosition(np.full(10, 3.0), np.array([0.5] * 6 + [2.0, 0.5, 1.2, 1.2])),
+    np.array([900.0, 1000.0, 950.0, np.nan, 500.0, 990.0, 800.0, 1000.0, 300.0, 310.0]),
+    5.0,
+))
+@settings(max_examples=200)
+@given(sun_and_power())
+def test_select_clear_on_daytime_keys_equals_the_reference(scene):
+    """``select_clear`` on the daytime steps' sun-bin keys, bit for bit."""
+    sp, power, bin_deg = scene
+    plant = plant_of(power)
+    np.testing.assert_array_equal(
+        clear_seed(plant, sp, bin_deg), select_clear_reference(plant, sp, bin_deg)
+    )
+
+
+@st.composite
+def fold_scenes(draw):
+    """Timestamps from any time of day at one of several steps, fold
+    lengths and the rows whose folds are taken."""
+    n = draw(st.integers(1, 300))
+    step = draw(st.sampled_from([600, 3600, 5 * 3600, 86400, 3 * 86400]))
+    start = np.datetime64("2015-05-01T00:00:00", "s") + draw(st.integers(0, 86399))
+    timestamps = start + np.arange(n) * np.timedelta64(step, "s")
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    return timestamps, lengths, np.flatnonzero(draw(arrays(bool, n)))
+
+
+# a 10-day span that neither length divides, rows on the first 5 days only:
+# the last fold of each length holds no row
+@example((
+    np.datetime64("2015-05-01T06:00:00", "s") + np.arange(240) * np.timedelta64(3600, "s"),
+    [3, 4], np.arange(120),
+))
+@settings(max_examples=200)
+@given(fold_scenes())
+def test_folds_of_every_length_equal_the_per_length_reference(scene):
+    """``_folds`` on one day index gives every length's folds bit for bit,
+    as many as span every timestep's day."""
+    timestamps, lengths, rows = scene
+    folds = orientation._folds(day_index(timestamps), lengths, rows)
+    assert list(folds) == lengths
+    for length in lengths:
+        reference = fold_edges_reference(timestamps, length, rows)
+        assert len(folds[length]) == len(reference)
+        for got, want in zip(folds[length], reference):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRefineClear:
@@ -334,7 +435,7 @@ class TestIdentifyOmega:
         synth, sp, pr_clear, _, _, _ = clear_scene
         plant = synth.dataset.plants[0]
         # contaminated mask so the robust loop actually has to work
-        mask = select_clear(plant, sp)
+        mask = clear_seed(plant, sp)
         history = huber_losses(plant.power[mask], pr_clear[mask])
         assert len(history) >= 2
         diffs = np.diff(np.array(history))
@@ -348,7 +449,7 @@ class TestIdentifyOmega:
     def test_nonnegative_always(self, clear_scene):
         synth, sp, pr_clear, _, _, _ = clear_scene
         for plant in synth.dataset.plants:
-            mask = select_clear(plant, sp)
+            mask = clear_seed(plant, sp)
             omega = identify_omega(plant.power[mask], pr_clear[mask])
             assert np.all(omega >= 0.0)
 
@@ -517,10 +618,11 @@ def test_identify_fits_each_row_set_once(clear_scene, mesh, params, monkeypatch)
 
     # the row sets the split search fits, on the refined masks
     sp, day, pr = daytime_proxy(dataset, synth.ghi_clear, mesh, params)
+    folds = orientation._folds(day_index(dataset.timestamps), splits, day)
     fold_sets, n_folds = set(), 0
     for plant, mask in zip(dataset.plants, refined):
         for length in splits:
-            for fold in orientation._fold_edges(dataset.timestamps, length, day):
+            for fold in folds[length]:
                 rows = mask[day] & fold
                 if rows.sum() >= max(len(mesh), orientation.MIN_FIT_SAMPLES):
                     fold_sets.add(plant.power[day][rows].tobytes() + pr[rows].tobytes())
@@ -551,7 +653,7 @@ class TestNominalPower:
                 sp, ts, synth.dataset.mean_temperature(), mesh.orientations, params, site
             ),
         ).values
-        mask = select_clear(synth.dataset.plants[0], sp)
+        mask = clear_seed(synth.dataset.plants[0], sp)
         omega = identify_omega(synth.dataset.plants[0].power[mask], pr_clear[mask])
         assert abs(estimate_nominal_power(omega, params) - 6600.0) / 6600.0 < 0.10
 
@@ -642,8 +744,9 @@ class TestSplits:
         power = synth.dataset.plants[0].power[day]
         assert res.report.chosen_split == 75
 
+        folds_of = orientation._folds(day_index(ts), res.report.split_days, day)
         for length, pooled in zip(res.report.split_days, res.report.pv_rmse):
-            folds = [masks[0] & fold for fold in orientation._fold_edges(ts, length, day)]
+            folds = [masks[0] & fold for fold in folds_of[length]]
             omegas = [fitted[rows.tobytes()] for rows in folds]  # every fold is fitted
             ratings = [estimate_nominal_power(omega, params) for omega in omegas]
             rmse = [
@@ -771,7 +874,7 @@ def test_identify_refuses_all_zero_coefficients(site, mesh, params):
     with pytest.raises(
         InsufficientDataError, match="dead: identification left every orientation at zero"
     ):
-        split_search(dataset, clearsky_ghi(ts, site), mesh, params, [sp.daytime], (7,))
+        split_search(dataset, clearsky_ghi(sp, ts, site), mesh, params, [sp.daytime], (7,))
 
 
 def test_split_search_names_a_plant_without_a_fold_to_fit(site, mesh, params):
@@ -783,7 +886,7 @@ def test_split_search_names_a_plant_without_a_fold_to_fit(site, mesh, params):
     mask = sp.daytime & (np.cumsum(sp.daytime) < n_min)
     dataset = AlignedDataset(ts, (plant,), site)
     with pytest.raises(InsufficientDataError, match="sparse: no fold has enough clear samples"):
-        split_search(dataset, clearsky_ghi(ts, site), mesh, params, [mask], (7,))
+        split_search(dataset, clearsky_ghi(sp, ts, site), mesh, params, [mask], (7,))
 
 
 def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, monkeypatch):
@@ -823,6 +926,23 @@ def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, mo
     assert again.report == res.report
     for a, b in zip(res.omegas, again.omegas):
         np.testing.assert_array_equal(a.omega, b.omega)
+
+
+def test_identify_bins_the_daytime_sun_positions_once(clear_scene, params, monkeypatch):
+    """Every plant's seed and refinement share one sun-bin key per daytime step."""
+    synth, sp, _, _, _, _ = clear_scene
+    calls = []
+
+    def counting(sp_, rows, bin_deg):
+        calls.append((rows, bin_deg))
+        return sun_bin_keys(sp_, rows, bin_deg)
+
+    monkeypatch.setattr(orientation, "sun_bin_keys", counting)
+    cfg = OrientationConfig(split_candidates=(45,), clear_bin_deg=4.0)
+    identify(synth.dataset, synth.ghi_clear, params, cfg)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][0], np.flatnonzero(sp.daytime))
+    assert calls[0][1] == 4.0
 
 
 @pytest.mark.parametrize("level, n_blocks, block", [(1, 6, 3), (2, 8, 8)])

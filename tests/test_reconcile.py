@@ -10,7 +10,6 @@ from scipy.ndimage import gaussian_filter
 
 from pvghi import (
     build_shadow_map,
-    select_clear,
     smooth_threshold_map,
     sun_positions,
     trust_weights,
@@ -28,7 +27,7 @@ from pvghi.reconcile import (
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.solar import SolarPosition
 from pvghi.synth import PlantSpec, ShadowSector, SyntheticSpec, make_timestamps, synthesize
-from conftest import mesh_vertex, true_omega
+from conftest import clear_seed, mesh_vertex, true_omega
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +308,7 @@ def test_shadow_map_bins_match_numpy_percentile():
         + (np.rad2deg(sp.azimuth[day]) // 20.0).astype(int)
     )
     cells, level = binned_quantile(keys, x, 0.95, 5)
-    selected = select_clear(plant, sp, bin_deg=20.0)[day]
+    selected = clear_seed(plant, sp, bin_deg=20.0)[day]
     thin = 0
     for key in np.unique(keys):
         cell = x[keys == key]

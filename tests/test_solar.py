@@ -173,15 +173,16 @@ def test_airmass_values():
 
 def test_clearsky_night_zero_and_nonnegative(site):
     ts = np.datetime64("2021-06-10T00:00:00") + np.arange(144) * np.timedelta64(600, "s")
-    ghi = clearsky_ghi(ts, site)
     sp = sun_positions(ts, site)
+    ghi = clearsky_ghi(sp, ts, site)
     assert np.all(ghi >= 0)
     assert np.all(ghi[~sp.daytime] == 0)
 
 
 def test_clearsky_summer_noon_range():
     site = Site(latitude=45.0, longitude=0.0, altitude=200.0)
-    ghi = clearsky_ghi(np.array([np.datetime64("2021-06-21T12:00:00")]), site)
+    ts = np.array([np.datetime64("2021-06-21T12:00:00")])
+    ghi = clearsky_ghi(sun_positions(ts, site), ts, site)
     assert 700.0 <= ghi[0] <= 1100.0
 
 
@@ -199,29 +200,8 @@ def test_clearsky_cross_check_independent_chain():
     expected = (
         cg1 * e0 * np.cos(zen) * np.exp(-cg2 * am * (fh1 + 2.0 * fh2)) * np.exp(0.01 * am**1.8)
     )
-    got = clearsky_ghi(np.array([ts]), site)[0]
+    got = clearsky_ghi(sun_positions(np.array([ts]), site), np.array([ts]), site)[0]
     assert abs(got - expected) / expected < 0.02
-
-
-def test_clearsky_override_passthrough(tmp_path, site):
-    ts = np.datetime64("2021-06-10T10:00:00") + np.arange(3) * np.timedelta64(600, "s")
-    path = tmp_path / "clear.csv"
-    lines = ["timestamp,ghi_clear_wm2"]
-    for k, t in enumerate(ts):
-        lines.append(f"{np.datetime_as_string(t, timezone='UTC')},{100.0 * (k + 1)!r}")
-    path.write_text("\n".join(lines) + "\n")
-    ghi = clearsky_ghi(ts, site, override_path=path)
-    np.testing.assert_array_equal(ghi, [100.0, 200.0, 300.0])
-
-
-def test_clearsky_override_missing_timestamp(tmp_path, site):
-    ts = np.datetime64("2021-06-10T10:00:00") + np.arange(3) * np.timedelta64(600, "s")
-    path = tmp_path / "clear.csv"
-    path.write_text(
-        "timestamp,ghi_clear_wm2\n2021-06-10T10:00:00Z,100.0\n"
-    )
-    with pytest.raises(InputError, match="missing"):
-        clearsky_ghi(ts, site, override_path=path)
 
 
 def test_day_of_year():

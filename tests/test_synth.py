@@ -3,8 +3,9 @@
 import warnings
 
 import numpy as np
+import pytest
 
-from pvghi import sun_positions
+from pvghi import InputError, sun_positions
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
     CloudModel,
@@ -129,3 +130,24 @@ def test_start_is_read_like_a_csv_timestamp():
     np.testing.assert_array_equal(zulu, naive)
     np.testing.assert_array_equal(utc, naive)
     np.testing.assert_array_equal(plus2, naive - np.timedelta64(2, "h"))
+
+
+def test_synthesize_computes_the_sun_positions_once(site, mesh, monkeypatch):
+    """The clear-sky curve is evaluated on the sun positions of the power chain."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sun_positions(*args)
+
+    monkeypatch.setattr("pvghi.solar.sun_positions", counting)
+    monkeypatch.setattr("pvghi.synth.sun_positions", counting)
+    spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
+    synthesize(spec, site, make_timestamps("2015-06-01T00:00:00", 1, 600), seed=0)
+    assert len(calls) == 1
+
+
+def test_an_empty_grid_is_an_input_error(site, mesh):
+    spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
+    with pytest.raises(InputError, match="timestamps: empty grid"):
+        synthesize(spec, site, make_timestamps("2015-06-01T00:00:00", 0, 600), seed=0)

@@ -30,7 +30,7 @@ from .data import (
 )
 from .metrics import block_average, normalized_rmse
 from .orientation import generate_mesh, identify, load_omegas, save_omegas
-from .solar import Orientation, clearsky_ghi, sun_positions
+from .solar import Orientation
 from .solver import estimate
 from .synth import (
     CloudModel,
@@ -71,13 +71,11 @@ def _load_dataset(cfg: RunConfig):
     return dataset
 
 
-def _clear_sky(cfg: RunConfig, dataset) -> np.ndarray:
-    """The dataset's clear-sky GHI: the ``[paths] clearsky_override`` file
-    if set, else ``clearsky_ghi`` at the configured Linke turbidity."""
-    if cfg.clearsky_override is not None:
-        return load_clearsky_csv(cfg.clearsky_override, dataset.timestamps)
-    sp = sun_positions(dataset.timestamps, dataset.site)
-    return clearsky_ghi(sp, dataset.timestamps, dataset.site, cfg.solver.linke_turbidity)
+def _clear_sky(cfg: RunConfig, dataset) -> np.ndarray | None:
+    """The ``[paths] clearsky_override`` file on the dataset's stamps, or None,
+    which ``identify`` and ``estimate`` read as the site's clear-sky model."""
+    path = cfg.clearsky_override
+    return None if path is None else load_clearsky_csv(path, dataset.timestamps)
 
 
 def cmd_identify(args) -> int:
@@ -249,10 +247,7 @@ def cmd_synth(args) -> int:
     spec, timestamps = _read_synth_spec(
         args.spec, cfg.sampling_seconds or SYNTH_SAMPLING_SECONDS
     )
-    synth = synthesize(
-        spec, cfg.site, timestamps, seed=seed, params=cfg.proxy,
-        linke_turbidity=cfg.solver.linke_turbidity,
-    )
+    synth = synthesize(spec, cfg.site, timestamps, seed=seed, params=cfg.proxy)
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -5,8 +5,8 @@ Each field of ``Site``, ``ProxyParams``, ``OrientationConfig`` and
 section its class names in ``_SECTIONS``, its value is read by the
 reader of the field's annotated type, and a key left out takes the
 field's default (``[site]`` requires the ``Site`` fields that have
-none). Only the solver's trust and gate settings, listed in
-``_RECONCILIATION``, sit under other keys, in ``[reconciliation]``.
+none). Only the fields in ``_OTHER_KEYS`` sit elsewhere: the trust and
+gate settings in ``[reconciliation]``, ``linke_turbidity`` in ``[solver]``.
 
 Unknown sections or keys are rejected so typos cannot silently fall
 back to defaults, and a value that does not parse or is out of the
@@ -58,7 +58,8 @@ _SECTIONS = {
     OrientationConfig: "orientation",
     SolverConfig: "solver",
 }
-_RECONCILIATION = {
+_OTHER_KEYS = {
+    "linke_turbidity": ("solver", "linke_turbidity"),
     "trust_bin_deg": ("reconciliation", "bin_deg"),
     "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg"),
     "trust_floor": ("reconciliation", "floor"),
@@ -66,7 +67,7 @@ _RECONCILIATION = {
 }
 # per settings class: field -> (INI section, key, field type)
 _KEYS = {
-    cls: {f.name: (*_RECONCILIATION.get(f.name, (section, f.name)), f.type) for f in fields(cls)}
+    cls: {f.name: (*_OTHER_KEYS.get(f.name, (section, f.name)), f.type) for f in fields(cls)}
     for cls, section in _SECTIONS.items()
 }
 _KNOWN_KEYS = {

@@ -46,12 +46,13 @@ def check_settings(settings, needs) -> None:
 
 @dataclass(frozen=True)
 class Site:
-    """Geographic location and ground properties of the neighborhood."""
+    """Geographic location, ground properties and shared sky of the neighborhood."""
 
     latitude: float
     longitude: float
     altitude: float = 0.0
     albedo: float = 0.2
+    linke_turbidity: float = 3.0  # of the sky the plants share, read by solar.clearsky_ghi
 
     def __post_init__(self):
         check_settings(self, (
@@ -60,6 +61,7 @@ class Site:
             ("altitude", -np.inf < self.altitude < MAX_ALTITUDE,
              f"finite and below {MAX_ALTITUDE:g} m"),
             ("albedo", 0.0 <= self.albedo <= 1.0, "in [0, 1]"),
+            ("linke_turbidity", 1.0 <= self.linke_turbidity < np.inf, "finite and >= 1"),
         ))
 
 
@@ -113,11 +115,17 @@ class PlantSeries:
 
 @dataclass(frozen=True)
 class AlignedDataset:
-    """Plants re-indexed onto one shared timestamp grid."""
+    """Plants, each id once, re-indexed onto one shared timestamp grid."""
 
     timestamps: np.ndarray
     plants: tuple[PlantSeries, ...]
     site: Site
+
+    def __post_init__(self):
+        ids = [p.plant_id for p in self.plants]
+        for n, plant_id in enumerate(ids):
+            if plant_id in ids[:n]:
+                raise InputError(f"plant {plant_id!r} listed twice")
 
     @property
     def n_plants(self) -> int:

@@ -21,7 +21,7 @@ from .data import (
 )
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import binned_quantile, sun_bin_keys
-from .solar import Orientation, SolarPosition, check_clearsky, sun_positions
+from .solar import Orientation, SolarPosition, site_clearsky, sun_positions
 
 ENVELOPE_MIN_SAMPLES = 5   # a sun-position bin with fewer samples selects none
 ENVELOPE_QUANTILE = 0.95   # a bin's clear power level
@@ -570,7 +570,7 @@ def _split_search(
 
 def identify(
     dataset: AlignedDataset,
-    ghi_clear: np.ndarray,
+    ghi_clear: np.ndarray | None,
     params: ProxyParams,
     cfg: OrientationConfig,
 ) -> IdentificationResult:
@@ -589,7 +589,7 @@ def identify(
     ``_refine_clear`` narrows them with the forward model, and
     ``_split_search`` fits them per fold; both fit through the record,
     so no row set is fitted twice. A dataset shorter than every
-    candidate, or a clear-sky GHI that ``check_clearsky`` rejects, is an
+    candidate, or a clear-sky GHI that ``site_clearsky`` rejects, is an
     InputError; a plant left with too few clear samples or with
     all-zero coefficients is an InsufficientDataError naming it.
     """
@@ -604,7 +604,7 @@ def identify(
         )
     mesh = generate_mesh(cfg.subdivision)
     sp = sun_positions(dataset.timestamps, dataset.site)
-    ghi_clear = check_clearsky(ghi_clear, sp)
+    ghi_clear = site_clearsky(ghi_clear, sp, dataset.timestamps, dataset.site)
     day = np.flatnonzero(sp.daytime)
     pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
     # the daylight period of each daytime row counts the sunrises so far

@@ -148,10 +148,8 @@ def relative_airmass(zenith) -> np.ndarray:
     return np.where(zdeg < 90.0, am, AIRMASS_NIGHT)
 
 
-def clearsky_ghi(
-    sp: SolarPosition, timestamps: np.ndarray, site: Site, linke_turbidity: float = 3.0
-) -> np.ndarray:
-    """Ineichen-Perez clear-sky GHI with a fixed Linke turbidity at the sun
+def clearsky_ghi(sp: SolarPosition, timestamps: np.ndarray, site: Site) -> np.ndarray:
+    """Ineichen-Perez clear-sky GHI at the site's Linke turbidity and the sun
     positions ``sp`` of ``timestamps``; 0 at night."""
     e0 = extraterrestrial_normal(day_of_year(timestamps))
     am = relative_airmass(sp.zenith)
@@ -160,24 +158,26 @@ def clearsky_ghi(
     fh2 = np.exp(-h / 1250.0)
     cg1 = 5.09e-5 * h + 0.868
     cg2 = 3.92e-5 * h + 0.0387
-    tl = linke_turbidity
     with np.errstate(invalid="ignore", over="ignore"):
         ghi = (
             cg1
             * e0
             * np.cos(sp.zenith)
-            * np.exp(-cg2 * am * (fh1 + fh2 * (tl - 1.0)))
+            * np.exp(-cg2 * am * (fh1 + fh2 * (site.linke_turbidity - 1.0)))
             * np.exp(0.01 * am**1.8)
         )
     return np.where(np.isfinite(am) & (ghi > 0), ghi, 0.0)
 
 
-def check_clearsky(ghi_clear, sp: SolarPosition) -> np.ndarray:
-    """``ghi_clear`` as floats, one per sun position, checked where the sun is up.
+def site_clearsky(ghi_clear, sp: SolarPosition, timestamps: np.ndarray, site: Site) -> np.ndarray:
+    """``ghi_clear`` as floats, one per sun position, checked where the sun
+    is up; None is the site's ``clearsky_ghi``.
 
     A daytime value that is not finite and >= 0 is an InputError, as it
     would make a plausible-looking wrong GHI; night values are free.
     """
+    if ghi_clear is None:
+        return clearsky_ghi(sp, timestamps, site)
     ghi_clear = np.asarray(ghi_clear, dtype=float)
     if ghi_clear.shape != np.shape(sp.zenith):
         raise InputError(f"clear-sky GHI has {ghi_clear.size} values for {len(sp.zenith)} steps")

@@ -33,7 +33,7 @@ from .reconcile import (
     trust_weights,
     tukey_gate_matrix,
 )
-from .solar import SolarPosition, check_clearsky, clearsky_ghi, sun_positions
+from .solar import SolarPosition, site_clearsky, sun_positions
 
 
 ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
@@ -58,7 +58,6 @@ class SolverConfig:
     trust_bandwidth_deg: float = 6.0
     trust_bin_deg: float = 2.0
     k_q: float = 1.5                 # Tukey fence multiplier
-    linke_turbidity: float = 3.0
 
     def __post_init__(self):
         inf = np.inf
@@ -73,7 +72,6 @@ class SolverConfig:
             ("trust_bandwidth_deg", 0.0 <= self.trust_bandwidth_deg < inf, "finite and >= 0"),
             ("trust_bin_deg", 0.0 < self.trust_bin_deg < inf, "finite and positive"),
             ("k_q", 0.0 <= self.k_q < inf, "finite and >= 0"),
-            ("linke_turbidity", 1.0 <= self.linke_turbidity < inf, "finite and >= 1"),
         ))
 
 
@@ -95,10 +93,10 @@ class ForwardModel:
 
     Only mesh columns carrying weight for at least one plant are
     evaluated; dropped columns multiply zero coefficients, so the
-    restriction is exact. A plant whose coefficients are all zero,
+    restriction is exact. Coefficient sets whose plant ids are not the
+    dataset's, in its order, or a plant whose coefficients are all zero,
     negative or not finite, or whose rating is not a positive finite
-    number, is an InputError: its predictions or its rating-normalized
-    errors would otherwise make a wrong GHI look converged.
+    number, is an InputError: a wrong GHI would otherwise look converged.
 
     The GHI-independent part of the chain is built once, as ``chain``.
     ``rows`` restricts the model to a subset of timesteps, so the solver
@@ -113,8 +111,9 @@ class ForwardModel:
         params: ProxyParams,
         sp: SolarPosition,
     ):
-        if len(omegas) != dataset.n_plants:
-            raise InputError("one coefficient set per plant is required")
+        given, plants = [oc.plant_id for oc in omegas], [p.plant_id for p in dataset.plants]
+        if given != plants:
+            raise InputError(f"coefficients of plants {given} given for plants {plants}")
         weights = np.column_stack([oc.omega for oc in omegas])
         if weights.shape[0] != len(mesh_orientations):
             raise InputError("coefficient length does not match the mesh")
@@ -426,16 +425,13 @@ def estimate(
     Builds shadow maps and trust weights (for two or more plants), runs
     the grid initialization, then alternates outlier gating with descent
     refinement a fixed number of rounds. A single plant reduces to the
-    ungated, unweighted objective. ``ghi_clear`` defaults to
-    ``clearsky_ghi`` at ``cfg.linke_turbidity`` and must pass
-    ``check_clearsky``. ``threads`` is accepted and ignored: the solve
-    is single-threaded.
+    ungated, unweighted objective. ``ghi_clear`` is read by
+    ``site_clearsky``: None is the site's clear-sky model. ``threads``
+    is accepted and ignored: the solve is single-threaded.
     """
     t0 = time.perf_counter()
     sp = sun_positions(dataset.timestamps, dataset.site)
-    if ghi_clear is None:
-        ghi_clear = clearsky_ghi(sp, dataset.timestamps, dataset.site, cfg.linke_turbidity)
-    ghi_clear = check_clearsky(ghi_clear, sp)
+    ghi_clear = site_clearsky(ghi_clear, sp, dataset.timestamps, dataset.site)
     model = ForwardModel(dataset, omegas, mesh_orientations, params, sp)
 
     n_pv = dataset.n_plants

@@ -108,7 +108,6 @@ def synthesize(
     timestamps: np.ndarray,
     seed: int,
     params: ProxyParams = ProxyParams(),
-    linke_turbidity: float = 3.0,
 ) -> SyntheticDataset:
     """Generate an aligned multi-plant dataset with known true GHI.
 
@@ -127,7 +126,7 @@ def synthesize(
         raise InputError("timestamps: empty grid, nothing to synthesize")
     rng = np.random.default_rng(seed)
     sp = sun_positions(timestamps, site)
-    clear = clearsky_ghi(sp, timestamps, site, linke_turbidity)
+    clear = clearsky_ghi(sp, timestamps, site)
     att = spec.cloud.attenuation(len(timestamps), rng)
     ghi_true = clear * att
     ghi_true[~sp.daytime] = 0.0

@@ -16,7 +16,9 @@ thread, and prints:
 
     PYTHONPATH=src python tests/smoke/identify_memory.py --level 3
 
-A developer probe, not a CI gate: its figures depend on the host.
+A developer probe, not a gate on its figures, which depend on the host;
+the test suite runs it at ``--level 1`` to check that it still runs and
+rates every plant.
 """
 
 import os

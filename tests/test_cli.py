@@ -177,7 +177,7 @@ SECTION_OF = {
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n_grid", "abc"), ("k_safety", "high"),
+    ("n_grid", "abc"), ("k_safety", "high"), ("linke_turbidity", "0.5"),
     # parse, but out of the range the setting needs
     ("k_safety", "0"), ("k_safety", "nan"), ("lambda0", "nan"), ("delta_ghi", "nan"),
     ("clear_bin_deg", "0"), ("clear_bin_deg", "nan"), ("clear_bin_deg", "-5"), ("bin_deg", "0"),
@@ -709,6 +709,42 @@ def test_smoke_script(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_identify_memory_probe():
+    """``tests/smoke/identify_memory.py`` runs ``identify`` at mesh level 1
+    and prints each plant's rating."""
+    proc = subprocess.run(
+        [sys.executable, str(SMOKE / "identify_memory.py"), "--level", "1"],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.findall(r"^rating (\S+) ", proc.stdout, flags=re.M) == ["p1", "p2", "p3", "p4"]
+
+
+def test_each_command_computes_the_sun_positions_once(pipeline_dir, tmp_path, monkeypatch):
+    """The CLI passes no clear sky of its own, so ``identify`` and ``estimate``
+    compute the sun positions for the model and the chain alike."""
+    _, _, out = pipeline_dir
+    calls = []
+    real = pvghi.solar.sun_positions
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pvghi" and getattr(module, "sun_positions", None) is real:
+            monkeypatch.setattr(module, "sun_positions", counting)
+    config = tmp_path / "run.ini"
+    body = CONFIG_TEMPLATE.format(
+        plants_line=f"plants = {out / 'south.csv'}, {out / 'eastwest.csv'}"
+    )
+    config.write_text(body.replace("output_dir = out", f"output_dir = {tmp_path / 'out'}"))
+    for command in ("identify", "estimate"):
+        calls.clear()
+        assert main([command, "--config", str(config)]) == 0
+        assert len(calls) == 1, command
+
+
 def one_day_inputs(tmp_path, site, mesh, params):
     """The 1-day, 4-plant ``test_solver.build_scene`` as files: its plants,
     their true coefficients and a config that reads them."""
@@ -731,7 +767,7 @@ def test_a_free_night_clear_sky_reports_no_bound_violation(
     """diagnostics.json's bound violation reads only the rows the solver solves."""
     synth, sp, argv = one_day_inputs(tmp_path, site, mesh, params)
     clear = np.where(sp.daytime, synth.ghi_clear, night)
-    monkeypatch.setattr(cli, "clearsky_ghi", lambda *args, **kwargs: clear.copy())
+    monkeypatch.setattr(pvghi.solar, "clearsky_ghi", lambda *args, **kwargs: clear.copy())
     assert main(argv) == 0
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["max_bound_violation"] == 0.0

@@ -81,6 +81,18 @@ def test_unknown_key_rejected(tmp_path):
         )
 
 
+def test_linke_turbidity_is_a_site_setting_under_its_solver_key(tmp_path):
+    """The sky is the site's, and its INI key stays ``[solver] linke_turbidity``."""
+    body = MINIMAL + "\n[solver]\nlinke_turbidity = 4\n"
+    cfg = load_run_config(write_config(tmp_path, body), require_plants=False)
+    assert cfg.site == Site(47.5, 7.5, linke_turbidity=4.0)
+    assert cfg.solver == SolverConfig()
+    with pytest.raises(InputError, match=r"unknown key 'linke_turbidity' in section \[site\]"):
+        load_run_config(
+            write_config(tmp_path, MINIMAL + "linke_turbidity = 4\n"), require_plants=False
+        )
+
+
 @pytest.mark.parametrize("key", ["k1", "seed"])
 def test_default_section_rejected_by_name(tmp_path, key):
     """configparser copies [DEFAULT]'s keys into every section; the error names [DEFAULT]."""
@@ -117,13 +129,14 @@ def test_bad_boolean_rejected(tmp_path):
 
 @pytest.mark.parametrize("cls, name", [
     (cls, f.name)
-    for cls in (ProxyParams, OrientationConfig, SolverConfig)
+    for cls in (Site, ProxyParams, OrientationConfig, SolverConfig)
     for f in fields(cls)
     if f.type == "float"
 ])
 def test_nan_setting_rejected(cls, name):
+    default = Site(47.5, 7.5) if cls is Site else cls()
     with pytest.raises(SettingError) as info:
-        cls(**{name: float("nan")})
+        replace(default, **{name: float("nan")})
     assert info.value.field == name
 
 
@@ -142,8 +155,8 @@ def test_out_of_range_setting_names_section_and_key(tmp_path, extra, where):
 # (_getfloat: "float", _getint: "int", _getbool: "bool",
 # _getsplits: "tuple[int, ...]").
 SITE_KEYS = {
-    name: ("site", name, "float")
-    for name in ("latitude", "longitude", "altitude", "albedo")
+    **{name: ("site", name, "float") for name in ("latitude", "longitude", "altitude", "albedo")},
+    "linke_turbidity": ("solver", "linke_turbidity", "float"),
 }
 PROXY_KEYS = {
     name: ("proxy", name, "float")
@@ -163,7 +176,6 @@ SOLVER_KEYS = {
     "max_iterations": ("solver", "max_iterations", "int"),
     "use_trust": ("solver", "use_trust", "bool"),
     "use_gate": ("solver", "use_gate", "bool"),
-    "linke_turbidity": ("solver", "linke_turbidity", "float"),
     "trust_bin_deg": ("reconciliation", "bin_deg", "float"),
     "trust_bandwidth_deg": ("reconciliation", "bandwidth_deg", "float"),
     "trust_floor": ("reconciliation", "floor", "float"),

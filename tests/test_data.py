@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from pvghi import InputError, PlantSeries, Site, align, load_plant_csv
 from pvghi.data import (
     AlignedDataset,
+    SettingError,
     load_clearsky_csv,
     parse_timestamp,
     read_series_csv,
@@ -185,6 +186,16 @@ def test_align_empty_intersection(site):
         align([a, b], site)
 
 
+def test_a_plant_id_given_twice_is_an_input_error(site):
+    """``load_omegas`` would refuse the coefficients identified for such a dataset."""
+    a = make_series("a", "2021-06-01T00:00:00", 10)
+    b = make_series("b", "2021-06-01T00:00:00", 10)
+    with pytest.raises(InputError, match="plant 'a' listed twice"):
+        align([a, a], site)
+    with pytest.raises(InputError, match="plant 'b' listed twice"):
+        AlignedDataset(a.timestamps, (a, b, b), site)
+
+
 def test_align_idempotent(site):
     a = make_series("a", "2021-06-01T00:00:00", 12)
     b = make_series("b", "2021-06-01T00:20:00", 12)
@@ -212,6 +223,9 @@ def test_site_validation():
         Site(latitude=0.0, longitude=200.0)
     with pytest.raises(InputError):
         Site(latitude=0.0, longitude=0.0, albedo=1.5)
+    for turbidity in (0.5, np.nan, np.inf):
+        with pytest.raises(SettingError, match="linke_turbidity: must be finite and >= 1"):
+            Site(latitude=0.0, longitude=0.0, linke_turbidity=turbidity)
 
 
 def test_timestamps_with_offset_converted():

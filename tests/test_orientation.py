@@ -782,6 +782,24 @@ def test_identify_rejects_a_bad_daytime_clear_sky(clear_scene, mesh, params, bad
         identify(synth.dataset, synth.ghi_clear[:-1], params, by_splits(45))
 
 
+def test_identify_without_a_clear_sky_uses_the_site_model(clear_scene, site, params):
+    """None is ``clearsky_ghi`` at the dataset's site, Linke turbidity included."""
+    synth, sp, _, _, _, _ = clear_scene
+    ds = synth.dataset
+    runs = [
+        identify(replace(ds, site=s), clear, params, by_splits(45))
+        for s, clear in (
+            (site, clearsky_ghi(sp, ds.timestamps, site)),
+            (site, None),
+            (replace(site, linke_turbidity=3.5), None),
+        )
+    ]
+    given, default, hazy = ([oc.omega for oc in res.omegas] for res in runs)
+    np.testing.assert_array_equal(default, given)
+    assert runs[1].report == runs[0].report
+    assert not np.array_equal(hazy, default)
+
+
 def test_identify_uses_site_pressure(mesh, params):
     """Identification fits the chain that synthesis and estimation evaluate.
 

@@ -1,6 +1,7 @@
 """Grid initialization, descent refinement and the full estimation loop."""
 
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pvghi import InputError, OmegaCoefficients, SolverConfig, estimate, sun_positions
+from pvghi import (
+    InputError,
+    OmegaCoefficients,
+    SolverConfig,
+    clearsky_ghi,
+    estimate,
+    sun_positions,
+)
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi import proxy, solver
 from pvghi.reconcile import tukey_gate_matrix
@@ -330,6 +338,32 @@ def test_forward_model_rejects_bad_rating(site, mesh, params, rating):
     omegas = (*omegas[:2], bad, omegas[3])
     with pytest.raises(InputError, match="p3"):
         ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
+
+
+def test_forward_model_rejects_coefficients_of_another_plant(site, mesh, params):
+    """Swapped coefficients would give a plausible wrong GHI, marked converged."""
+    synth, sp, omegas = build_scene(site, mesh, params, days=1)
+    swapped = (omegas[1], omegas[0], *omegas[2:])
+    with pytest.raises(InputError, match=re.escape(
+        "coefficients of plants ['p2', 'p1', 'p3', 'p4'] given for plants ['p1', 'p2', 'p3', 'p4']"
+    )):
+        estimate(synth.dataset, swapped, mesh.orientations, params)
+
+
+def test_estimate_without_a_clear_sky_uses_the_site_model(site, mesh, params):
+    """None is ``clearsky_ghi`` at the dataset's site, Linke turbidity included."""
+    synth, sp, omegas = build_scene(site, mesh, params, days=1)
+    ds = synth.dataset
+    given = estimate(
+        ds, omegas, mesh.orientations, params, ghi_clear=clearsky_ghi(sp, ds.timestamps, site)
+    )
+    default = estimate(ds, omegas, mesh.orientations, params, ghi_clear=None)
+    for name in ("ghi", "ghi_clear", "converged", "trust", "gate", "solved"):
+        np.testing.assert_array_equal(getattr(default, name), getattr(given, name))
+    hazy = replace(ds, site=replace(site, linke_turbidity=4.0))
+    other = estimate(hazy, omegas, mesh.orientations, params)
+    assert not np.array_equal(other.ghi_clear, default.ghi_clear)
+    assert not np.array_equal(other.ghi, default.ghi)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])

@@ -1,11 +1,12 @@
 """Synthetic generator: determinism, forward-model identity, gates and caps."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pvghi import InputError, sun_positions
+from pvghi import InputError, clearsky_ghi, sun_positions
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
     CloudModel,
@@ -145,6 +146,26 @@ def test_synthesize_computes_the_sun_positions_once(site, mesh, monkeypatch):
     spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
     synthesize(spec, site, make_timestamps("2015-06-01T00:00:00", 1, 600), seed=0)
     assert len(calls) == 1
+
+
+def test_synthesize_uses_the_site_linke_turbidity(site, mesh):
+    clean = replace(site, linke_turbidity=2.5)
+    ts = make_timestamps("2015-06-01T00:00:00", 1, 600)
+    spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
+    data = synthesize(spec, clean, ts, seed=0)
+    sp = sun_positions(ts, site)
+    np.testing.assert_array_equal(data.ghi_clear, clearsky_ghi(sp, ts, clean))
+    assert (data.ghi_clear > clearsky_ghi(sp, ts, site))[sp.daytime].all()
+    assert data.dataset.site == clean
+
+
+def test_a_repeated_plant_id_is_an_input_error(site, mesh):
+    p = PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),))
+    with pytest.raises(InputError, match="plant 'p' listed twice"):
+        synthesize(
+            SyntheticSpec(plants=(p, p)), site, make_timestamps("2015-06-01T00:00:00", 1, 600),
+            seed=0,
+        )
 
 
 def test_an_empty_grid_is_an_input_error(site, mesh):

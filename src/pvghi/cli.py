@@ -16,6 +16,7 @@ from . import __version__
 from .config import RunConfig, load_run_config
 from .data import (
     InputError,
+    SettingError,
     _at_stamps,
     align,
     expect,
@@ -163,7 +164,8 @@ def _spec_object(cls, raw, where: str, convert=None):
     """``cls`` built from a JSON object keyed by its field names.
 
     A value goes through ``convert[key]`` if given and must otherwise be
-    a finite number. Unknown keys and missing required ones are InputErrors.
+    a finite number. Unknown keys and missing required ones are InputErrors;
+    a value ``cls`` refuses is a SettingError named by its key.
     """
     fields = dataclasses.fields(cls)
     keys = set(expect(raw, where, dict))
@@ -175,7 +177,11 @@ def _spec_object(cls, raw, where: str, convert=None):
         if names:
             raise InputError(f"{where}: {problem} key(s) {', '.join(sorted(names))}")
     convert = convert or {}
-    return cls(**{k: convert.get(k, _number)(v, f"{where}.{k}") for k, v in raw.items()})
+    values = {k: convert.get(k, _number)(v, f"{where}.{k}") for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except SettingError as err:
+        raise SettingError(f"{where}.{err.field}", err.reason) from None
 
 
 def _list_of(convert):

@@ -98,9 +98,11 @@ class ForwardModel:
     negative or not finite, or whose rating is not a positive finite
     number, is an InputError: a wrong GHI would otherwise look converged.
 
-    The GHI-independent part of the chain is built once, as ``chain``.
-    ``rows`` restricts the model to a subset of timesteps, so the solver
-    evaluates the chain only where the result still depends on it.
+    The GHI-independent part of the chain is built once, as ``chain``,
+    on the dataset's timesteps ``rows`` (integer indices, all when None)
+    and nowhere else. The method ``rows`` restricts the model further,
+    so the solver evaluates the chain only where the result still
+    depends on it.
     """
 
     def __init__(
@@ -110,6 +112,7 @@ class ForwardModel:
         mesh_orientations,
         params: ProxyParams,
         sp: SolarPosition,
+        rows: np.ndarray | None = None,
     ):
         given, plants = [oc.plant_id for oc in omegas], [p.plant_id for p in dataset.plants]
         if given != plants:
@@ -132,19 +135,25 @@ class ForwardModel:
         support = np.flatnonzero(weights.any(axis=1))
         self.weights = weights[support]
         self.pnom = pnom
+        at = slice(None) if rows is None else rows
+        # the mean temperature fills gaps from neighbouring steps, so it is taken on every step
         self.chain = forward_chain(
-            sp, dataset.timestamps, dataset.mean_temperature(),
+            SolarPosition(sp.azimuth[at], sp.zenith[at]), dataset.timestamps[at],
+            dataset.mean_temperature()[at],
             [mesh_orientations[j] for j in support], params, dataset.site,
         )
-        self.power = dataset.power_matrix()
+        self.power = dataset.power_matrix()[at]
 
     def rows(self, idx: np.ndarray) -> ForwardModel:
         """The model restricted to the timesteps ``idx`` of this model.
 
         Every step of the chain and of ``plant_power`` is elementwise in
         time, so the restricted model's values equal the matching rows of
-        the full model's bit for bit.
+        the full model's bit for bit. All of its own rows, in order, are
+        the model itself, not a copy.
         """
+        if len(idx) == len(self.power) and np.array_equal(idx, np.arange(len(idx))):
+            return self
         sub = copy.copy(self)
         sub.chain = self.chain.rows(idx)
         sub.power = self.power[idx]
@@ -315,13 +324,14 @@ def refine_ghi(
 
     ``state.errors`` must be this model's normalized errors at
     ``state.ghi``, as every state from ``init_ghi`` and ``refine_ghi``
-    holds; the round starts from them rather than evaluating the chain.
+    holds; the round starts from them rather than evaluating the chain,
+    and updates them in place.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
     day = model.chain.daytime & (state.ghi_max > 0)
 
-    errors = state.errors.copy()
+    errors = state.errors
     w = _objective_weights(errors, trust, gate)
     h = np.abs(_weighted_sum(w, errors))
     has_data = w.sum(axis=1) > 0
@@ -346,10 +356,7 @@ def refine_ghi(
             break
         if moved.size:
             rows = live[moved]
-            grad = _gradient(
-                sub if moved.size == live.size else sub.rows(moved),
-                ghi[rows], w[rows], cfg, errors[rows],
-            )
+            grad = _gradient(sub.rows(moved), ghi[rows], w[rows], cfg, errors[rows])
             flat = np.abs(grad) <= GRAD_FLOOR
             direction[rows] = np.where(flat, 0.0, np.sign(grad))
             active[rows[flat]] = False  # a flat gradient freezes the step
@@ -386,7 +393,6 @@ def refine_ghi(
 
     state.objective_history.append(round_history)
     state.ghi = ghi
-    state.errors = errors
     state.lambdas = lam
     state.iterations = iterations
     state.converged = state.converged | (day & has_data & ~active)
@@ -411,6 +417,36 @@ class SolveResult:
         return self.state.converged
 
 
+def _every_step(values: np.ndarray, rows: np.ndarray, fill, t_count: int) -> np.ndarray:
+    """``values`` of the timesteps ``rows`` among ``t_count``, ``fill`` on the others."""
+    out = np.full((t_count, *values.shape[1:]), fill, dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def _shadow_trust(
+    model: ForwardModel,
+    rows: np.ndarray,
+    power: np.ndarray,
+    ghi_clear: np.ndarray,
+    sp: SolarPosition,
+    cfg: SolverConfig,
+) -> np.ndarray:
+    """Per-timestep, per-plant trust weights from the plants' shadow maps.
+
+    ``model`` holds the timesteps ``rows`` and ``ghi_clear`` their clear
+    sky; ``power`` and ``sp`` cover every timestep. The clear-sky power
+    is zero on the other rows, as the chain gives it at night and at
+    zero GHI. It and the maps are released on return.
+    """
+    pred_clear = _every_step(model.plant_power(ghi_clear), rows, 0.0, len(power))
+    maps = smooth_threshold_map(
+        build_shadow_map(power, pred_clear, model.pnom, sp, cfg.trust_bin_deg),
+        cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
+    )
+    return trust_weights(maps, sp, cfg.trust_bin_deg, floor=cfg.trust_floor)
+
+
 def estimate(
     dataset: AlignedDataset,
     omegas: tuple[OmegaCoefficients, ...],
@@ -428,37 +464,49 @@ def estimate(
     ungated, unweighted objective. ``ghi_clear`` is read by
     ``site_clearsky``: None is the site's clear-sky model. ``threads``
     is accepted and ignored: the solve is single-threaded.
+
+    The model, the grid and the descent hold the solved timesteps only,
+    sun up and clear-sky > 0. Every other timestep gets the values the
+    solver would give it: GHI 0, converged after 0 iterations at step
+    ``lambda0``, each plant's error its power over its rating, and the
+    gate of those errors.
     """
     t0 = time.perf_counter()
     sp = sun_positions(dataset.timestamps, dataset.site)
     ghi_clear = site_clearsky(ghi_clear, sp, dataset.timestamps, dataset.site)
-    model = ForwardModel(dataset, omegas, mesh_orientations, params, sp)
+    solved = sp.daytime & (ghi_clear > 0)
+    rows = np.flatnonzero(solved)
+    model = ForwardModel(dataset, omegas, mesh_orientations, params, sp, rows)
+    power = dataset.power_matrix()
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        # night rows give zero power at any GHI, and the maps read daytime rows only
-        day = np.flatnonzero(sp.daytime)
-        pred_clear = np.zeros((dataset.n_steps, n_pv))
-        pred_clear[day] = model.rows(day).plant_power(ghi_clear[day])
-        maps = smooth_threshold_map(
-            build_shadow_map(model.power, pred_clear, model.pnom, sp, cfg.trust_bin_deg),
-            cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
-        )
-        trust = trust_weights(maps, sp, cfg.trust_bin_deg, floor=cfg.trust_floor)
+        trust = _shadow_trust(model, rows, power, ghi_clear[rows], sp, cfg)
     else:
-        trust = np.full((dataset.n_steps, n_pv), 1.0 / n_pv)
+        trust = np.full(power.shape, 1.0 / n_pv)
+    # every step's errors, written over the power: GHI 0 leaves each plant's
+    # error at its power over its rating, and the solved rows are updated
+    errors = np.divide(power, model.pnom, out=power)
 
-    state = init_ghi(model, ghi_clear, trust, cfg)
+    solved_trust = trust[rows]
+    state = init_ghi(model, ghi_clear[rows], solved_trust, cfg)
 
     gating = cfg.use_gate and n_pv >= 3
-    rounds = GATE_ROUNDS if gating else 1
-    gate = np.ones((dataset.n_steps, n_pv), dtype=bool)
-    for _ in range(rounds):
+    gate = np.ones(errors.shape, dtype=bool)
+    for _ in range(GATE_ROUNDS if gating else 1):
         if gating:
-            gate = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
-        state = refine_ghi(model, state, trust, gate, cfg)
+            errors[rows] = state.errors
+            gate = tukey_gate_matrix(errors, k_q=cfg.k_q)
+        state = refine_ghi(model, state, solved_trust, gate[rows], cfg)
 
-    used = (np.isfinite(state.errors) & gate).sum(axis=1)
+    t_count = dataset.n_steps
+    errors[rows] = state.errors
+    state.errors = errors
+    state.ghi = _every_step(state.ghi, rows, 0.0, t_count)
+    state.lambdas = _every_step(state.lambdas, rows, cfg.lambda0, t_count)
+    state.iterations = _every_step(state.iterations, rows, 0, t_count)
+    state.converged = _every_step(state.converged, rows, True, t_count)
+    state.ghi_max = cfg.k_safety * ghi_clear
     elapsed = time.perf_counter() - t0
     return SolveResult(
         timestamps=dataset.timestamps,
@@ -466,8 +514,8 @@ def estimate(
         state=state,
         trust=trust,
         gate=gate,
-        n_plants_used=used,
+        n_plants_used=(np.isfinite(errors) & gate).sum(axis=1),
         ghi_clear=ghi_clear,
-        solved=sp.daytime & (ghi_clear > 0),
+        solved=solved,
         seconds_per_sample=elapsed / max(dataset.n_steps, 1),
     )

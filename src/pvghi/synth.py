@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AlignedDataset, InputError, PlantSeries, Site, parse_timestamp
+from .data import AlignedDataset, InputError, PlantSeries, Site, check_settings, parse_timestamp
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .solar import clearsky_ghi, day_of_year, sun_positions
 
@@ -46,7 +46,11 @@ class CloudModel:
 
 @dataclass(frozen=True)
 class ShadowSector:
-    """Sun-position sector where a plant's output is attenuated."""
+    """Sun-position sector where a plant's output is attenuated.
+
+    Each range is inclusive and its bounds finite and in order; a value
+    out of range is a SettingError.
+    """
 
     azimuth_min_deg: float
     azimuth_max_deg: float
@@ -56,9 +60,25 @@ class ShadowSector:
     day_min: int = 1              # day-of-year window (inclusive)
     day_max: int = 366
 
+    def __post_init__(self):
+        inf = np.inf
+        check_settings(self, (
+            ("azimuth_min_deg", -inf < self.azimuth_min_deg < inf, "finite"),
+            ("azimuth_max_deg", self.azimuth_min_deg <= self.azimuth_max_deg < inf,
+             "finite and >= azimuth_min_deg"),
+            ("zenith_min_deg", -inf < self.zenith_min_deg < inf, "finite"),
+            ("zenith_max_deg", self.zenith_min_deg <= self.zenith_max_deg < inf,
+             "finite and >= zenith_min_deg"),
+            ("attenuation", 0.0 <= self.attenuation <= 1.0, "in [0, 1]"),
+            ("day_min", -inf < self.day_min < inf, "finite"),
+            ("day_max", self.day_min <= self.day_max < inf, "finite and >= day_min"),
+        ))
+
 
 @dataclass(frozen=True)
 class PlantSpec:
+    """One synthetic plant; a value out of range is a SettingError."""
+
     plant_id: str
     fields: tuple  # of (Orientation, nominal power W)
     shadows: tuple = ()
@@ -66,12 +86,15 @@ class PlantSpec:
     curtailment_w: float | None = None
 
     def __post_init__(self):
-        for _, pnom in self.fields:
-            if pnom <= 0:
-                raise InputError(f"{self.plant_id}: nominal power must be positive")
-        for s in self.shadows:
-            if not 0.0 <= s.attenuation <= 1.0:
-                raise InputError(f"{self.plant_id}: shadow attenuation out of [0,1]")
+        inf = np.inf
+        check_settings(self, (
+            ("fields", len(self.fields) > 0
+             and all(0.0 < pnom < inf for _, pnom in self.fields),
+             "one or more (orientation, nominal power) pairs, each power finite and positive"),
+            ("noise_rel", 0.0 <= self.noise_rel < inf, "finite and >= 0"),
+            ("curtailment_w", self.curtailment_w is None or 0.0 <= self.curtailment_w < inf,
+             "None or finite and >= 0"),
+        ))
 
 
 @dataclass(frozen=True)

@@ -523,6 +523,32 @@ def test_non_finite_spec_number_names_its_key(tmp_path, capsys, where):
     assert f"{where}: expected a finite number" in err, err
 
 
+OUT_OF_RANGE_SPEC = {
+    "spec.plants[0].noise_rel": (
+        lambda s: s["plants"][0].update(noise_rel=-0.5), "must be finite and >= 0, got -0.5",
+    ),
+    "spec.plants[1].shadows[0].azimuth_max_deg": (
+        lambda s: s["plants"][1].update(shadows=[{"azimuth_min_deg": 150, "azimuth_max_deg": 80}]),
+        "must be finite and >= azimuth_min_deg, got 80",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(OUT_OF_RANGE_SPEC))
+def test_out_of_range_spec_value_is_input_error(tmp_path, capsys, where):
+    """A negative noise or a reversed shadow sector, which would synthesize a
+    noiseless or unshaded plant, stops ``synth`` before it writes a file."""
+    edit, reason = OUT_OF_RANGE_SPEC[where]
+    spec = tmp_path / "synth.json"
+    spec.write_text(_spec_text(edit))
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEMPLATE.format(plants_line="plants ="))
+    assert main(["synth", "--config", str(config), "--spec", str(spec)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"error: {spec}: {where}: {reason}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_negative_seed_is_input_error(tmp_path, capsys, route):
     spec = tmp_path / "synth.json"
@@ -710,14 +736,17 @@ def test_smoke_script(tmp_path):
 
 
 def test_identify_memory_probe():
-    """``tests/smoke/identify_memory.py`` runs ``identify`` at mesh level 1
-    and prints each plant's rating."""
+    """``tests/smoke/identify_memory.py`` runs ``identify`` at mesh level 1,
+    prints each plant's rating, then estimates with the ratings and prints
+    the estimate's traced memory peak."""
     proc = subprocess.run(
         [sys.executable, str(SMOKE / "identify_memory.py"), "--level", "1"],
         capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.findall(r"^rating (\S+) ", proc.stdout, flags=re.M) == ["p1", "p2", "p3", "p4"]
+    assert re.search(r"^estimate_tracemalloc_peak_mb +\d+\.\d$", proc.stdout, flags=re.M), \
+        proc.stdout
 
 
 def test_each_command_computes_the_sun_positions_once(pipeline_dir, tmp_path, monkeypatch):

@@ -451,6 +451,69 @@ def test_restricted_model_matches_full_rows(site, mesh, params):
         np.testing.assert_array_equal(half.normalized_errors(ghi[idx[::2]]), errors[idx[::2]])
 
 
+def test_a_model_built_on_rows_is_the_restricted_model(site, mesh, params):
+    """Building the model on some timesteps equals restricting the full model
+    to them bit for bit; all of a model's own rows, in order, are the model."""
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=2, seed=19)
+    model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
+    idx = np.flatnonzero(sp.daytime)
+    built = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp, idx)
+    restricted = model.rows(idx)
+    for name in (*proxy._FIELDS_IN_TIME, "tilt"):
+        np.testing.assert_array_equal(
+            getattr(built.chain, name), getattr(restricted.chain, name), err_msg=name
+        )
+    np.testing.assert_array_equal(built.power, restricted.power)
+    assert built.rows(np.arange(idx.size)) is built
+    assert model.rows(np.arange(len(sp.zenith))) is model
+    backwards = built.rows(np.arange(idx.size)[::-1])
+    assert backwards is not built
+    np.testing.assert_array_equal(backwards.power, built.power[::-1])
+
+
+def test_estimate_builds_the_chain_once_on_the_solved_rows(site, mesh, params, monkeypatch):
+    """The forward chain is never built for a step the solver does not solve."""
+    synth, _, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
+    built = []
+    chain = solver.forward_chain
+
+    def counting(sp, timestamps, *args):
+        built.append(len(timestamps))
+        return chain(sp, timestamps, *args)
+
+    monkeypatch.setattr(solver, "forward_chain", counting)
+    res = estimate(synth.dataset, omegas, mesh.orientations, params, SolverConfig())
+    assert 0 < res.solved.sum() < len(res.ghi)
+    assert built == [res.solved.sum()]
+
+
+def test_refine_copies_no_whole_chain(site, mesh, params, monkeypatch):
+    """Where every solved step has data, a refine round restricts the model
+    only as steps freeze, never to all of its rows, and updates the
+    state's errors in place."""
+    synth, sp, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
+    idx = np.flatnonzero(sp.daytime & (synth.ghi_clear > 0))
+    model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp).rows(idx)
+    assert np.isfinite(model.power).all()
+    trust = np.full(model.power.shape, 1 / 3)
+    gate = np.ones(model.power.shape, dtype=bool)
+    cfg = SolverConfig()
+    state = init_ghi(model, synth.ghi_clear[idx], trust, cfg)
+    errors = state.errors
+    copies = []
+    rows = proxy.ForwardChain.rows
+
+    def counting(chain, take):
+        copies.append((chain.n_rows, len(take)))
+        return rows(chain, take)
+
+    monkeypatch.setattr(proxy.ForwardChain, "rows", counting)
+    state = refine_ghi(model, state, trust, gate, cfg)
+    assert copies  # steps froze during the round
+    assert all(taken < n_rows for n_rows, taken in copies), copies
+    assert state.errors is errors
+
+
 def decided_steps(dataset, sp, ghi_clear):
     """Solved steps with some plant reporting and not every reporting plant at 0 W."""
     power = dataset.power_matrix()
@@ -462,8 +525,8 @@ def decided_steps(dataset, sp, ghi_clear):
 def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkeypatch):
     """Grid candidates cover the decided steps, descent the active ones.
 
-    The shadow maps' clear-sky power covers the sun-up steps; the one
-    full-length evaluation left is the grid winner's. A step whose
+    The shadow maps' clear-sky power and the grid winner's errors cover
+    the solved steps; no evaluation covers every step. A step whose
     gradient is flat costs one gradient evaluation without an iteration,
     at most once per round.
     """
@@ -483,8 +546,8 @@ def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkey
     day = int(res.solved.sum())
     decided = int(decided_steps(synth.dataset, sp, res.ghi_clear).sum())
     assert 0 < decided < day <= sun_up < t_count
-    assert rows_seen[: cfg.n_grid + 2] == [sun_up] + [decided] * cfg.n_grid + [t_count]
-    fixed = sun_up + t_count
+    assert rows_seen[: cfg.n_grid + 2] == [day] + [decided] * cfg.n_grid + [day]
+    fixed = 2 * day
     flat = GATE_ROUNDS * day
     bound = cfg.n_grid * decided + 2 * int(res.state.iterations.sum()) + fixed + flat
     assert sum(rows_seen) <= bound
@@ -571,8 +634,12 @@ def with_missing(dataset, missing):
     return AlignedDataset(dataset.timestamps, plants, dataset.site)
 
 
-def reference_refine(model, state, trust, gate, cfg):
-    """The descent with every active timestep's gradient taken in every iteration."""
+def reference_refine(model, state, trust, gate, cfg, history=slice(None)):
+    """The descent with every active timestep's gradient taken in every iteration.
+
+    ``err_history`` holds the Frobenius norm of the errors of the rows
+    ``history``.
+    """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
     day = model.chain.daytime & (state.ghi_max > 0)
@@ -581,7 +648,7 @@ def reference_refine(model, state, trust, gate, cfg):
     has_data = (np.isfinite(errors) & gate & (trust > 0)).any(axis=1)
     active = day & has_data
     round_history = [float(h[active].sum())]
-    state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+    state.err_history.append(float(np.sqrt(np.nansum(errors[history] ** 2))))
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
@@ -607,7 +674,7 @@ def reference_refine(model, state, trust, gate, cfg):
             float(np.max(ghi - state.ghi_max, initial=0.0)),
             float(np.max(-ghi, initial=0.0)),
         )
-        state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+        state.err_history.append(float(np.sqrt(np.nansum(errors[history] ** 2))))
         round_history.append(float(h[day & has_data].sum()))
     state.objective_history.append(round_history)
     state.ghi, state.errors, state.lambdas = ghi, errors, lam
@@ -683,19 +750,15 @@ def test_init_matches_the_every_step_grid(dark_scene, mesh, params):
         np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
 
 
-def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
-    """Shadow maps, the grid, the gate and the descent as the every-row references run them.
-
-    The reference trust comes from the per-plant shadow-map pipeline and
-    clear-sky power evaluated on every timestep, night ones included.
-    """
-    synth, sp, omegas, ds, _ = dark_scene
+def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
+    """``estimate`` on ``dark_scene`` at ``ghi_clear`` against the every-row references."""
+    _, sp, omegas, ds, _ = dark_scene
     cfg = SolverConfig(trust_bin_deg=10.0)  # three days fill few 2-degree bins
-    res = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=synth.ghi_clear)
+    res = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=ghi_clear)
     assert np.ptp(res.trust[:, 0]) > 0.1
 
     model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
-    pred_clear = model.plant_power(np.where(sp.daytime, synth.ghi_clear, 0.0))
+    pred_clear = model.plant_power(np.where(sp.daytime, ghi_clear, 0.0))
     maps = [
         reference_smooth_threshold_map(
             reference_build_shadow_map(
@@ -707,19 +770,45 @@ def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
     ]
     trust = reference_trust_weights(maps, sp, floor=cfg.trust_floor)
     np.testing.assert_array_equal(res.trust, trust)
-    ref = reference_init(model, synth.ghi_clear, trust, cfg)
+    ref = reference_init(model, ghi_clear, trust, cfg)
     for _ in range(GATE_ROUNDS):
         gate = tukey_gate_matrix(ref.errors, k_q=cfg.k_q)
-        ref = reference_refine(model, ref, trust, gate, cfg)
+        ref = reference_refine(model, ref, trust, gate, cfg, history=res.solved)
 
     np.testing.assert_array_equal(res.gate, gate)
     np.testing.assert_array_equal(res.ghi, ref.ghi)
     np.testing.assert_array_equal(res.n_plants_used, (np.isfinite(ref.errors) & gate).sum(axis=1))
-    for name in ("errors", "iterations", "lambdas", "converged"):
+    for name in ("errors", "iterations", "lambdas", "converged", "ghi_max"):
         np.testing.assert_array_equal(getattr(res.state, name), getattr(ref, name), err_msg=name)
     assert res.state.err_history == ref.err_history
     assert res.state.objective_history == ref.objective_history
     assert res.state.bound_violation == ref.bound_violation
+    return res
+
+
+def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
+    """Shadow maps, the grid, the gate and the descent as the every-row references run them.
+
+    The reference trust comes from the per-plant shadow-map pipeline and
+    clear-sky power evaluated on every timestep, night ones included. The
+    error history is the norm over the solved timesteps, the rows the
+    descent changes.
+    """
+    assert_matches_the_reference_pipeline(dark_scene, mesh, params, dark_scene[0].ghi_clear)
+
+
+def test_estimate_matches_the_reference_where_a_daytime_clear_sky_is_zero(
+    dark_scene, mesh, params
+):
+    """A sun-up step with a zero clear sky is not solved; its values are the
+    references' all the same."""
+    synth, sp, *_ = dark_scene
+    zero = np.flatnonzero(sp.daytime)[::7]
+    clear = synth.ghi_clear.copy()
+    clear[zero] = 0.0
+    res = assert_matches_the_reference_pipeline(dark_scene, mesh, params, clear)
+    assert not res.solved[zero].any()
+    assert (res.ghi[zero] == 0.0).all() and res.converged[zero].all()
 
 
 def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):

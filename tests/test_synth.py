@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pvghi import InputError, clearsky_ghi, sun_positions
+from pvghi.data import SettingError
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
     CloudModel,
@@ -172,3 +173,62 @@ def test_an_empty_grid_is_an_input_error(site, mesh):
     spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
     with pytest.raises(InputError, match="timestamps: empty grid"):
         synthesize(spec, site, make_timestamps("2015-06-01T00:00:00", 0, 600), seed=0)
+
+
+def _spec(mesh, **plant):
+    return PlantSpec(**{"plant_id": "p", "fields": ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),),
+                        **plant})
+
+
+@pytest.mark.parametrize(
+    "field, plant",
+    [
+        ("fields", {"fields": ((None, 8000.0), (None, np.nan))}),
+        ("fields", {"fields": ((None, np.inf),)}),
+        ("fields", {"fields": ((None, 0.0),)}),
+        ("fields", {"fields": ()}),
+        ("noise_rel", {"noise_rel": np.nan}),
+        ("noise_rel", {"noise_rel": -0.5}),
+        ("noise_rel", {"noise_rel": np.inf}),
+        ("curtailment_w", {"curtailment_w": np.nan}),
+        ("curtailment_w", {"curtailment_w": -1.0}),
+    ],
+    ids=["rating-nan", "rating-inf", "rating-0", "no-field", "noise-nan", "noise-negative", "noise-inf",
+         "curtailment-nan", "curtailment-negative"],
+)
+def test_a_bad_plant_spec_is_a_setting_error(mesh, field, plant):
+    """A NaN fails the checks too: each is a chained comparison."""
+    with pytest.raises(SettingError) as err:
+        _spec(mesh, **plant)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field, sector",
+    [
+        ("azimuth_max_deg", {"azimuth_min_deg": 150.0, "azimuth_max_deg": 80.0}),
+        ("azimuth_min_deg", {"azimuth_min_deg": np.nan, "azimuth_max_deg": 80.0}),
+        ("azimuth_max_deg", {"azimuth_min_deg": 80.0, "azimuth_max_deg": np.nan}),
+        ("zenith_max_deg", {"zenith_min_deg": 60.0, "zenith_max_deg": 30.0}),
+        ("zenith_min_deg", {"zenith_min_deg": np.nan}),
+        ("attenuation", {"attenuation": np.nan}),
+        ("attenuation", {"attenuation": 1.5}),
+        ("day_max", {"day_min": 200, "day_max": 100}),
+        ("day_min", {"day_min": np.nan}),
+    ],
+    ids=["azimuth-reversed", "azimuth-min-nan", "azimuth-max-nan", "zenith-reversed",
+         "zenith-nan", "attenuation-nan", "attenuation-1.5", "days-reversed", "day-nan"],
+)
+def test_a_bad_shadow_sector_is_a_setting_error(field, sector):
+    """A reversed range would shade nothing; it is refused rather than ignored."""
+    with pytest.raises(SettingError) as err:
+        ShadowSector(**{"azimuth_min_deg": 80.0, "azimuth_max_deg": 150.0, **sector})
+    assert err.value.field == field
+
+
+def test_a_curtailment_of_zero_and_noise_of_zero_are_kept(site, mesh):
+    """The bounds themselves are valid: a switched-off plant, a noiseless one."""
+    ts = make_timestamps("2015-06-01T00:00:00", 1, 600)
+    data = synthesize(SyntheticSpec(plants=(_spec(mesh, curtailment_w=0.0),)), site, ts, seed=0)
+    assert (data.dataset.plants[0].power == 0.0).all()
+    ShadowSector(azimuth_min_deg=80.0, azimuth_max_deg=80.0, attenuation=0.0)

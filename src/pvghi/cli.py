@@ -111,15 +111,8 @@ def cmd_estimate(args) -> int:
     dataset = _load_dataset(cfg)
     mesh = generate_mesh(cfg.orientation.subdivision)
     omega_path = Path(args.omega) if args.omega else cfg.output_dir / "omega.json"
-    omegas = load_omegas(omega_path, mesh)
-    by_id = {oc.plant_id: oc for oc in omegas}
-    try:
-        ordered = tuple(by_id[p.plant_id] for p in dataset.plants)
-    except KeyError as exc:
-        raise InputError(f"no coefficients for plant {exc}") from None
-
     result = estimate(
-        dataset, ordered, mesh.orientations, cfg.proxy, cfg.solver,
+        dataset, load_omegas(omega_path, mesh), mesh.orientations, cfg.proxy, cfg.solver,
         ghi_clear=_clear_sky(cfg, dataset),
     )
 

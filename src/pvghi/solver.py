@@ -93,10 +93,12 @@ class ForwardModel:
 
     Only mesh columns carrying weight for at least one plant are
     evaluated; dropped columns multiply zero coefficients, so the
-    restriction is exact. Coefficient sets whose plant ids are not the
-    dataset's, in its order, or a plant whose coefficients are all zero,
-    negative or not finite, or whose rating is not a positive finite
-    number, is an InputError: a wrong GHI would otherwise look converged.
+    restriction is exact. Each dataset plant takes the coefficient set
+    of its id, whatever the order of ``omegas``; sets of other plants
+    are ignored. A dataset plant without a set, an id given twice, or a
+    plant whose coefficients are all zero, negative or not finite, or
+    whose rating is not a positive finite number, is an InputError: a
+    wrong GHI would otherwise look converged.
 
     The GHI-independent part of the chain is built once, as ``chain``,
     on the dataset's timesteps ``rows`` (integer indices, all when None)
@@ -114,9 +116,14 @@ class ForwardModel:
         sp: SolarPosition,
         rows: np.ndarray | None = None,
     ):
-        given, plants = [oc.plant_id for oc in omegas], [p.plant_id for p in dataset.plants]
-        if given != plants:
-            raise InputError(f"coefficients of plants {given} given for plants {plants}")
+        ids = [oc.plant_id for oc in omegas]
+        twice = sorted({i for i in ids if ids.count(i) > 1})
+        if twice:
+            raise InputError(f"coefficients of plant(s) {', '.join(twice)} given twice")
+        missing = [p.plant_id for p in dataset.plants if p.plant_id not in ids]
+        if missing:
+            raise InputError(f"no coefficients for plant(s) {', '.join(missing)}")
+        omegas = [omegas[ids.index(p.plant_id)] for p in dataset.plants]
         weights = np.column_stack([oc.omega for oc in omegas])
         if weights.shape[0] != len(mesh_orientations):
             raise InputError("coefficient length does not match the mesh")
@@ -247,18 +254,18 @@ def init_ghi(
 ) -> EstimationState:
     """Grid search over [0, k_safety * clear-sky] per timestep.
 
-    Each candidate is a scaled clear-sky profile; per timestep the
+    Every row of ``model`` is taken as solved, sun up and clear-sky > 0,
+    as ``estimate`` builds it; ``ghi_clear`` and ``trust`` hold the same
+    rows. Each candidate is a scaled clear-sky profile; per timestep the
     candidate with the lowest weighted mean absolute error wins. The
-    grid covers only the steps it decides: sun up, clear-sky > 0, some
-    plant reporting and not every reporting plant at exactly 0 W. The
-    other steps are seeded without it: night steps at zero, daytime
-    steps with no usable plant at the clear-sky value, and dark steps,
-    where every reporting plant reads 0 W (deep overcast or an outage),
-    at zero rather than the smallest candidate.
+    grid covers only the steps it decides: some plant reporting and not
+    every reporting plant at exactly 0 W. The other steps are seeded
+    without it: steps with no usable plant at the clear-sky value, and
+    dark steps, where every reporting plant reads 0 W (deep overcast or
+    an outage), at zero rather than the smallest candidate.
     """
     ghi_clear = np.asarray(ghi_clear, float)
     ghi_max = cfg.k_safety * ghi_clear
-    day = model.chain.daytime & (ghi_max > 0)
     t_count = len(ghi_max)
     power = model.power
     # errors are finite where power is, so power fixes every candidate's weights
@@ -266,9 +273,9 @@ def init_ghi(
     has_data = w.sum(axis=1) > 0
     with np.errstate(invalid="ignore"):
         all_zero = np.where(np.isfinite(power), power == 0.0, True).all(axis=1)
-    ghi = np.where(day & ~has_data, ghi_clear, 0.0)
+    ghi = np.where(has_data, 0.0, ghi_clear)
 
-    rows = np.flatnonzero(day & has_data & ~all_zero)
+    rows = np.flatnonzero(has_data & ~all_zero)
     grid_model = model.rows(rows)
     grid_w = w[rows]
     top = ghi_max[rows]
@@ -282,7 +289,7 @@ def init_ghi(
         best = np.where(better, cand, best)
     ghi[rows] = best
 
-    state = EstimationState(
+    return EstimationState(
         ghi=ghi,
         errors=model.normalized_errors(ghi),
         lambdas=np.full(t_count, cfg.lambda0),
@@ -290,8 +297,6 @@ def init_ghi(
         iterations=np.zeros(t_count, dtype=int),
         converged=np.zeros(t_count, dtype=bool),
     )
-    state.converged[~day] = True
-    return state
 
 
 def refine_ghi(
@@ -308,9 +313,10 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap. Only the rows it solves,
-    sun up and clear-sky > 0, enter ``state.bound_violation``: a night
-    clear-sky value is free and bounds nothing.
+    timestep is frozen or at the iteration cap. Every row of ``model``
+    is taken as solved, sun up and clear-sky > 0, as ``estimate`` builds
+    it: each row with data is descended and enters
+    ``state.bound_violation``.
 
     Each iteration pays only for what changed. The objective weights
     depend on trust, the gate and which power samples exist, never on
@@ -329,13 +335,12 @@ def refine_ghi(
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
-    day = model.chain.daytime & (state.ghi_max > 0)
 
     errors = state.errors
     w = _objective_weights(errors, trust, gate)
     h = np.abs(_weighted_sum(w, errors))
     has_data = w.sum(axis=1) > 0
-    active = day & has_data
+    active = has_data.copy()
     scored = np.flatnonzero(active)  # the rows the round's objective sums
     direction = np.zeros_like(ghi)
 
@@ -345,9 +350,7 @@ def refine_ghi(
     state.err_history.append(float(np.sqrt(squared.sum())))
 
     iterations = state.iterations
-    bound_violation = max(
-        state.bound_violation, _bound_violation(ghi[day], state.ghi_max[day])
-    )
+    bound_violation = max(state.bound_violation, _bound_violation(ghi, state.ghi_max))
     live = scored  # the timesteps of ``sub``: the active ones, as of the last restriction
     sub = model.rows(live)
     moved = np.arange(live.size)  # positions in ``live`` whose gradient is to be (re)taken
@@ -395,7 +398,7 @@ def refine_ghi(
     state.ghi = ghi
     state.lambdas = lam
     state.iterations = iterations
-    state.converged = state.converged | (day & has_data & ~active)
+    state.converged = state.converged | (has_data & ~active)
     state.bound_violation = bound_violation
     return state
 
@@ -427,7 +430,6 @@ def _every_step(values: np.ndarray, rows: np.ndarray, fill, t_count: int) -> np.
 def _shadow_trust(
     model: ForwardModel,
     rows: np.ndarray,
-    power: np.ndarray,
     ghi_clear: np.ndarray,
     sp: SolarPosition,
     cfg: SolverConfig,
@@ -435,13 +437,16 @@ def _shadow_trust(
     """Per-timestep, per-plant trust weights from the plants' shadow maps.
 
     ``model`` holds the timesteps ``rows`` and ``ghi_clear`` their clear
-    sky; ``power`` and ``sp`` cover every timestep. The clear-sky power
-    is zero on the other rows, as the chain gives it at night and at
-    zero GHI. It and the maps are released on return.
+    sky; ``sp`` covers every timestep. The maps read the model's rows
+    alone: their power, their clear-sky power and their sun positions.
+    The weights are read at every timestep. The clear-sky power and the
+    maps are released on return.
     """
-    pred_clear = _every_step(model.plant_power(ghi_clear), rows, 0.0, len(power))
+    solved_sp = SolarPosition(sp.azimuth[rows], sp.zenith[rows])
     maps = smooth_threshold_map(
-        build_shadow_map(power, pred_clear, model.pnom, sp, cfg.trust_bin_deg),
+        build_shadow_map(
+            model.power, model.plant_power(ghi_clear), model.pnom, solved_sp, cfg.trust_bin_deg
+        ),
         cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
     )
     return trust_weights(maps, sp, cfg.trust_bin_deg, floor=cfg.trust_floor)
@@ -481,7 +486,7 @@ def estimate(
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        trust = _shadow_trust(model, rows, power, ghi_clear[rows], sp, cfg)
+        trust = _shadow_trust(model, rows, ghi_clear[rows], sp, cfg)
     else:
         trust = np.full(power.shape, 1.0 / n_pv)
     # every step's errors, written over the power: GHI 0 leaves each plant's
@@ -491,12 +496,13 @@ def estimate(
     solved_trust = trust[rows]
     state = init_ghi(model, ghi_clear[rows], solved_trust, cfg)
 
+    # the gate is row-wise and only the solved rows' errors change after the first round
+    errors[rows] = state.errors
     gating = cfg.use_gate and n_pv >= 3
-    gate = np.ones(errors.shape, dtype=bool)
-    for _ in range(GATE_ROUNDS if gating else 1):
-        if gating:
-            errors[rows] = state.errors
-            gate = tukey_gate_matrix(errors, k_q=cfg.k_q)
+    gate = tukey_gate_matrix(errors, k_q=cfg.k_q) if gating else np.ones(errors.shape, bool)
+    for gate_round in range(GATE_ROUNDS if gating else 1):
+        if gate_round:
+            gate[rows] = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
         state = refine_ghi(model, state, solved_trust, gate[rows], cfg)
 
     t_count = dataset.n_steps

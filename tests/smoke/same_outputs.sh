@@ -4,7 +4,8 @@
 # is not touched), runs both benchmark workloads on seeds 1-3 there and in
 # the working tree with `bench/run.py --seconds 0 --trace 0`, and compares
 # every ghi_sha256 and omega_sha256 line, and on cli-pipeline-45d the
-# files the pipeline writes:
+# files the pipeline writes, diagnostics.json on every key but the timing
+# seconds_per_sample:
 #
 #   bash tests/smoke/same_outputs.sh <rev>
 #
@@ -33,6 +34,8 @@ for workload in estimate-season-15min cli-pipeline-45d; do
       for f in omega.json split_table.csv ghi_estimate.csv metrics.json; do
         cmp -s "$base/$out/$f" "$tree/$out/$f" || files="$files $f"
       done
+      untimed() { grep -v '^  "seconds_per_sample": ' "$1/$out/diagnostics.json"; }
+      cmp -s <(untimed "$base") <(untimed "$tree") || files="$files diagnostics.json"
     fi
     if [ "$was" = "$now" ] && [ -z "$files" ]; then
       echo "same      $workload seed $seed"

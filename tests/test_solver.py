@@ -340,14 +340,34 @@ def test_forward_model_rejects_bad_rating(site, mesh, params, rating):
         ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
 
 
-def test_forward_model_rejects_coefficients_of_another_plant(site, mesh, params):
-    """Swapped coefficients would give a plausible wrong GHI, marked converged."""
+def test_coefficient_sets_are_matched_by_plant_id(site, mesh, params):
+    """Each plant takes the set of its id, in whatever order the sets come;
+    sets of other plants are ignored. A plant without a set, or an id
+    given twice, is an InputError naming it."""
     synth, sp, omegas = build_scene(site, mesh, params, days=1)
-    swapped = (omegas[1], omegas[0], *omegas[2:])
-    with pytest.raises(InputError, match=re.escape(
-        "coefficients of plants ['p2', 'p1', 'p3', 'p4'] given for plants ['p1', 'p2', 'p3', 'p4']"
-    )):
-        estimate(synth.dataset, swapped, mesh.orientations, params)
+    ds = synth.dataset
+    base = estimate(ds, omegas, mesh.orientations, params)
+    elsewhere = OmegaCoefficients("elsewhere", omegas[0].omega, 1000.0)
+    for given in (
+        (omegas[1], omegas[0], *omegas[2:]),
+        omegas[::-1],
+        (omegas[2], elsewhere, omegas[3], omegas[0], omegas[1]),
+    ):
+        res = estimate(ds, given, mesh.orientations, params)
+        for name in ("ghi", "trust", "gate", "n_plants_used"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(base, name), err_msg=name)
+        for name in ("errors", "lambdas", "iterations", "converged"):
+            np.testing.assert_array_equal(
+                getattr(res.state, name), getattr(base.state, name), err_msg=name
+            )
+        assert res.state.err_history == base.state.err_history
+        assert res.state.objective_history == base.state.objective_history
+    with pytest.raises(InputError, match=re.escape("no coefficients for plant(s) p2, p4")):
+        estimate(ds, (omegas[0], omegas[2]), mesh.orientations, params)
+    with pytest.raises(InputError, match=re.escape("coefficients of plant(s) p3 given twice")):
+        estimate(ds, (*omegas, omegas[2]), mesh.orientations, params)
+    with pytest.raises(InputError, match=re.escape("plant(s) elsewhere, p1 given twice")):
+        estimate(ds, (elsewhere, *omegas, elsewhere, omegas[0]), mesh.orientations, params)
 
 
 def test_estimate_without_a_clear_sky_uses_the_site_model(site, mesh, params):
@@ -556,15 +576,24 @@ def test_forward_model_runs_only_on_rows_that_need_it(site, mesh, params, monkey
     assert sum(rows_seen) < full_length / 2
 
 
+def solved_model(dataset, omegas, mesh, params, sp, ghi_clear):
+    """The forward model on the solved steps, sun up and clear-sky > 0, as
+    ``estimate`` builds it, and those steps."""
+    idx = np.flatnonzero(sp.daytime & (ghi_clear > 0))
+    return ForwardModel(dataset, omegas, mesh.orientations, params, sp, idx), idx
+
+
 def test_refine_evaluates_the_chain_on_active_rows_only(site, mesh, params, monkeypatch):
-    """A refine round starts from the state's errors, not from a full-length evaluation."""
+    """A refine round starts from the state's errors, not from an evaluation
+    on all of the model's rows; every fifth row is gated out entirely."""
     synth, sp, omegas = three_plant_scene(site, mesh, params, days=3, seed=20)
-    model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
-    t_count = len(sp.zenith)
-    trust = np.full((t_count, 3), 1 / 3)
-    gate = np.ones((t_count, 3), dtype=bool)
+    model, idx = solved_model(synth.dataset, omegas, mesh, params, sp, synth.ghi_clear)
+    n = idx.size
+    trust = np.full((n, 3), 1 / 3)
+    gate = np.ones((n, 3), dtype=bool)
+    gate[::5] = False
     cfg = SolverConfig()
-    state = init_ghi(model, synth.ghi_clear, trust, cfg)
+    state = init_ghi(model, synth.ghi_clear[idx], trust, cfg)
     rows_seen = []
     chain = solver.proxy_matrix
 
@@ -574,9 +603,8 @@ def test_refine_evaluates_the_chain_on_active_rows_only(site, mesh, params, monk
 
     monkeypatch.setattr(solver, "proxy_matrix", counting)
     refine_ghi(model, state, trust, gate, cfg)
-    day = int((sp.daytime & (synth.ghi_clear > 0)).sum())
-    assert rows_seen
-    assert max(rows_seen) <= day < t_count
+    assert rows_seen[0] == n - len(range(0, n, 5))
+    assert max(rows_seen) < n
 
 
 def test_estimate_computes_each_plane_once(site, mesh, params, monkeypatch):
@@ -634,21 +662,19 @@ def with_missing(dataset, missing):
     return AlignedDataset(dataset.timestamps, plants, dataset.site)
 
 
-def reference_refine(model, state, trust, gate, cfg, history=slice(None)):
+def reference_refine(model, state, trust, gate, cfg):
     """The descent with every active timestep's gradient taken in every iteration.
 
-    ``err_history`` holds the Frobenius norm of the errors of the rows
-    ``history``.
+    Every row of ``model`` is a solved step.
     """
     ghi = state.ghi.copy()
     lam = np.full_like(ghi, cfg.lambda0)
-    day = model.chain.daytime & (state.ghi_max > 0)
     errors = model.normalized_errors(ghi)
     h = objective(errors, trust, gate)
     has_data = (np.isfinite(errors) & gate & (trust > 0)).any(axis=1)
-    active = day & has_data
+    active = has_data.copy()
     round_history = [float(h[active].sum())]
-    state.err_history.append(float(np.sqrt(np.nansum(errors[history] ** 2))))
+    state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
@@ -674,41 +700,42 @@ def reference_refine(model, state, trust, gate, cfg, history=slice(None)):
             float(np.max(ghi - state.ghi_max, initial=0.0)),
             float(np.max(-ghi, initial=0.0)),
         )
-        state.err_history.append(float(np.sqrt(np.nansum(errors[history] ** 2))))
-        round_history.append(float(h[day & has_data].sum()))
+        state.err_history.append(float(np.sqrt(np.nansum(errors**2))))
+        round_history.append(float(h[has_data].sum()))
     state.objective_history.append(round_history)
     state.ghi, state.errors, state.lambdas = ghi, errors, lam
-    state.converged = state.converged | (day & has_data & ~active)
+    state.converged = state.converged | (has_data & ~active)
     return state
 
 
 def reference_init(model, ghi_clear, trust, cfg):
-    """The grid with all ``n_grid`` candidates on every solved step, dark ones included."""
+    """The grid with all ``n_grid`` candidates on every step, dark ones included.
+
+    Every row of ``model`` is a solved step.
+    """
     ghi_clear = np.asarray(ghi_clear, float)
     ghi_max = cfg.k_safety * ghi_clear
-    day = model.chain.daytime & (ghi_max > 0)
-    rows = np.flatnonzero(day)
     w = solver._objective_weights(model.power, trust, np.ones(trust.shape, dtype=bool))
     has_data = w.sum(axis=1) > 0
-    best_score = np.full(rows.size, np.inf)
+    best_score = np.full(len(ghi_max), np.inf)
     ghi = np.zeros(len(ghi_max))
     for g in range(1, cfg.n_grid + 1):
-        cand = (g / cfg.n_grid) * ghi_max[rows]
-        score = solver._weighted_sum(w[rows], np.abs(model.rows(rows).normalized_errors(cand)))
-        better = has_data[rows] & (score < best_score)
+        cand = (g / cfg.n_grid) * ghi_max
+        score = solver._weighted_sum(w, np.abs(model.normalized_errors(cand)))
+        better = has_data & (score < best_score)
         best_score[better] = score[better]
-        ghi[rows[better]] = cand[better]
-    ghi[day & ~has_data] = ghi_clear[day & ~has_data]
+        ghi[better] = cand[better]
+    ghi[~has_data] = ghi_clear[~has_data]
     reported = np.isfinite(model.power)
     dark = (np.where(reported, model.power, 0.0) == 0.0).all(axis=1)
-    ghi[day & has_data & dark] = 0.0
+    ghi[has_data & dark] = 0.0
     return solver.EstimationState(
         ghi=ghi,
         errors=model.normalized_errors(ghi),
         lambdas=np.full(len(ghi), cfg.lambda0),
         ghi_max=ghi_max,
         iterations=np.zeros(len(ghi), dtype=int),
-        converged=~day,
+        converged=np.zeros(len(ghi), dtype=bool),
     )
 
 
@@ -740,25 +767,40 @@ def dark_scene(site, mesh, params):
 def test_init_matches_the_every_step_grid(dark_scene, mesh, params):
     """Running the grid on the decided steps alone changes no bit of the state."""
     synth, sp, omegas, ds, no_data = dark_scene
-    model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
-    trust = np.random.default_rng(23).uniform(0.1, 1.0, (ds.n_steps, ds.n_plants))
+    model, idx = solved_model(ds, omegas, mesh, params, sp, synth.ghi_clear)
+    clear = synth.ghi_clear[idx]
+    trust = np.random.default_rng(23).uniform(0.1, 1.0, model.power.shape)
     cfg = SolverConfig()
-    state = init_ghi(model, synth.ghi_clear, trust, cfg)
-    ref = reference_init(model, synth.ghi_clear, trust, cfg)
-    assert state.ghi[no_data] == synth.ghi_clear[no_data] > 0
+    state = init_ghi(model, clear, trust, cfg)
+    ref = reference_init(model, clear, trust, cfg)
+    no_data = np.searchsorted(idx, no_data)
+    assert state.ghi[no_data] == clear[no_data] > 0
     for name in ("ghi", "errors", "lambdas", "ghi_max", "iterations", "converged"):
         np.testing.assert_array_equal(getattr(state, name), getattr(ref, name), err_msg=name)
 
 
 def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
-    """``estimate`` on ``dark_scene`` at ``ghi_clear`` against the every-row references."""
+    """``estimate`` on ``dark_scene`` at ``ghi_clear`` against the every-row references.
+
+    The references solve the solved steps; every other step keeps GHI 0,
+    step ``lambda0`` and 0 iterations, is converged, and has each plant's
+    error its power over its rating. The shadow maps read no clear-sky
+    power off the solved steps. Each round gates every step.
+    """
     _, sp, omegas, ds, _ = dark_scene
     cfg = SolverConfig(trust_bin_deg=10.0)  # three days fill few 2-degree bins
     res = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=ghi_clear)
     assert np.ptp(res.trust[:, 0]) > 0.1
 
-    model = ForwardModel(ds, omegas, mesh.orientations, params, sp)
-    pred_clear = model.plant_power(np.where(sp.daytime, ghi_clear, 0.0))
+    model, idx = solved_model(ds, omegas, mesh, params, sp, ghi_clear)
+    np.testing.assert_array_equal(res.solved, np.isin(np.arange(ds.n_steps), idx))
+
+    def every_step(values, fill):
+        out = np.full((ds.n_steps, *values.shape[1:]), fill, dtype=values.dtype)
+        out[idx] = values
+        return out
+
+    pred_clear = every_step(model.plant_power(ghi_clear[idx]), np.nan)
     maps = [
         reference_smooth_threshold_map(
             reference_build_shadow_map(
@@ -770,16 +812,23 @@ def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
     ]
     trust = reference_trust_weights(maps, sp, floor=cfg.trust_floor)
     np.testing.assert_array_equal(res.trust, trust)
-    ref = reference_init(model, ghi_clear, trust, cfg)
+    ref = reference_init(model, ghi_clear[idx], trust[idx], cfg)
+    errors = ds.power_matrix() / model.pnom
     for _ in range(GATE_ROUNDS):
-        gate = tukey_gate_matrix(ref.errors, k_q=cfg.k_q)
-        ref = reference_refine(model, ref, trust, gate, cfg, history=res.solved)
+        errors[idx] = ref.errors
+        gate = tukey_gate_matrix(errors, k_q=cfg.k_q)
+        ref = reference_refine(model, ref, trust[idx], gate[idx], cfg)
+    errors[idx] = ref.errors
 
     np.testing.assert_array_equal(res.gate, gate)
-    np.testing.assert_array_equal(res.ghi, ref.ghi)
-    np.testing.assert_array_equal(res.n_plants_used, (np.isfinite(ref.errors) & gate).sum(axis=1))
-    for name in ("errors", "iterations", "lambdas", "converged", "ghi_max"):
-        np.testing.assert_array_equal(getattr(res.state, name), getattr(ref, name), err_msg=name)
+    np.testing.assert_array_equal(res.ghi, every_step(ref.ghi, 0.0))
+    np.testing.assert_array_equal(res.n_plants_used, (np.isfinite(errors) & gate).sum(axis=1))
+    np.testing.assert_array_equal(res.state.errors, errors)
+    np.testing.assert_array_equal(res.state.ghi_max, cfg.k_safety * ghi_clear)
+    for name, fill in (("iterations", 0), ("lambdas", cfg.lambda0), ("converged", True)):
+        np.testing.assert_array_equal(
+            getattr(res.state, name), every_step(getattr(ref, name), fill), err_msg=name
+        )
     assert res.state.err_history == ref.err_history
     assert res.state.objective_history == ref.objective_history
     assert res.state.bound_violation == ref.bound_violation
@@ -789,10 +838,9 @@ def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
 def test_estimate_matches_the_reference_pipeline(dark_scene, mesh, params):
     """Shadow maps, the grid, the gate and the descent as the every-row references run them.
 
-    The reference trust comes from the per-plant shadow-map pipeline and
-    clear-sky power evaluated on every timestep, night ones included. The
-    error history is the norm over the solved timesteps, the rows the
-    descent changes.
+    The reference trust comes from the per-plant shadow-map pipeline on
+    the solved timesteps. The error history is the norm over the solved
+    timesteps, the rows the descent changes.
     """
     assert_matches_the_reference_pipeline(dark_scene, mesh, params, dark_scene[0].ghi_clear)
 
@@ -811,6 +859,25 @@ def test_estimate_matches_the_reference_where_a_daytime_clear_sky_is_zero(
     assert (res.ghi[zero] == 0.0).all() and res.converged[zero].all()
 
 
+def test_shadow_maps_read_only_the_solved_steps(dark_scene, mesh, params):
+    """A sun-up step with a zero clear sky is not solved, and its power
+    enters no shadow map: setting it missing changes no trust weight."""
+    synth, sp, omegas, ds, _ = dark_scene
+    cfg = SolverConfig(trust_bin_deg=10.0)
+    unsolved = np.flatnonzero(sp.daytime)[::3]
+    clear = synth.ghi_clear.copy()
+    clear[unsolved] = 0.0
+    missing = np.zeros((ds.n_steps, ds.n_plants), dtype=bool)
+    missing[unsolved] = True
+    kept = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=clear)
+    dropped = estimate(
+        with_missing(ds, missing), omegas, mesh.orientations, params, cfg, ghi_clear=clear
+    )
+    assert np.ptp(kept.trust[kept.solved, 0]) > 0.1
+    np.testing.assert_array_equal(dropped.trust, kept.trust)
+    np.testing.assert_array_equal(dropped.ghi, kept.ghi)
+
+
 def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):
     """Retaking the gradient only where GHI moved changes no bit of the state.
 
@@ -821,10 +888,12 @@ def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):
     rng = np.random.default_rng(21)
     ds = synth.dataset
     missing = rng.random((ds.n_steps, ds.n_plants)) < 0.1
-    model = ForwardModel(with_missing(ds, missing), omegas, mesh.orientations, params, sp)
-    trust = rng.uniform(0.1, 1.0, missing.shape)
+    model, idx = solved_model(
+        with_missing(ds, missing), omegas, mesh, params, sp, synth.ghi_clear
+    )
+    trust = rng.uniform(0.1, 1.0, model.power.shape)
     cfg = SolverConfig()
-    state = init_ghi(model, synth.ghi_clear, trust, cfg)
+    state = init_ghi(model, synth.ghi_clear[idx], trust, cfg)
     ref = copy.deepcopy(state)
     for _ in range(GATE_ROUNDS):
         gate = tukey_gate_matrix(state.errors, k_q=cfg.k_q)

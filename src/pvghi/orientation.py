@@ -21,7 +21,7 @@ from .data import (
 )
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import binned_quantile, sun_bin_keys
-from .solar import Orientation, SolarPosition, site_clearsky, sun_positions
+from .solar import Orientation, SolarPosition, site_sky
 
 ENVELOPE_MIN_SAMPLES = 5   # a sun-position bin with fewer samples selects none
 ENVELOPE_QUANTILE = 0.95   # a bin's clear power level
@@ -159,9 +159,9 @@ def generate_mesh(subdivision: int = 2) -> OrientationMesh:
 
 
 def select_clear(power: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Boolean clear-sky seed mask of a plant's daytime ``power``, from its envelope.
+    """Boolean clear-sky seed mask of a plant's modelled-row ``power``, from its envelope.
 
-    Samples with power are grouped by their daytime step's sun-bin key in
+    Samples with power are grouped by their modelled row's sun-bin key in
     ``keys``. In a bin with at least ENVELOPE_MIN_SAMPLES of them, a
     sample is clear when its power reaches ENVELOPE_FRAC of the bin's
     ENVELOPE_QUANTILE quantile. Smaller bins and missing samples are
@@ -203,7 +203,7 @@ class _ClearFits:
     """One plant during identification: its data, fits and errors.
 
     ``power`` (``finite`` where it is) and the shared clear-sky proxy
-    ``pr`` hold the daytime timesteps, which every row mask indexes. A
+    ``pr`` hold the modelled rows, which every row mask indexes. A
     fit needs ``n_min`` rows. A row set fitted before returns that fit
     again. ``error`` makes each InsufficientDataError, naming the plant.
     """
@@ -239,8 +239,8 @@ def _refine_clear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The clear-sky mask the forward model explains at one clear level.
 
-    ``seed`` and the mask returned index the daytime timesteps, as
-    ``fit`` does; ``period`` is each daytime row's daylight period and
+    ``seed`` and the mask returned index the modelled rows, as
+    ``fit`` does; ``period`` is each modelled row's daylight period and
     ``keys`` its sun-bin key. Up to REFINE_ROUNDS times and until the
     mask stops changing: fit the whole period on the mask (``fit``, each
     round warm-started from the last round's coefficients), predict
@@ -502,7 +502,7 @@ def _split_search(
     """Coefficients per plant from the best temporal split, and its report.
 
     ``folds`` holds, per candidate fold length in order, the folds'
-    memberships of the daytime rows, which the plants' clear ``masks``
+    memberships of the modelled rows, which the plants' clear ``masks``
     (finite power only) and ``fits`` index. For every length the
     coefficients are fit per fold; a fold below ``fit.n_min`` clear
     samples borrows the previous fold's fit, or the plant's first. A
@@ -578,7 +578,8 @@ def identify(
 
     The mesh is ``generate_mesh(cfg.subdivision)``, which the result
     returns as ``mesh``. The clear-sky proxy is built once, on the
-    daytime timesteps, and so are each daytime row's daylight period,
+    modelled rows of ``site_sky`` (sun up, clear-sky > 0), the rows
+    ``estimate`` solves, and so are each modelled row's daylight period,
     its ``cfg.clear_bin_deg`` sun-bin key, the day index that gives the
     span and its fold of each length in ``cfg.split_candidates`` that
     the data span, and the fit minimum max(mesh size, MIN_FIT_SAMPLES).
@@ -589,7 +590,7 @@ def identify(
     ``_refine_clear`` narrows them with the forward model, and
     ``_split_search`` fits them per fold; both fit through the record,
     so no row set is fitted twice. A dataset shorter than every
-    candidate, or a clear-sky GHI that ``site_clearsky`` rejects, is an
+    candidate, or a clear-sky GHI that ``site_sky`` rejects, is an
     InputError; a plant left with too few clear samples or with
     all-zero coefficients is an InsufficientDataError naming it.
     """
@@ -603,19 +604,18 @@ def identify(
             f"{sorted(cfg.split_candidates)}"
         )
     mesh = generate_mesh(cfg.subdivision)
-    sp = sun_positions(dataset.timestamps, dataset.site)
-    ghi_clear = site_clearsky(ghi_clear, sp, dataset.timestamps, dataset.site)
-    day = np.flatnonzero(sp.daytime)
-    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
-    # the daylight period of each daytime row counts the sunrises so far
-    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
-    keys = sun_bin_keys(sp, day, cfg.clear_bin_deg)
+    sp, ghi_clear, modelled = site_sky(ghi_clear, dataset.timestamps, dataset.site)
+    rows = np.flatnonzero(modelled)
+    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows)
+    # the daylight period of each modelled row counts the sunrises so far
+    period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[rows]
+    keys = sun_bin_keys(sp, rows, cfg.clear_bin_deg)
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
-    fits = [_ClearFits(p.plant_id, p.power[day], pr, n_min) for p in dataset.plants]
+    fits = [_ClearFits(p.plant_id, p.power[rows], pr, n_min) for p in dataset.plants]
     masks, starts = zip(*(
         _refine_clear(fit, select_clear(fit.power, keys), period, keys, params) for fit in fits
     ))
-    omegas, report = _split_search(fits, masks, starts, _folds(days, usable, day), params)
+    omegas, report = _split_search(fits, masks, starts, _folds(days, usable, rows), params)
     return IdentificationResult(omegas=omegas, mesh=mesh, report=report)
 
 

@@ -169,15 +169,21 @@ def clearsky_ghi(sp: SolarPosition, timestamps: np.ndarray, site: Site) -> np.nd
     return np.where(np.isfinite(am) & (ghi > 0), ghi, 0.0)
 
 
-def site_clearsky(ghi_clear, sp: SolarPosition, timestamps: np.ndarray, site: Site) -> np.ndarray:
-    """``ghi_clear`` as floats, one per sun position, checked where the sun
-    is up; None is the site's ``clearsky_ghi``.
+def site_sky(
+    ghi_clear, timestamps: np.ndarray, site: Site
+) -> tuple[SolarPosition, np.ndarray, np.ndarray]:
+    """The sun positions of ``timestamps``, their clear sky and the modelled rows.
 
-    A daytime value that is not finite and >= 0 is an InputError, as it
-    would make a plausible-looking wrong GHI; night values are free.
+    The clear sky is ``ghi_clear`` as floats, one per timestep, or the
+    site's ``clearsky_ghi`` for None, checked where the sun is up: a
+    daytime value that is not finite and >= 0 is an InputError, as it
+    would make a plausible-looking wrong GHI; night values are free. The
+    modelled rows, a boolean mask, are the timesteps with the sun up and
+    a clear sky > 0: ``identify`` fits them and ``estimate`` solves them.
     """
+    sp = sun_positions(timestamps, site)
     if ghi_clear is None:
-        return clearsky_ghi(sp, timestamps, site)
+        ghi_clear = clearsky_ghi(sp, timestamps, site)
     ghi_clear = np.asarray(ghi_clear, dtype=float)
     if ghi_clear.shape != np.shape(sp.zenith):
         raise InputError(f"clear-sky GHI has {ghi_clear.size} values for {len(sp.zenith)} steps")
@@ -185,4 +191,4 @@ def site_clearsky(ghi_clear, sp: SolarPosition, timestamps: np.ndarray, site: Si
     bad = int((~((day >= 0) & (day < np.inf))).sum())
     if bad:
         raise InputError(f"clear-sky GHI: {bad} daytime value(s) not finite and >= 0")
-    return ghi_clear
+    return sp, ghi_clear, sp.daytime & (ghi_clear > 0)

@@ -33,7 +33,7 @@ from .reconcile import (
     trust_weights,
     tukey_gate_matrix,
 )
-from .solar import SolarPosition, site_clearsky, sun_positions
+from .solar import SolarPosition, site_sky
 
 
 ZERO_MEAN_TOL = 1e-12  # normalized mean errors below this are float noise
@@ -428,24 +428,18 @@ def _every_step(values: np.ndarray, rows: np.ndarray, fill, t_count: int) -> np.
 
 
 def _shadow_trust(
-    model: ForwardModel,
-    rows: np.ndarray,
-    ghi_clear: np.ndarray,
-    sp: SolarPosition,
-    cfg: SolverConfig,
+    model: ForwardModel, ghi_clear: np.ndarray, sp: SolarPosition, cfg: SolverConfig
 ) -> np.ndarray:
     """Per-timestep, per-plant trust weights from the plants' shadow maps.
 
-    ``model`` holds the timesteps ``rows`` and ``ghi_clear`` their clear
-    sky; ``sp`` covers every timestep. The maps read the model's rows
-    alone: their power, their clear-sky power and their sun positions.
-    The weights are read at every timestep. The clear-sky power and the
-    maps are released on return.
+    ``ghi_clear`` and ``sp`` hold the clear sky and sun positions of the
+    model's rows. The maps read those rows alone, their power and their
+    clear-sky power, and the weights are read at them. The clear-sky
+    power and the maps are released on return.
     """
-    solved_sp = SolarPosition(sp.azimuth[rows], sp.zenith[rows])
     maps = smooth_threshold_map(
         build_shadow_map(
-            model.power, model.plant_power(ghi_clear), model.pnom, solved_sp, cfg.trust_bin_deg
+            model.power, model.plant_power(ghi_clear), model.pnom, sp, cfg.trust_bin_deg
         ),
         cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
     )
@@ -467,45 +461,40 @@ def estimate(
     the grid initialization, then alternates outlier gating with descent
     refinement a fixed number of rounds. A single plant reduces to the
     ungated, unweighted objective. ``ghi_clear`` is read by
-    ``site_clearsky``: None is the site's clear-sky model. ``threads``
-    is accepted and ignored: the solve is single-threaded.
+    ``site_sky``: None is the site's clear-sky model. ``threads`` is
+    accepted and ignored: the solve is single-threaded.
 
-    The model, the grid and the descent hold the solved timesteps only,
-    sun up and clear-sky > 0. Every other timestep gets the values the
-    solver would give it: GHI 0, converged after 0 iterations at step
-    ``lambda0``, each plant's error its power over its rating, and the
-    gate of those errors.
+    Every stage, the model, the trust, the gate, the grid and the
+    descent, holds the solved timesteps only: the modelled rows of
+    ``site_sky``, sun up and clear-sky > 0. Every other timestep gets
+    its values in closed form: GHI 0, converged after 0 iterations at
+    step ``lambda0``, each plant's error its power over its rating,
+    trust 1/n and no plant gated.
     """
     t0 = time.perf_counter()
-    sp = sun_positions(dataset.timestamps, dataset.site)
-    ghi_clear = site_clearsky(ghi_clear, sp, dataset.timestamps, dataset.site)
-    solved = sp.daytime & (ghi_clear > 0)
+    sp, ghi_clear, solved = site_sky(ghi_clear, dataset.timestamps, dataset.site)
     rows = np.flatnonzero(solved)
     model = ForwardModel(dataset, omegas, mesh_orientations, params, sp, rows)
-    power = dataset.power_matrix()
+    clear = ghi_clear[rows]
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        trust = _shadow_trust(model, rows, ghi_clear[rows], sp, cfg)
+        trust = _shadow_trust(model, clear, SolarPosition(sp.azimuth[rows], sp.zenith[rows]), cfg)
     else:
-        trust = np.full(power.shape, 1.0 / n_pv)
-    # every step's errors, written over the power: GHI 0 leaves each plant's
-    # error at its power over its rating, and the solved rows are updated
-    errors = np.divide(power, model.pnom, out=power)
+        trust = np.full(model.power.shape, 1.0 / n_pv)
+    state = init_ghi(model, clear, trust, cfg)
 
-    solved_trust = trust[rows]
-    state = init_ghi(model, ghi_clear[rows], solved_trust, cfg)
-
-    # the gate is row-wise and only the solved rows' errors change after the first round
-    errors[rows] = state.errors
     gating = cfg.use_gate and n_pv >= 3
-    gate = tukey_gate_matrix(errors, k_q=cfg.k_q) if gating else np.ones(errors.shape, bool)
-    for gate_round in range(GATE_ROUNDS if gating else 1):
-        if gate_round:
-            gate[rows] = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
-        state = refine_ghi(model, state, solved_trust, gate[rows], cfg)
+    gate = np.ones(trust.shape, dtype=bool)
+    for _ in range(GATE_ROUNDS if gating else 1):
+        if gating:
+            gate = tukey_gate_matrix(state.errors, k_q=cfg.k_q)
+        state = refine_ghi(model, state, trust, gate, cfg)
 
     t_count = dataset.n_steps
+    # GHI 0 leaves each plant's error at its power over its rating
+    errors = dataset.power_matrix()
+    errors /= model.pnom
     errors[rows] = state.errors
     state.errors = errors
     state.ghi = _every_step(state.ghi, rows, 0.0, t_count)
@@ -513,12 +502,13 @@ def estimate(
     state.iterations = _every_step(state.iterations, rows, 0, t_count)
     state.converged = _every_step(state.converged, rows, True, t_count)
     state.ghi_max = cfg.k_safety * ghi_clear
+    gate = _every_step(gate, rows, True, t_count)
     elapsed = time.perf_counter() - t0
     return SolveResult(
         timestamps=dataset.timestamps,
         ghi=state.ghi,
         state=state,
-        trust=trust,
+        trust=_every_step(trust, rows, 1.0 / n_pv, t_count),
         gate=gate,
         n_plants_used=(np.isfinite(errors) & gate).sum(axis=1),
         ghi_clear=ghi_clear,

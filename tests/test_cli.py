@@ -726,7 +726,8 @@ def test_smoke_scene_from_crlf_files_with_quoted_numbers(tmp_path):
 
 def test_smoke_script(tmp_path):
     """``tests/smoke/run.sh`` runs synth, identify, estimate and evaluate, then
-    reruns identify and estimate under another PYTHONHASHSEED byte for byte."""
+    reruns identify and estimate under another PYTHONHASHSEED byte for byte,
+    diagnostics.json but for its timing."""
     proc = subprocess.run(
         ["bash", str(SMOKE / "run.sh"), str(tmp_path / "smoke"), sys.executable, "-m",
          "pvghi.cli"],
@@ -867,3 +868,31 @@ def test_a_repeated_clear_sky_override_stamp_is_named(tmp_path, capsys, site, me
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert f"error: {override}: data row {noon + 1}: non-monotonic timestamps" in err[0]
+
+
+@pytest.mark.parametrize("route", ["evaluate-output", "output-dir"])
+def test_a_failed_write_is_one_error_line(
+    pipeline_dir, tmp_path, capsys, site, mesh, params, route
+):
+    """An output path that cannot be written is an input error naming it.
+
+    ``evaluate --output`` at an existing directory and an ``output_dir``
+    that names an existing file used to end in an OSError traceback, the
+    second after the solve.
+    """
+    if route == "evaluate-output":
+        _, _, out = pipeline_dir
+        target = tmp_path / "report"
+        target.mkdir()
+        argv = ["evaluate", "--est", str(out / "ghi_estimate.csv"),
+                "--truth", str(out / "ghi_truth.csv"), "--output", str(target)]
+    else:
+        _, _, argv = one_day_inputs(tmp_path, site, mesh, params)
+        target = tmp_path / "out"
+        target.write_text("not a directory\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(target) in lines[0]

@@ -946,6 +946,48 @@ def test_identify_builds_one_proxy_on_daytime_rows(clear_scene, mesh, params, mo
         np.testing.assert_array_equal(a.omega, b.omega)
 
 
+def test_identify_models_the_rows_estimate_solves(site, mesh, params, monkeypatch):
+    """A sun-up step whose given clear sky is 0 is not fitted, as ``estimate``
+    does not solve it: the proxy holds the sun-up steps with clear-sky > 0,
+    and blanking the power of the others changes no coefficient and no
+    split score.
+
+    The scene is ``clear_scene``'s plants over 35 days (seed 10), one on
+    which fitting the zero-sky steps' power moves both plants' ratings.
+    """
+    spec = SyntheticSpec(plants=(
+        PlantSpec("single", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),
+        PlantSpec("ew", ((mesh_vertex(mesh, 43.65, 94.39), 4000.0),
+                         (mesh_vertex(mesh, 43.65, 265.61), 4500.0))),
+    ))
+    ts = make_timestamps("2015-05-01T00:00:00", 35, 600)
+    synth = synthesize(spec, site, ts, seed=10)
+    sp = sun_positions(ts, site)
+    clear = synth.ghi_clear.copy()
+    zero = np.flatnonzero(sp.daytime)[::3]
+    clear[zero] = 0.0
+    stamps_seen = []
+    chain = orientation.forward_chain
+
+    def recording(sp_, timestamps, *args):
+        stamps_seen.append(timestamps)
+        return chain(sp_, timestamps, *args)
+
+    monkeypatch.setattr(orientation, "forward_chain", recording)
+    res = identify(synth.dataset, clear, params, by_splits(35, 15))
+    assert stamps_seen
+    for stamps in stamps_seen:
+        np.testing.assert_array_equal(stamps, ts[sp.daytime & (clear > 0)])
+
+    missing = np.zeros((synth.dataset.n_steps, synth.dataset.n_plants), dtype=bool)
+    missing[zero] = True
+    blanked = identify(with_missing(synth.dataset, missing), clear, params, by_splits(35, 15))
+    assert blanked.report == res.report
+    for a, b in zip(res.omegas, blanked.omegas):
+        np.testing.assert_array_equal(a.omega, b.omega)
+        assert a.estimated_pnom == b.estimated_pnom
+
+
 def test_identify_bins_the_daytime_sun_positions_once(clear_scene, params, monkeypatch):
     """Every plant's seed and refinement share one sun-bin key per daytime step."""
     synth, sp, _, _, _, _ = clear_scene

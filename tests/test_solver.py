@@ -20,6 +20,7 @@ from pvghi import (
 from pvghi.data import AlignedDataset, PlantSeries
 from pvghi import proxy, solver
 from pvghi.reconcile import tukey_gate_matrix
+from pvghi.solar import SolarPosition
 from pvghi.solver import (
     GATE_ROUNDS,
     GRAD_FLOOR,
@@ -783,9 +784,10 @@ def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
     """``estimate`` on ``dark_scene`` at ``ghi_clear`` against the every-row references.
 
     The references solve the solved steps; every other step keeps GHI 0,
-    step ``lambda0`` and 0 iterations, is converged, and has each plant's
-    error its power over its rating. The shadow maps read no clear-sky
-    power off the solved steps. Each round gates every step.
+    step ``lambda0`` and 0 iterations, is converged, has each plant's
+    error its power over its rating, trust 1/n and no plant gated. The
+    shadow maps read no clear-sky power off the solved steps, the trust
+    is read at them, and each round gates them.
     """
     _, sp, omegas, ds, _ = dark_scene
     cfg = SolverConfig(trust_bin_deg=10.0)  # three days fill few 2-degree bins
@@ -810,14 +812,15 @@ def assert_matches_the_reference_pipeline(dark_scene, mesh, params, ghi_clear):
         )
         for i, plant in enumerate(ds.plants)
     ]
-    trust = reference_trust_weights(maps, sp, floor=cfg.trust_floor)
-    np.testing.assert_array_equal(res.trust, trust)
-    ref = reference_init(model, ghi_clear[idx], trust[idx], cfg)
-    errors = ds.power_matrix() / model.pnom
+    solved_sp = SolarPosition(sp.azimuth[idx], sp.zenith[idx])
+    trust = reference_trust_weights(maps, solved_sp, floor=cfg.trust_floor)
+    np.testing.assert_array_equal(res.trust, every_step(trust, 1 / ds.n_plants))
+    ref = reference_init(model, ghi_clear[idx], trust, cfg)
     for _ in range(GATE_ROUNDS):
-        errors[idx] = ref.errors
-        gate = tukey_gate_matrix(errors, k_q=cfg.k_q)
-        ref = reference_refine(model, ref, trust[idx], gate[idx], cfg)
+        gate = tukey_gate_matrix(ref.errors, k_q=cfg.k_q)
+        ref = reference_refine(model, ref, trust, gate, cfg)
+    gate = every_step(gate, True)
+    errors = ds.power_matrix() / model.pnom
     errors[idx] = ref.errors
 
     np.testing.assert_array_equal(res.gate, gate)
@@ -876,6 +879,34 @@ def test_shadow_maps_read_only_the_solved_steps(dark_scene, mesh, params):
     assert np.ptp(kept.trust[kept.solved, 0]) > 0.1
     np.testing.assert_array_equal(dropped.trust, kept.trust)
     np.testing.assert_array_equal(dropped.ghi, kept.ghi)
+
+
+def test_the_unsolved_steps_get_their_values_in_closed_form(site, mesh, params):
+    """Night and the sun-up steps with a zero clear sky are not solved: each
+    plant's trust there is exactly 1/n, no plant is gated, and every
+    reporting plant is used.
+
+    At a trust floor of 0.03 with five plants the floor's own weights,
+    (1/f) / (n/f), are not exactly 1/5.
+    """
+    plants = {**THREE_PLANTS, "p4": ((26.57, 180.0, 6600.0),), "p5": ((26.57, 265.61, 5000.0),)}
+    synth, sp, omegas = build_scene(site, mesh, params, days=3, seed=24, plants={
+        pid: tuple((mesh_vertex(mesh, tilt, az), pnom) for tilt, az, pnom in f)
+        for pid, f in plants.items()
+    })
+    ds = synth.dataset
+    missing = np.random.default_rng(24).random((ds.n_steps, ds.n_plants)) < 0.2
+    ds = with_missing(ds, missing)
+    clear = synth.ghi_clear.copy()
+    clear[np.flatnonzero(sp.daytime)[::3]] = 0.0
+    cfg = SolverConfig(trust_floor=0.03, trust_bin_deg=10.0)
+    res = estimate(ds, omegas, mesh.orientations, params, cfg, ghi_clear=clear)
+    unsolved = ~res.solved
+    assert (unsolved & sp.daytime).sum() > 50
+    assert (res.trust[unsolved] == 1 / 5).all()
+    assert res.gate[unsolved].all()
+    np.testing.assert_array_equal(res.n_plants_used[unsolved], (~missing[unsolved]).sum(axis=1))
+    assert not res.gate[res.solved].all()
 
 
 def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):

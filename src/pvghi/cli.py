@@ -22,7 +22,6 @@ from .data import (
     expect,
     load_clearsky_csv,
     load_plant_csv,
-    parse_timestamp,
     read_json,
     read_series_csv,
     save_plant_csv,
@@ -38,13 +37,12 @@ from .synth import (
     PlantSpec,
     ShadowSector,
     SyntheticSpec,
+    grid_span,
     make_timestamps,
     synthesize,
 )
 
 SYNTH_SAMPLING_SECONDS = 600  # synth's step when [site] sampling_seconds is not set
-LAST_STAMP_TEXT = "9999-12-31T23:59:59Z"  # the last instant parse_timestamp reads
-LAST_STAMP = parse_timestamp(LAST_STAMP_TEXT)
 TRUTH_HEADER = "timestamp,ghi_wm2"
 ESTIMATE_HEADER = "timestamp,ghi_est_wm2,n_plants_used,iterations,converged"
 
@@ -82,8 +80,9 @@ def _clear_sky(cfg: RunConfig, dataset) -> np.ndarray | None:
 def cmd_identify(args) -> int:
     cfg = load_run_config(args.config)
     dataset = _load_dataset(cfg)
-    result = identify(dataset, _clear_sky(cfg, dataset), cfg.proxy, cfg.orientation)
+    ghi_clear = _clear_sky(cfg, dataset)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    result = identify(dataset, ghi_clear, cfg.proxy, cfg.orientation)
     omega_path = cfg.output_dir / "omega.json"
     save_omegas(result, omega_path)
 
@@ -111,12 +110,12 @@ def cmd_estimate(args) -> int:
     dataset = _load_dataset(cfg)
     mesh = generate_mesh(cfg.orientation.subdivision)
     omega_path = Path(args.omega) if args.omega else cfg.output_dir / "omega.json"
+    omegas, ghi_clear = load_omegas(omega_path, mesh), _clear_sky(cfg, dataset)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     result = estimate(
-        dataset, load_omegas(omega_path, mesh), mesh.orientations, cfg.proxy, cfg.solver,
-        ghi_clear=_clear_sky(cfg, dataset),
+        dataset, omegas, mesh.orientations, cfg.proxy, cfg.solver, ghi_clear=ghi_clear
     )
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "ghi_estimate.csv"
     write_series_csv(
         out_path, ESTIMATE_HEADER, result.timestamps,
@@ -219,21 +218,7 @@ def _read_synth_spec(path, step_seconds: int):
         ids = [p.plant_id for p in spec.plants]
         if len(set(ids)) < len(ids):
             raise InputError(f"spec.plants: plant_id repeated in {ids}")
-        try:
-            t0 = parse_timestamp(start)
-        except (ValueError, OverflowError):
-            raise InputError(f"start: bad timestamp {start!r}") from None
-        try:  # the last stamp make_timestamps would make, checked before it allocates
-            last = t0 + (int(days * 86400 / step_seconds) - 1) * step_seconds
-        except OverflowError:  # an infinite count, or an integer too large for a float
-            last = np.inf
-        if last < t0:
-            raise InputError(f"days: {days} holds no {step_seconds} s sample")
-        if last > LAST_STAMP:
-            raise InputError(
-                f"days: {days} from {start} runs past {LAST_STAMP_TEXT}, the last stamp "
-                "pvghi reads"
-            )
+        grid_span(start, days, step_seconds)  # a bad grid is refused before any array is made
         timestamps = make_timestamps(start, days, step_seconds)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -246,10 +231,9 @@ def cmd_synth(args) -> int:
     spec, timestamps = _read_synth_spec(
         args.spec, cfg.sampling_seconds or SYNTH_SAMPLING_SECONDS
     )
-    synth = synthesize(spec, cfg.site, timestamps, seed=seed, params=cfg.proxy)
-
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    synth = synthesize(spec, cfg.site, timestamps, seed=seed, params=cfg.proxy)
     for plant in synth.dataset.plants:
         save_plant_csv(plant, out / f"{plant.plant_id}.csv")
     write_series_csv(out / "ghi_truth.csv", TRUTH_HEADER, timestamps, (synth.ghi_true,))

@@ -172,6 +172,10 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+LAST_STAMP_TEXT = "9999-12-31T23:59:59Z"  # the last instant parse_timestamp reads
+LAST_STAMP = parse_timestamp(LAST_STAMP_TEXT)
+
+
 def _parse_float(text: str) -> float:
     try:
         return float(text)

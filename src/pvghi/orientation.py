@@ -177,18 +177,18 @@ def select_clear(power: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows) -> np.ndarray:
+def _clear_proxy(dataset, sun, ghi_clear, mesh, params, rows) -> np.ndarray:
     """The mesh's proxy matrix at clear-sky GHI on the timesteps ``rows``.
 
-    The (rows, planes) result is filled in at most PROXY_BLOCKS blocks
-    of ceil(K / PROXY_BLOCKS) planes, each with its own forward chain,
-    so the per-plane geometry alive at any time (one block's incidence
+    ``sun`` holds the sun positions of those timesteps. The (rows,
+    planes) result is filled in at most PROXY_BLOCKS blocks of
+    ceil(K / PROXY_BLOCKS) planes, each with its own forward chain, so
+    the per-plane geometry alive at any time (one block's incidence
     cosines and IAM factors) is about a quarter of the result's size,
     not twice it. The proxy is elementwise per plane, so the result
     equals one chain over the whole mesh bit for bit.
     """
     ghi = np.asarray(ghi_clear, dtype=float)[rows]
-    sun = SolarPosition(azimuth=sp.azimuth[rows], zenith=sp.zenith[rows])
     stamps, temp = dataset.timestamps[rows], dataset.mean_temperature()[rows]
     planes = mesh.orientations
     block = -(-len(planes) // PROXY_BLOCKS)
@@ -577,12 +577,13 @@ def identify(
     """Each plant's coefficients, identified from its clear-sky samples.
 
     The mesh is ``generate_mesh(cfg.subdivision)``, which the result
-    returns as ``mesh``. The clear-sky proxy is built once, on the
-    modelled rows of ``site_sky`` (sun up, clear-sky > 0), the rows
-    ``estimate`` solves, and so are each modelled row's daylight period,
-    its ``cfg.clear_bin_deg`` sun-bin key, the day index that gives the
-    span and its fold of each length in ``cfg.split_candidates`` that
-    the data span, and the fit minimum max(mesh size, MIN_FIT_SAMPLES).
+    returns as ``mesh``. The sun positions of the modelled rows of
+    ``site_sky`` (sun up, clear-sky > 0), the rows ``estimate`` solves,
+    are taken once, and so are their clear-sky proxy, each modelled
+    row's daylight period and ``cfg.clear_bin_deg`` sun-bin key, the
+    day index that gives the span and its fold of each length in
+    ``cfg.split_candidates`` that the data span, and the fit minimum
+    max(mesh size, MIN_FIT_SAMPLES).
     ``_clear_proxy`` builds the proxy a block of planes at a time, so
     identification holds the proxy and one block's incidence geometry,
     never the whole mesh's. Each plant is one ``_ClearFits`` record:
@@ -606,10 +607,11 @@ def identify(
     mesh = generate_mesh(cfg.subdivision)
     sp, ghi_clear, modelled = site_sky(ghi_clear, dataset.timestamps, dataset.site)
     rows = np.flatnonzero(modelled)
-    pr = _clear_proxy(dataset, sp, ghi_clear, mesh, params, rows)
+    sun = SolarPosition(azimuth=sp.azimuth[rows], zenith=sp.zenith[rows])
+    pr = _clear_proxy(dataset, sun, ghi_clear, mesh, params, rows)
     # the daylight period of each modelled row counts the sunrises so far
     period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[rows]
-    keys = sun_bin_keys(sp, rows, cfg.clear_bin_deg)
+    keys = sun_bin_keys(sun, cfg.clear_bin_deg)
     n_min = max(len(mesh), MIN_FIT_SAMPLES)
     fits = [_ClearFits(p.plant_id, p.power[rows], pr, n_min) for p in dataset.plants]
     masks, starts = zip(*(

@@ -4,9 +4,10 @@ Each plant gets a map over sun positions of its relative power
 prediction error under clear-sky input; positions where the model
 systematically over-predicts (shading, horizon) earn the plant less
 trust there. The maps of all plants form one (n_plants, n_zen, n_az)
-array, NaN in the bins without enough samples, and the sun positions
-are binned once for all of them. Independently, per-timestep errors far
-outside the interquartile fences across plants are gated out of the
+array, NaN in the bins without enough samples. Every per-bin statistic
+takes its samples' sun-bin keys (``sun_bin_keys``), which the caller
+makes once for the rows it holds. Independently, per-timestep errors
+far outside the interquartile fences across plants are gated out of the
 objective.
 """
 
@@ -25,13 +26,14 @@ def build_shadow_map(
     power: np.ndarray,
     estimated_clear_power: np.ndarray,
     pnom: np.ndarray,
-    sp: SolarPosition,
+    keys: np.ndarray,
     bin_deg: float = 2.0,
 ) -> np.ndarray:
     """Per-bin low quantile of (predicted clear power - measured) / measured.
 
-    ``power`` and ``estimated_clear_power`` are (T, n_plants) and ``pnom``
-    holds the plant ratings. The result is (n_plants, n_zen, n_az):
+    ``power`` and ``estimated_clear_power`` are (T, n_plants), ``pnom``
+    holds the plant ratings and ``keys`` each row's ``bin_deg`` sun-bin
+    key; every row is a sample. The result is (n_plants, n_zen, n_az):
     ``maps[p, i, j]`` covers plant p, zenith bin i and azimuth bin j, and
     is NaN where that bin holds fewer than SHADOW_MIN_SAMPLES samples.
     Samples below SHADOW_POWER_FLOOR_FRAC of the plant rating are dropped
@@ -41,10 +43,8 @@ def build_shadow_map(
     """
     n_zen, n_az = int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg))
     maps = np.full((power.shape[1], n_zen, n_az), np.nan)
-    day = np.flatnonzero(sp.daytime)
-    keys = sun_bin_keys(sp, day, bin_deg)
     for plant_map, measured, clear, rating in zip(
-        maps, power[day].T, estimated_clear_power[day].T, pnom, strict=True
+        maps, power.T, estimated_clear_power.T, pnom, strict=True
     ):
         ok = (
             np.isfinite(measured)
@@ -57,7 +57,7 @@ def build_shadow_map(
     return maps
 
 
-def sun_bin_keys(sp: SolarPosition, rows, bin_deg: float) -> np.ndarray:
+def sun_bin_keys(sp: SolarPosition, bin_deg: float) -> np.ndarray:
     """Flat index ``zen * n_az + az`` of each sun position's ``bin_deg`` bin.
 
     It indexes one plant's (n_zen, n_az) shadow map; zenith past 90
@@ -65,10 +65,8 @@ def sun_bin_keys(sp: SolarPosition, rows, bin_deg: float) -> np.ndarray:
     """
     n_zen = int(np.ceil(90.0 / bin_deg))
     n_az = int(np.ceil(360.0 / bin_deg))
-    zenith = np.atleast_1d(sp.zenith)[rows]
-    azimuth = np.atleast_1d(sp.azimuth)[rows]
-    zen = np.minimum((np.rad2deg(zenith) // bin_deg).astype(int), n_zen - 1)
-    az = np.minimum((np.rad2deg(np.mod(azimuth, 2 * np.pi)) // bin_deg).astype(int), n_az - 1)
+    zen = np.minimum((np.rad2deg(sp.zenith) // bin_deg).astype(int), n_zen - 1)
+    az = np.minimum((np.rad2deg(np.mod(sp.azimuth, 2 * np.pi)) // bin_deg).astype(int), n_az - 1)
     return zen * n_az + az
 
 
@@ -152,21 +150,17 @@ def _gaussian_smooth(maps: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def trust_weights(
-    maps: np.ndarray, sp: SolarPosition, bin_deg: float, floor: float = 0.02
-) -> np.ndarray:
+def trust_weights(maps: np.ndarray, keys: np.ndarray, floor: float = 0.02) -> np.ndarray:
     """(T, n_plants) weights, each row summing to one.
 
     A plant's weight is proportional to the inverse of its smoothed
-    clear-sky error at the current sun position, so plants shaded at
-    this sun position count less. A NaN or otherwise non-finite bin and
-    a night position read as the floor. The sun positions are binned
-    once, and every plant's map is read with the same keys.
+    clear-sky error in the sun bin ``keys`` holds for the row, so plants
+    shaded at this sun position count less. A NaN or otherwise
+    non-finite bin reads as the floor. Every plant's map is read with
+    the same keys.
     """
-    keys = sun_bin_keys(sp, slice(None), bin_deg)
     vals = maps.reshape(len(maps), -1).T[keys]
-    ok = np.atleast_1d(sp.daytime)[:, None] & np.isfinite(vals)
-    dists = 1.0 / np.maximum(np.where(ok, vals, floor), floor)
+    dists = 1.0 / np.maximum(np.where(np.isfinite(vals), vals, floor), floor)
     return dists / dists.sum(axis=1, keepdims=True)
 
 

@@ -30,6 +30,7 @@ from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .reconcile import (
     build_shadow_map,
     smooth_threshold_map,
+    sun_bin_keys,
     trust_weights,
     tukey_gate_matrix,
 )
@@ -313,7 +314,9 @@ def refine_ghi(
     does not strictly decrease the timestep objective is reverted and
     the step decays; a timestep freezes once its step falls below
     LAMBDA_MIN or its gradient vanishes. Iteration stops when every
-    timestep is frozen or at the iteration cap. Every row of ``model``
+    timestep is frozen or at the iteration cap. ``state.converged``
+    becomes this round's verdict alone: the rows with data that froze,
+    whatever an earlier round said. Every row of ``model``
     is taken as solved, sun up and clear-sky > 0, as ``estimate`` builds
     it: each row with data is descended and enters
     ``state.bound_violation``.
@@ -398,7 +401,7 @@ def refine_ghi(
     state.ghi = ghi
     state.lambdas = lam
     state.iterations = iterations
-    state.converged = state.converged | (has_data & ~active)
+    state.converged = has_data & ~active
     state.bound_violation = bound_violation
     return state
 
@@ -433,17 +436,18 @@ def _shadow_trust(
     """Per-timestep, per-plant trust weights from the plants' shadow maps.
 
     ``ghi_clear`` and ``sp`` hold the clear sky and sun positions of the
-    model's rows. The maps read those rows alone, their power and their
-    clear-sky power, and the weights are read at them. The clear-sky
-    power and the maps are released on return.
+    model's rows, which are binned once: the maps read those rows alone,
+    their power and their clear-sky power, and the weights are read at
+    them. The clear-sky power and the maps are released on return.
     """
+    keys = sun_bin_keys(sp, cfg.trust_bin_deg)
     maps = smooth_threshold_map(
         build_shadow_map(
-            model.power, model.plant_power(ghi_clear), model.pnom, sp, cfg.trust_bin_deg
+            model.power, model.plant_power(ghi_clear), model.pnom, keys, cfg.trust_bin_deg
         ),
         cfg.trust_bin_deg, bandwidth_deg=cfg.trust_bandwidth_deg, floor=cfg.trust_floor,
     )
-    return trust_weights(maps, sp, cfg.trust_bin_deg, floor=cfg.trust_floor)
+    return trust_weights(maps, keys, floor=cfg.trust_floor)
 
 
 def estimate(

@@ -10,11 +10,12 @@ runs with a bimodal power distribution in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import AlignedDataset, InputError, PlantSeries, Site, check_settings, parse_timestamp
+from .data import LAST_STAMP, LAST_STAMP_TEXT
 from .proxy import ProxyParams, forward_chain, proxy_matrix
 from .solar import clearsky_ghi, day_of_year, sun_positions
 
@@ -33,6 +34,12 @@ class CloudModel:
     mean_logit: float = 2.0       # drift target; positive favors clear skies
     gain: float = 1.6             # rescale before clipping (saturates at 1)
     offset: float = -0.3
+
+    def __post_init__(self):
+        check_settings(self, (
+            *((f.name, -np.inf < getattr(self, f.name) < np.inf, "finite") for f in fields(self)),
+            ("sigma", 0.0 <= self.sigma, ">= 0"),
+        ))
 
     def attenuation(self, n: int, rng: np.random.Generator) -> np.ndarray:
         x = np.empty(n)
@@ -118,11 +125,39 @@ def make_timestamps(start: str, days: float, step_seconds: int) -> np.ndarray:
     """UTC datetime64[s] stamps every ``step_seconds`` for ``days`` days.
 
     ``start`` is read like a CSV timestamp (``data.parse_timestamp``):
-    a naive stamp is UTC and an explicit offset is converted.
+    a naive stamp is UTC and an explicit offset is converted. The grid
+    is ``grid_span``'s, which refuses a bad one before any stamp is made.
     """
-    t0 = np.datetime64(parse_timestamp(start), "s")
-    n = int(days * 86400 / step_seconds)
-    return t0 + np.arange(n) * np.timedelta64(step_seconds, "s")
+    t0, n = grid_span(start, days, step_seconds)
+    return np.datetime64(t0, "s") + np.arange(n) * np.timedelta64(int(step_seconds), "s")
+
+
+def grid_span(start: str, days: float, step_seconds: int) -> tuple[int, int]:
+    """The first stamp (seconds since 1970) and the length of ``make_timestamps``' grid.
+
+    The length is int(days * 86400 / step_seconds). No array is made. In
+    this order, an InputError names a ``start`` that ``parse_timestamp``
+    cannot read, a ``step_seconds`` that is not a positive whole number,
+    and a ``days`` that holds no sample (NaN among them) or runs past
+    LAST_STAMP_TEXT, the last stamp ``read_series_csv`` reads back.
+    """
+    try:
+        t0 = parse_timestamp(start)
+    except (ValueError, OverflowError):
+        raise InputError(f"start: bad timestamp {start!r}") from None
+    if not (0 < step_seconds < np.inf and step_seconds % 1 == 0):
+        raise InputError(f"step_seconds: must be a positive whole number, got {step_seconds!r}")
+    try:
+        count = days * 86400 / step_seconds
+    except OverflowError:  # an integer too large for a float
+        count = np.inf
+    if not count >= 1:
+        raise InputError(f"days: {days} holds no {step_seconds} s sample")
+    if t0 + (np.floor(count) - 1) * step_seconds > LAST_STAMP:
+        raise InputError(
+            f"days: {days} from {start} runs past {LAST_STAMP_TEXT}, the last stamp pvghi reads"
+        )
+    return t0, int(count)
 
 
 def synthesize(

@@ -51,7 +51,7 @@ def clear_seed(plant, sp, bin_deg=5.0):
     daytime steps' ``bin_deg`` sun bins; night is never clear."""
     day = np.flatnonzero(sp.daytime)
     mask = np.zeros(len(plant.power), dtype=bool)
-    mask[day] = select_clear(plant.power[day], sun_bin_keys(sp, day, bin_deg))
+    mask[day] = select_clear(plant.power[day], sun_bin_keys(sp, bin_deg)[day])
     return mask
 
 

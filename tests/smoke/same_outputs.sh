@@ -4,8 +4,9 @@
 # is not touched), runs both benchmark workloads on seeds 1-3 there and in
 # the working tree with `bench/run.py --seconds 0 --trace 0`, and compares
 # every ghi_sha256 and omega_sha256 line, and on cli-pipeline-45d the
-# files the pipeline writes, diagnostics.json on every key but the timing
-# seconds_per_sample:
+# files the pipeline writes (omega.json, split_table.csv, ghi_estimate.csv,
+# metrics.json and metrics_daily.csv), and diagnostics.json on every key
+# but the timing seconds_per_sample:
 #
 #   bash tests/smoke/same_outputs.sh <rev>
 #
@@ -31,7 +32,7 @@ for workload in estimate-season-15min cli-pipeline-45d; do
     files=""
     if [ "$workload" = cli-pipeline-45d ]; then
       out="bench/out/$workload-seed$seed/out"
-      for f in omega.json split_table.csv ghi_estimate.csv metrics.json; do
+      for f in omega.json split_table.csv ghi_estimate.csv metrics.json metrics_daily.csv; do
         cmp -s "$base/$out/$f" "$tree/$out/$f" || files="$files $f"
       done
       untimed() { grep -v '^  "seconds_per_sample": ' "$1/$out/diagnostics.json"; }

@@ -531,6 +531,9 @@ OUT_OF_RANGE_SPEC = {
         lambda s: s["plants"][1].update(shadows=[{"azimuth_min_deg": 150, "azimuth_max_deg": 80}]),
         "must be finite and >= azimuth_min_deg, got 80",
     ),
+    "spec.cloud.sigma": (
+        lambda s: s.update(cloud={"sigma": -0.3}), "must be >= 0, got -0.3",
+    ),
 }
 
 
@@ -872,13 +875,13 @@ def test_a_repeated_clear_sky_override_stamp_is_named(tmp_path, capsys, site, me
 
 @pytest.mark.parametrize("route", ["evaluate-output", "output-dir"])
 def test_a_failed_write_is_one_error_line(
-    pipeline_dir, tmp_path, capsys, site, mesh, params, route
+    pipeline_dir, tmp_path, capsys, monkeypatch, site, mesh, params, route
 ):
     """An output path that cannot be written is an input error naming it.
 
     ``evaluate --output`` at an existing directory and an ``output_dir``
     that names an existing file used to end in an OSError traceback, the
-    second after the solve.
+    second after the solve; the output directory is now made before it.
     """
     if route == "evaluate-output":
         _, _, out = pipeline_dir
@@ -890,6 +893,11 @@ def test_a_failed_write_is_one_error_line(
         _, _, argv = one_day_inputs(tmp_path, site, mesh, params)
         target = tmp_path / "out"
         target.write_text("not a directory\n")
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the solve ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "estimate", solve)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

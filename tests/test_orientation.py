@@ -66,7 +66,7 @@ def select_clear_reference(plant, sp, bin_deg=5.0):
     ``select_clear`` does."""
     power = plant.power
     rows = np.flatnonzero(sp.daytime & np.isfinite(power))
-    keys = sun_bin_keys(sp, rows, bin_deg)
+    keys = sun_bin_keys(sp, bin_deg)[rows]
     x = power[rows]
     cells, level = binned_quantile(
         keys, x, orientation.ENVELOPE_QUANTILE, orientation.ENVELOPE_MIN_SAMPLES
@@ -91,7 +91,8 @@ def daytime_proxy(dataset, ghi_clear, mesh, params):
     """The sun positions, daytime rows and clear-sky proxy ``identify`` builds."""
     sp = sun_positions(dataset.timestamps, dataset.site)
     day = np.flatnonzero(sp.daytime)
-    return sp, day, orientation._clear_proxy(dataset, sp, ghi_clear, mesh, params, day)
+    sun = SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day])
+    return sp, day, orientation._clear_proxy(dataset, sun, ghi_clear, mesh, params, day)
 
 
 def clear_fits(dataset, ghi_clear, mesh, params):
@@ -106,7 +107,7 @@ def refined_masks(dataset, ghi_clear, mesh, params):
     """Seed and refined clear masks over all timesteps, as ``identify`` makes them."""
     sp, day, fits = clear_fits(dataset, ghi_clear, mesh, params)
     period = np.cumsum(np.diff(sp.daytime.astype(int), prepend=0) == 1)[day]
-    keys = sun_bin_keys(sp, day, 5.0)
+    keys = sun_bin_keys(sp, 5.0)[day]
     seeds = [clear_seed(p, sp) for p in dataset.plants]
     refined = []
     for seed, fit in zip(seeds, fits):
@@ -993,15 +994,16 @@ def test_identify_bins_the_daytime_sun_positions_once(clear_scene, params, monke
     synth, sp, _, _, _, _ = clear_scene
     calls = []
 
-    def counting(sp_, rows, bin_deg):
-        calls.append((rows, bin_deg))
-        return sun_bin_keys(sp_, rows, bin_deg)
+    def counting(sp_, bin_deg):
+        calls.append((sp_, bin_deg))
+        return sun_bin_keys(sp_, bin_deg)
 
     monkeypatch.setattr(orientation, "sun_bin_keys", counting)
     cfg = OrientationConfig(split_candidates=(45,), clear_bin_deg=4.0)
     identify(synth.dataset, synth.ghi_clear, params, cfg)
     assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0][0], np.flatnonzero(sp.daytime))
+    np.testing.assert_array_equal(calls[0][0].zenith, sp.zenith[sp.daytime])
+    np.testing.assert_array_equal(calls[0][0].azimuth, sp.azimuth[sp.daytime])
     assert calls[0][1] == 4.0
 
 
@@ -1013,10 +1015,10 @@ def test_block_built_proxy_equals_one_chain(clear_scene, params, level, n_blocks
     assert -(-len(mesh) // orientation.PROXY_BLOCKS) == block
     assert -(-len(mesh) // block) == n_blocks
     day = np.flatnonzero(sp.daytime)
-    got = orientation._clear_proxy(dataset, sp, synth.ghi_clear, mesh, params, day)
+    sun = SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day])
+    got = orientation._clear_proxy(dataset, sun, synth.ghi_clear, mesh, params, day)
     whole = forward_chain(
-        SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day]),
-        dataset.timestamps[day], dataset.mean_temperature()[day],
+        sun, dataset.timestamps[day], dataset.mean_temperature()[day],
         mesh.orientations, params, dataset.site,
     )
     want = proxy_matrix(synth.ghi_clear[day], whole).values
@@ -1034,10 +1036,11 @@ def test_clear_proxy_holds_one_block_of_geometry(clear_scene, params):
     synth, sp, _, _, _, _ = clear_scene
     mesh = generate_mesh(3)
     day = np.flatnonzero(sp.daytime)
+    sun = SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pr = orientation._clear_proxy(synth.dataset, sp, synth.ghi_clear, mesh, params, day)
+        pr = orientation._clear_proxy(synth.dataset, sun, synth.ghi_clear, mesh, params, day)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

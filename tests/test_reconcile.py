@@ -63,7 +63,10 @@ def shadow_scene(site, mesh, params):
 def scene_maps(shadow_scene):
     """The shadow scene's raw (plant, zenith, azimuth) maps at 2-degree bins."""
     synth, sp, pred_clear, pnom, _ = shadow_scene
-    return build_shadow_map(synth.dataset.power_matrix(), pred_clear, pnom, sp)
+    day = sp.daytime
+    return build_shadow_map(
+        synth.dataset.power_matrix()[day], pred_clear[day], pnom, sun_bin_keys(sp, 2.0)[day]
+    )
 
 
 class TestShadowMap:
@@ -101,11 +104,15 @@ class TestShadowMap:
 
     def test_permutation_invariant(self, shadow_scene):
         synth, sp, pred_clear, pnom, _ = shadow_scene
-        power = synth.dataset.power_matrix()
-        base = build_shadow_map(power, pred_clear, pnom, sp)
+        day = sp.daytime
+        power, pred_clear = synth.dataset.power_matrix()[day], pred_clear[day]
+        sun = SolarPosition(azimuth=sp.azimuth[day], zenith=sp.zenith[day])
+        base = build_shadow_map(power, pred_clear, pnom, sun_bin_keys(sun, 2.0))
         perm = np.random.default_rng(0).permutation(len(power))
-        shuffled_sp = SolarPosition(azimuth=sp.azimuth[perm], zenith=sp.zenith[perm])
-        other = build_shadow_map(power[perm], pred_clear[perm], pnom, shuffled_sp)
+        shuffled_sp = SolarPosition(azimuth=sun.azimuth[perm], zenith=sun.zenith[perm])
+        other = build_shadow_map(
+            power[perm], pred_clear[perm], pnom, sun_bin_keys(shuffled_sp, 2.0)
+        )
         np.testing.assert_allclose(base, other, rtol=0, atol=1e-12)  # NaN where NaN
 
 
@@ -172,24 +179,28 @@ class TestSmoothing:
 class TestTrust:
     def test_identical_maps_equal_weights(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        f = trust_weights(np.full((3, 45, 180), 0.05), sp, 2.0)
+        f = trust_weights(np.full((3, 45, 180), 0.05), sun_bin_keys(sp, 2.0))
         np.testing.assert_allclose(f, 1.0 / 3.0, atol=1e-12)
 
     def test_double_error_gets_third_weight(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        f = trust_weights(np.stack([np.full((45, 180), 0.10), np.full((45, 180), 0.05)]), sp, 2.0)
+        f = trust_weights(
+            np.stack([np.full((45, 180), 0.10), np.full((45, 180), 0.05)]), sun_bin_keys(sp, 2.0)
+        )
         day = sp.daytime
         np.testing.assert_allclose(f[day, 0], 1.0 / 3.0, atol=1e-12)
         np.testing.assert_allclose(f[day, 1], 2.0 / 3.0, atol=1e-12)
 
     def test_single_plant_full_trust(self, shadow_scene):
         _, sp, _, _, _ = shadow_scene
-        f = trust_weights(np.full((1, 45, 180), 0.05), sp, 2.0)
+        f = trust_weights(np.full((1, 45, 180), 0.05), sun_bin_keys(sp, 2.0))
         np.testing.assert_allclose(f, 1.0)
 
     def test_rows_sum_to_one(self, shadow_scene):
         sp = shadow_scene[1]
-        f = trust_weights(smooth_threshold_map(scene_maps(shadow_scene), 2.0), sp, 2.0)
+        f = trust_weights(
+            smooth_threshold_map(scene_maps(shadow_scene), 2.0), sun_bin_keys(sp, 2.0)
+        )
         np.testing.assert_allclose(f.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((f >= 0) & (f <= 1))
 
@@ -198,7 +209,7 @@ class TestTrust:
         sp = SolarPosition(azimuth=np.array([np.pi]), zenith=np.array([0.5]))
         # inverse errors 1 / 0.02 and 1 / 0.05
         np.testing.assert_allclose(
-            trust_weights(maps, sp, 2.0, floor=0.02)[0], [50 / 70, 20 / 70]
+            trust_weights(maps, sun_bin_keys(sp, 2.0), floor=0.02)[0], [50 / 70, 20 / 70]
         )
 
 
@@ -280,7 +291,10 @@ def test_shadow_map_bins_match_numpy_percentile():
     clear = np.round(power * rng.uniform(0.8, 1.5, n), 1)  # rounding makes ties
     stamps = np.datetime64("2015-05-01", "s") + np.arange(n) * np.timedelta64(60, "s")
     plant = PlantSeries("p", stamps, power, np.full(n, 15.0))
-    shadow = build_shadow_map(power[:, None], clear[:, None], np.array([1000.0]), sp, 20.0)[0]
+    up = sp.daytime
+    shadow = build_shadow_map(
+        power[up, None], clear[up, None], np.array([1000.0]), sun_bin_keys(sp, 20.0)[up], 20.0
+    )[0]
 
     ok = sp.daytime & np.isfinite(power) & (power >= 0.02 * 1000.0)
     rel = (clear[ok] - power[ok]) / power[ok]
@@ -374,20 +388,17 @@ def test_trust_rows_sum_to_one(data):
         azimuth=data.draw(arrays(np.float64, t, elements=st.floats(-7.0, 7.0))),
         zenith=data.draw(arrays(np.float64, t, elements=st.floats(0.0, np.pi))),
     )
-    w = trust_weights(maps, sp, bin_deg, floor=data.draw(st.floats(1e-3, 1.0)))
+    w = trust_weights(maps, sun_bin_keys(sp, bin_deg), floor=data.draw(st.floats(1e-3, 1.0)))
     assert w.shape == (t, n_plants)
     assert (w > 0).all()
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
 
 
-def per_map_trust(maps, sp, bin_deg, floor):
-    """Trust weights with each map's sun-position keys computed for that map alone."""
+def per_map_trust(maps, keys, floor):
+    """Trust weights with each map read at ``keys`` on its own."""
     def lookup(shadow):
-        keys = sun_bin_keys(sp, slice(None), bin_deg)
         vals = shadow.flat[keys]
-        day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
-        ok = day & np.isfinite(vals)
-        return np.where(ok, vals, floor)
+        return np.where(np.isfinite(vals), vals, floor)
 
     dists = np.column_stack([1.0 / np.maximum(lookup(m), floor) for m in maps])
     return dists / dists.sum(axis=1, keepdims=True)
@@ -395,7 +406,7 @@ def per_map_trust(maps, sp, bin_deg, floor):
 
 @given(st.data())
 def test_trust_weights_equal_the_per_map_lookup(data):
-    """Binning the sun positions once for all maps changes no bit of the weights."""
+    """Reading every map with one set of keys changes no bit of the weights."""
     value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from([np.nan, np.inf, 0.0]))
     bin_deg = data.draw(st.sampled_from([15.0, 30.0, 45.0]))
     shape = (int(np.ceil(90.0 / bin_deg)), int(np.ceil(360.0 / bin_deg)))
@@ -406,8 +417,9 @@ def test_trust_weights_equal_the_per_map_lookup(data):
         zenith=data.draw(arrays(np.float64, t, elements=st.floats(0.0, np.pi))),
     )
     floor = data.draw(st.floats(1e-3, 1.0))
+    keys = sun_bin_keys(sp, bin_deg)
     np.testing.assert_array_equal(
-        trust_weights(maps, sp, bin_deg, floor=floor), per_map_trust(maps, sp, bin_deg, floor)
+        trust_weights(maps, keys, floor=floor), per_map_trust(maps, keys, floor)
     )
 
 
@@ -458,7 +470,7 @@ def reference_build_shadow_map(
         return ShadowMap(values=values, valid=valid, bin_deg=bin_deg)
     rel = (estimated_clear_power[ok] - power[ok]) / power[ok]
     cells, quantiles = binned_quantile(
-        sun_bin_keys(sp, ok, bin_deg), rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
+        sun_bin_keys(sp, bin_deg)[ok], rel, SHADOW_QUANTILE, SHADOW_MIN_SAMPLES
     )
     values.flat[cells] = quantiles
     valid.flat[cells] = True
@@ -497,7 +509,7 @@ def reference_trust_weights(
     once for each bin size, and every map of that size is read with the
     same keys.
     """
-    keys = {b: sun_bin_keys(sp, slice(None), b) for b in {m.bin_deg for m in maps}}
+    keys = {b: sun_bin_keys(sp, b) for b in {m.bin_deg for m in maps}}
     day = np.rad2deg(np.atleast_1d(sp.zenith)) < 90.0
     dists = np.empty((len(day), len(maps)))
     for i, m in enumerate(maps):
@@ -555,7 +567,9 @@ def test_array_pipeline_equals_the_per_plant_reference(scene, bin_deg, bandwidth
     ]
     ref_smooth = [reference_smooth_threshold_map(m, bandwidth, floor) for m in ref_raw]
 
-    raw = build_shadow_map(power, clear, pnom, sp, bin_deg)
+    day = sp.daytime
+    keys = sun_bin_keys(sp, bin_deg)[day]
+    raw = build_shadow_map(power[day], clear[day], pnom, keys, bin_deg)
     smooth = smooth_threshold_map(raw, bin_deg, bandwidth, floor)
     for got, want in ((raw, ref_raw), (smooth, ref_smooth)):
         assert got.shape == (len(pnom), *want[0].values.shape)
@@ -563,8 +577,8 @@ def test_array_pipeline_equals_the_per_plant_reference(scene, bin_deg, bandwidth
             np.testing.assert_array_equal(np.isnan(plant_map), ~ref.valid)
             np.testing.assert_array_equal(plant_map[ref.valid], ref.values[ref.valid])
 
-    trust = trust_weights(smooth, sp, bin_deg, floor)
-    np.testing.assert_array_equal(trust, reference_trust_weights(ref_smooth, sp, floor))
+    trust = trust_weights(smooth, keys, floor)
+    np.testing.assert_array_equal(trust, reference_trust_weights(ref_smooth, sp, floor)[day])
     if empty is not None:
         assert np.isnan(raw[empty]).all() and np.isnan(smooth[empty]).all()
         # every weight's inverse error is at least the floor, the empty plant's exactly

@@ -18,8 +18,8 @@ from pvghi import (
     sun_positions,
 )
 from pvghi.data import AlignedDataset, PlantSeries
-from pvghi import proxy, solver
-from pvghi.reconcile import tukey_gate_matrix
+from pvghi import proxy, reconcile, solver
+from pvghi.reconcile import sun_bin_keys, tukey_gate_matrix
 from pvghi.solar import SolarPosition
 from pvghi.solver import (
     GATE_ROUNDS,
@@ -705,7 +705,7 @@ def reference_refine(model, state, trust, gate, cfg):
         round_history.append(float(h[has_data].sum()))
     state.objective_history.append(round_history)
     state.ghi, state.errors, state.lambdas = ghi, errors, lam
-    state.converged = state.converged | (has_data & ~active)
+    state.converged = has_data & ~active
     return state
 
 
@@ -907,6 +907,45 @@ def test_the_unsolved_steps_get_their_values_in_closed_form(site, mesh, params):
     assert res.gate[unsolved].all()
     np.testing.assert_array_equal(res.n_plants_used[unsolved], (~missing[unsolved]).sum(axis=1))
     assert not res.gate[res.solved].all()
+
+
+def test_converged_is_the_last_rounds_verdict(dark_scene, mesh, params):
+    """A step that an earlier round froze but this round left at the
+    iteration cap is not converged: its GHI is this round's unfinished one."""
+    synth, sp, omegas, ds, no_data = dark_scene
+    model, idx = solved_model(ds, omegas, mesh, params, sp, synth.ghi_clear)
+    trust = np.full(model.power.shape, 1 / ds.n_plants)
+    gate = np.ones(trust.shape, dtype=bool)
+    cfg = SolverConfig(max_iterations=1)
+    state = init_ghi(model, synth.ghi_clear[idx], trust, cfg)
+    state.converged[:] = True
+    state = refine_ghi(model, state, trust, gate, cfg)
+    # one iteration halves a step at most, so every step that took one is still active
+    stepped = state.iterations == 1
+    assert stepped.sum() > 100 and (state.lambdas[stepped] >= LAMBDA_MIN).all()
+    assert not state.converged[stepped].any()
+    assert not state.converged[np.searchsorted(idx, no_data)]  # no plant reports there
+    assert state.converged[~stepped & np.isfinite(model.power).any(axis=1)].all()
+
+
+def test_estimate_bins_the_solved_rows_once(dark_scene, mesh, params, monkeypatch):
+    """The shadow maps and the trust read one set of sun-bin keys, the solved rows'."""
+    _, sp, omegas, ds, _ = dark_scene
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sun_bin_keys(*args)
+
+    monkeypatch.setattr(reconcile, "sun_bin_keys", counting)
+    monkeypatch.setattr(solver, "sun_bin_keys", counting, raising=False)
+    cfg = SolverConfig(trust_bin_deg=10.0)
+    res = estimate(ds, omegas, mesh.orientations, params, cfg)
+    assert len(calls) == 1
+    (positions, bin_deg), = calls
+    np.testing.assert_array_equal(positions.zenith, sp.zenith[res.solved])
+    np.testing.assert_array_equal(positions.azimuth, sp.azimuth[res.solved])
+    assert bin_deg == 10.0
 
 
 def test_descent_matches_the_every_row_gradient_reference(site, mesh, params):

@@ -172,7 +172,7 @@ def test_a_repeated_plant_id_is_an_input_error(site, mesh):
 def test_an_empty_grid_is_an_input_error(site, mesh):
     spec = SyntheticSpec(plants=(PlantSpec("p", ((mesh_vertex(mesh, 26.57, 180.0), 8000.0),)),))
     with pytest.raises(InputError, match="timestamps: empty grid"):
-        synthesize(spec, site, make_timestamps("2015-06-01T00:00:00", 0, 600), seed=0)
+        synthesize(spec, site, np.array([], dtype="datetime64[s]"), seed=0)
 
 
 def _spec(mesh, **plant):
@@ -224,6 +224,52 @@ def test_a_bad_shadow_sector_is_a_setting_error(field, sector):
     with pytest.raises(SettingError) as err:
         ShadowSector(**{"azimuth_min_deg": 80.0, "azimuth_max_deg": 150.0, **sector})
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field, cloud",
+    [
+        ("sigma", {"sigma": np.nan}),
+        ("sigma", {"sigma": -0.1}),
+        ("sigma", {"sigma": np.inf}),
+        ("ar_coeff", {"ar_coeff": np.nan}),
+        ("mean_logit", {"mean_logit": -np.inf}),
+        ("gain", {"gain": np.nan}),
+        ("offset", {"offset": np.inf}),
+    ],
+    ids=["sigma-nan", "sigma-negative", "sigma-inf", "ar-nan", "mean-inf", "gain-nan",
+         "offset-inf"],
+)
+def test_a_bad_cloud_model_is_a_setting_error(field, cloud):
+    """A NaN sigma once gave a NaN true GHI on every daytime step, without an error."""
+    with pytest.raises(SettingError) as err:
+        CloudModel(**cloud)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "start, days, step, named",
+    [
+        ("2015-06-01T00:00:00", 1e20, 600, "days: 1e+20 from 2015-06-01T00:00:00 runs past"),
+        ("2015-06-01T00:00:00", np.nan, 600, "days: nan holds no 600 s sample"),
+        ("2015-06-01T00:00:00", np.inf, 600, "days: inf from 2015-06-01T00:00:00 runs past"),
+        ("2015-06-01T00:00:00", -1, 600, "days: -1 holds no 600 s sample"),
+        ("2015-06-01T00:00:00", 1, 0, "step_seconds: must be a positive whole number, got 0"),
+        ("yesterday", np.nan, 0, "start: bad timestamp 'yesterday'"),
+        ("9999-12-31T00:00:00", 2, 600, "days: 2 from 9999-12-31T00:00:00 runs past"),
+    ],
+    ids=["huge", "nan", "inf", "negative", "step-0", "bad-start-first", "past-9999"],
+)
+def test_make_timestamps_names_a_bad_grid(start, days, step, named):
+    """Each used to be a numpy or Python error, or an empty or unreadable grid."""
+    with pytest.raises(InputError) as err:
+        make_timestamps(start, days, step)
+    assert str(err.value).startswith(named), err.value
+
+
+def test_make_timestamps_reaches_the_last_readable_stamp():
+    ts = make_timestamps("9999-12-31T00:00:00", 1, 600)
+    assert len(ts) == 144 and str(ts[-1]) == "9999-12-31T23:50:00"
 
 
 def test_a_curtailment_of_zero_and_noise_of_zero_are_kept(site, mesh):

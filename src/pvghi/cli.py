@@ -228,6 +228,8 @@ def _read_synth_spec(path, step_seconds: int):
 def cmd_synth(args) -> int:
     cfg = load_run_config(args.config, require_plants=False)
     seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:  # refused before output_dir is made, as synthesize would refuse it
+        raise InputError(f"seed: must be >= 0, got {seed}")
     spec, timestamps = _read_synth_spec(
         args.spec, cfg.sampling_seconds or SYNTH_SAMPLING_SECONDS
     )

@@ -61,7 +61,7 @@ class OrientationConfig:
             ("subdivision", 1 <= self.subdivision <= 4, "in [1, 4]"),
             ("split_candidates", len(set(splits)) == len(splits) > 0 and min(splits) >= 1,
              "one or more distinct positive day counts"),
-            ("clear_bin_deg", 0.0 < self.clear_bin_deg < np.inf, "finite and positive"),
+            ("clear_bin_deg", 0.5 <= self.clear_bin_deg <= 90.0, "in [0.5, 90]"),
         ))
 
 

@@ -26,7 +26,8 @@ The chain runs in two stages:
 Everything is elementwise in time: ``ForwardChain.rows`` restricts a
 chain to some timesteps, and its proxies equal the matching rows of the
 full chain's bit for bit. The sensitivity of the output to GHI is
-therefore a per-timestep forward difference.
+therefore a per-timestep forward difference. There is no night rule:
+GHI 0 gives exactly +0.0 on every row at finite temperatures.
 """
 
 from __future__ import annotations
@@ -77,9 +78,7 @@ class ProxyMatrix:
     values: np.ndarray
 
 
-_FIELDS_IN_TIME = (
-    "daytime", "disc_ok", "e0", "cos_zen", "am", "knc", "t_ambient", "cos_aoi", "iam",
-)
+_FIELDS_IN_TIME = ("disc_ok", "e0", "cos_zen", "am", "knc", "t_ambient", "cos_aoi", "iam")
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,12 @@ class ForwardChain:
     """The GHI-independent inputs of the chain for T timesteps and K planes.
 
     Per-timestep arrays have shape (T,); per-plane arrays have shape
-    (K, T), one contiguous row per plane.
+    (K, T), one contiguous row per plane. No field marks night.
     """
 
-    daytime: np.ndarray     # sun above the horizon; other rows give zero power
     disc_ok: np.ndarray     # zenith below DISC_ZENITH_CUTOFF
     e0: np.ndarray          # extraterrestrial normal irradiance, W/m^2
-    cos_zen: np.ndarray     # cos(zenith); DISC and the beam ratio floor it at cos(cutoff)
+    cos_zen: np.ndarray     # cos(zenith) floored at cos(DISC_ZENITH_CUTOFF), > 0
     am: np.ndarray          # pressure-corrected air mass, capped at 12; 1 past the cutoff
     knc: np.ndarray         # DISC clear-sky beam transmittance at ``am``
     t_ambient: np.ndarray   # degC
@@ -102,10 +100,6 @@ class ForwardChain:
     tilt: np.ndarray        # (K,) plane tilts, radians
     params: ProxyParams
     albedo: float
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.daytime)
 
     def rows(self, idx: np.ndarray) -> ForwardChain:
         """The chain restricted to the timesteps ``idx`` (integer indices)."""
@@ -159,10 +153,9 @@ def forward_chain(
         cos_aoi[j] = np.maximum(np.cos(aoi), 0.0)
         iam[j] = incidence_modifier(aoi, params)
     return ForwardChain(
-        daytime=sp.daytime,
         disc_ok=disc_ok,
         e0=e0,
-        cos_zen=np.cos(zenith),
+        cos_zen=np.maximum(np.cos(zenith), np.cos(DISC_ZENITH_CUTOFF)),
         am=am,
         knc=knc,
         t_ambient=t_ambient,
@@ -177,13 +170,13 @@ def forward_chain(
 def disc_dni(ghi, chain: ForwardChain):
     """Direct normal irradiance from GHI via the DISC regression model.
 
-    Returns 0 for zero GHI or zenith at or beyond 87 deg; output is
-    clamped to [0, extraterrestrial normal].
+    Returns 0 for zero GHI or zenith at or beyond 87 deg, else DISC at the
+    chain's floored zenith cosine, clamped to [0, extraterrestrial normal].
     """
     ghi = np.asarray(ghi, dtype=float)
     usable = (ghi > 0) & chain.disc_ok
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        kt_norm = chain.e0 * np.maximum(chain.cos_zen, np.cos(DISC_ZENITH_CUTOFF))
+        kt_norm = chain.e0 * chain.cos_zen
         kt = np.clip(ghi / kt_norm, 0.0, 1.0)
         kt2 = kt * kt
         kt3 = kt2 * kt
@@ -206,7 +199,8 @@ def disc_dni(ghi, chain: ForwardChain):
 
 
 def dhi_from(ghi, chain: ForwardChain, dni):
-    """Diffuse horizontal irradiance left after removing the beam share."""
+    """Diffuse horizontal irradiance left after removing the beam share, +0.0 at
+    GHI 0; the floored cosine cannot move it, as the beam is 0 past the cutoff."""
     return np.maximum(np.asarray(ghi, float) - chain.cos_zen * np.asarray(dni, float), 0.0)
 
 
@@ -214,7 +208,7 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     """Simulated specific power for every plane of the chain at the given GHI.
 
     ``ghi`` holds one value per timestep of the chain. A negative value
-    is an InputError; NaN passes through. Rows at night are zero.
+    is an InputError; NaN passes through. GHI 0 gives exactly +0.0.
 
     DISC, the diffuse split and the plane-independent terms of
     Hay-Davies are computed once per call. Blocks of planes then run
@@ -226,7 +220,7 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     diffuse and ground components cannot be negative, so none is clamped.
     """
     ghi = np.asarray(ghi, dtype=float)
-    if ghi.shape[0] != chain.n_rows:
+    if ghi.shape[0] != len(chain.e0):
         raise InputError("ghi length does not match the chain's timesteps")
     if (ghi < 0).any():
         raise InputError("ghi must not be negative")
@@ -236,7 +230,6 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
     beam_share = np.clip(dni / chain.e0, 0.0, 1.0)  # Hay-Davies anisotropy index
     sky_share = 1.0 - beam_share
     reflected = chain.albedo * ghi
-    cos_zen_floor = np.maximum(chain.cos_zen, np.cos(DISC_ZENITH_CUTOFF))
     # one scalar cosine per plane, as the per-plane chain takes it
     cos_tilt = np.array([np.cos(tilt) for tilt in chain.tilt]).reshape(-1, 1)
     n_rows, n_planes = len(ghi), len(chain.tilt)
@@ -248,8 +241,8 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
         cos_aoi, iam, ct = chain.cos_aoi[planes], chain.iam[planes], cos_tilt[planes]
         a, b, c = scratch[:, : len(ct)]
         # diffuse dhi * (beam_share * r_b + sky_share * (1 + cos_tilt) / 2),
-        # with r_b = cos_aoi / cos_zen_floor
-        np.divide(cos_aoi, cos_zen_floor, out=a)
+        # with r_b = cos_aoi / cos_zen, the chain's floored cosine
+        np.divide(cos_aoi, chain.cos_zen, out=a)
         np.multiply(beam_share, a, out=a)
         np.multiply(sky_share, (1.0 + ct) / 2.0, out=b)
         np.add(a, b, out=a)
@@ -283,5 +276,4 @@ def proxy_matrix(ghi: np.ndarray, chain: ForwardChain) -> ProxyMatrix:
         np.clip(b, 0.0, 1.0, out=b)
         np.copyto(b, 0.0, where=a < I_MIN)
         np.multiply(b, a, out=values[:, planes].T)
-    values[~chain.daytime, :] = 0.0
     return ProxyMatrix(values=values)

@@ -70,8 +70,8 @@ class SolverConfig:
             ("k_decay", 0.0 < self.k_decay < 1.0, "in (0, 1)"),
             ("max_iterations", 1 <= self.max_iterations, ">= 1"),
             ("trust_floor", 0.0 < self.trust_floor < inf, "finite and positive"),
-            ("trust_bandwidth_deg", 0.0 <= self.trust_bandwidth_deg < inf, "finite and >= 0"),
-            ("trust_bin_deg", 0.0 < self.trust_bin_deg < inf, "finite and positive"),
+            ("trust_bandwidth_deg", 0.0 <= self.trust_bandwidth_deg <= 90.0, "in [0, 90]"),
+            ("trust_bin_deg", 0.5 <= self.trust_bin_deg <= 90.0, "in [0.5, 90]"),
             ("k_q", 0.0 <= self.k_q < inf, "finite and >= 0"),
         ))
 
@@ -102,10 +102,10 @@ class ForwardModel:
     wrong GHI would otherwise look converged.
 
     The GHI-independent part of the chain is built once, as ``chain``,
-    on the dataset's timesteps ``rows`` (integer indices, all when None)
-    and nowhere else. The method ``rows`` restricts the model further,
-    so the solver evaluates the chain only where the result still
-    depends on it.
+    on the dataset's timesteps ``rows`` (integer indices, all when None),
+    whose sun positions ``sp`` holds, and nowhere else. The method
+    ``rows`` restricts the model further, so the solver evaluates the
+    chain only where the result still depends on it.
     """
 
     def __init__(
@@ -146,8 +146,7 @@ class ForwardModel:
         at = slice(None) if rows is None else rows
         # the mean temperature fills gaps from neighbouring steps, so it is taken on every step
         self.chain = forward_chain(
-            SolarPosition(sp.azimuth[at], sp.zenith[at]), dataset.timestamps[at],
-            dataset.mean_temperature()[at],
+            sp, dataset.timestamps[at], dataset.mean_temperature()[at],
             [mesh_orientations[j] for j in support], params, dataset.site,
         )
         self.power = dataset.power_matrix()[at]
@@ -478,12 +477,13 @@ def estimate(
     t0 = time.perf_counter()
     sp, ghi_clear, solved = site_sky(ghi_clear, dataset.timestamps, dataset.site)
     rows = np.flatnonzero(solved)
-    model = ForwardModel(dataset, omegas, mesh_orientations, params, sp, rows)
+    sun = SolarPosition(sp.azimuth[rows], sp.zenith[rows])
+    model = ForwardModel(dataset, omegas, mesh_orientations, params, sun, rows)
     clear = ghi_clear[rows]
 
     n_pv = dataset.n_plants
     if n_pv > 1 and cfg.use_trust:
-        trust = _shadow_trust(model, clear, SolarPosition(sp.azimuth[rows], sp.zenith[rows]), cfg)
+        trust = _shadow_trust(model, clear, sun, cfg)
     else:
         trust = np.full(model.power.shape, 1.0 / n_pv)
     state = init_ghi(model, clear, trust, cfg)

@@ -106,10 +106,16 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """Plants, clouds and a daily temperature sine; a temperature not finite is a SettingError."""
+
     plants: tuple
     cloud: CloudModel = field(default_factory=CloudModel)
     temperature_mean: float = 15.0
     temperature_amplitude: float = 8.0
+
+    def __post_init__(self):
+        names = ("temperature_mean", "temperature_amplitude")
+        check_settings(self, ((n, -np.inf < getattr(self, n) < np.inf, "finite") for n in names))
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,6 @@ def synthesize(
     clear = clearsky_ghi(sp, timestamps, site)
     att = spec.cloud.attenuation(len(timestamps), rng)
     ghi_true = clear * att
-    ghi_true[~sp.daytime] = 0.0
 
     doy = day_of_year(timestamps)
     hour = (timestamps.astype("int64") % 86400) / 3600.0

@@ -4,9 +4,11 @@
 # is not touched), runs both benchmark workloads on seeds 1-3 there and in
 # the working tree with `bench/run.py --seconds 0 --trace 0`, and compares
 # every ghi_sha256 and omega_sha256 line, and on cli-pipeline-45d the
-# files the pipeline writes (omega.json, split_table.csv, ghi_estimate.csv,
-# metrics.json and metrics_daily.csv), and diagnostics.json on every key
-# but the timing seconds_per_sample:
+# synthesized inputs (p1.csv-p5.csv and ghi_truth.csv, night rows
+# included, which the pipeline never reads), the files the pipeline
+# writes (omega.json, split_table.csv, ghi_estimate.csv, metrics.json and
+# metrics_daily.csv), and diagnostics.json on every key but the timing
+# seconds_per_sample:
 #
 #   bash tests/smoke/same_outputs.sh <rev>
 #
@@ -31,7 +33,11 @@ for workload in estimate-season-15min cli-pipeline-45d; do
     now="$(hashes "$tree" "$workload" "$seed")"
     files=""
     if [ "$workload" = cli-pipeline-45d ]; then
-      out="bench/out/$workload-seed$seed/out"
+      inputs="bench/out/$workload-seed$seed"
+      out="$inputs/out"
+      for f in p1.csv p2.csv p3.csv p4.csv p5.csv ghi_truth.csv; do
+        cmp -s "$base/$inputs/$f" "$tree/$inputs/$f" || files="$files $f"
+      done
       for f in omega.json split_table.csv ghi_estimate.csv metrics.json metrics_daily.csv; do
         cmp -s "$base/$out/$f" "$tree/$out/$f" || files="$files $f"
       done

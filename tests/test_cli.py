@@ -171,7 +171,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 SECTION_OF = {
-    "clear_bin_deg": "orientation", "bin_deg": "reconciliation",
+    "clear_bin_deg": "orientation", "bin_deg": "reconciliation", "bandwidth_deg": "reconciliation",
     **dict.fromkeys(("latitude", "longitude", "altitude", "albedo"), "site"),
 }
 
@@ -181,6 +181,9 @@ SECTION_OF = {
     # parse, but out of the range the setting needs
     ("k_safety", "0"), ("k_safety", "nan"), ("lambda0", "nan"), ("delta_ghi", "nan"),
     ("clear_bin_deg", "0"), ("clear_bin_deg", "nan"), ("clear_bin_deg", "-5"), ("bin_deg", "0"),
+    # bins finer than half a degree fill arrays of gigabytes; no bin or bandwidth passes 90
+    ("clear_bin_deg", "0.49"), ("clear_bin_deg", "90.5"), ("bin_deg", "0.01"),
+    ("bin_deg", "91"), ("bandwidth_deg", "-1"), ("bandwidth_deg", "90.5"),
     ("latitude", "91"), ("longitude", "-180.5"), ("albedo", "1.5"), ("albedo", "nan"),
     # the standard atmosphere's pressure is negative above 44,330.8 m
     ("altitude", "50000"), ("altitude", "inf"),
@@ -564,6 +567,7 @@ def test_negative_seed_is_input_error(tmp_path, capsys, route):
     config.write_text(body)
     assert main(["synth", "--config", str(config), "--spec", str(spec), *flag]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: seed: must be >= 0, got -1"]
+    assert not (tmp_path / "out").exists()
 
 
 def _refuse(*args, **kwargs):

@@ -144,6 +144,11 @@ def test_nan_setting_rejected(cls, name):
     ("[orientation]\nsplit_candidates = 30, 0\n", r"\[orientation\] split_candidates"),
     ("[orientation]\nsplit_candidates = 10, 10, 5\n", r"\[orientation\] split_candidates"),
     ("sampling_seconds = 0\n", r"\[site\] sampling_seconds"),
+    ("[orientation]\nclear_bin_deg = 0.4\n", r"\[orientation\] clear_bin_deg"),
+    ("[orientation]\nclear_bin_deg = 91\n", r"\[orientation\] clear_bin_deg"),
+    ("[reconciliation]\nbin_deg = 0.01\n", r"\[reconciliation\] bin_deg"),
+    ("[reconciliation]\nbin_deg = 180\n", r"\[reconciliation\] bin_deg"),
+    ("[reconciliation]\nbandwidth_deg = 91\n", r"\[reconciliation\] bandwidth_deg"),
 ])
 def test_out_of_range_setting_names_section_and_key(tmp_path, extra, where):
     with pytest.raises(InputError, match=where + ": must be"):

@@ -478,7 +478,8 @@ def test_a_model_built_on_rows_is_the_restricted_model(site, mesh, params):
     synth, sp, omegas = three_plant_scene(site, mesh, params, days=2, seed=19)
     model = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp)
     idx = np.flatnonzero(sp.daytime)
-    built = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sp, idx)
+    sun = SolarPosition(sp.azimuth[idx], sp.zenith[idx])
+    built = ForwardModel(synth.dataset, omegas, mesh.orientations, params, sun, idx)
     restricted = model.rows(idx)
     for name in (*proxy._FIELDS_IN_TIME, "tilt"):
         np.testing.assert_array_equal(
@@ -525,7 +526,7 @@ def test_refine_copies_no_whole_chain(site, mesh, params, monkeypatch):
     rows = proxy.ForwardChain.rows
 
     def counting(chain, take):
-        copies.append((chain.n_rows, len(take)))
+        copies.append((len(chain.e0), len(take)))
         return rows(chain, take)
 
     monkeypatch.setattr(proxy.ForwardChain, "rows", counting)
@@ -581,7 +582,8 @@ def solved_model(dataset, omegas, mesh, params, sp, ghi_clear):
     """The forward model on the solved steps, sun up and clear-sky > 0, as
     ``estimate`` builds it, and those steps."""
     idx = np.flatnonzero(sp.daytime & (ghi_clear > 0))
-    return ForwardModel(dataset, omegas, mesh.orientations, params, sp, idx), idx
+    sun = SolarPosition(sp.azimuth[idx], sp.zenith[idx])
+    return ForwardModel(dataset, omegas, mesh.orientations, params, sun, idx), idx
 
 
 def test_refine_evaluates_the_chain_on_active_rows_only(site, mesh, params, monkeypatch):

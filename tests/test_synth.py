@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pvghi import InputError, clearsky_ghi, sun_positions
+from pvghi import InputError, Orientation, clearsky_ghi, sun_positions
 from pvghi.data import SettingError
 from pvghi.proxy import forward_chain, proxy_matrix
 from pvghi.synth import (
@@ -35,6 +35,35 @@ def test_identity_configuration_matches_forward_model(site, mesh, params):
     ).values
     expected = pr[:, 0] * (8000.0 / (params.k2 * params.i_stc))
     np.testing.assert_allclose(synth.dataset.plants[0].power, expected, rtol=1e-12)
+
+
+def test_night_is_exactly_zero(site, mesh):
+    """True GHI and every plant's power, noisy, shaded, curtailed or on a
+    vertical plane, are exactly +0.0 while the sun is down: the clear sky
+    is 0 there and the chain gives +0.0 at GHI 0, with no night rule."""
+    south = mesh_vertex(mesh, 26.57, 180.0)
+    wall = Orientation(tilt=np.pi / 2, azimuth=np.deg2rad(250.0))
+    ts = make_timestamps("2015-06-01T00:00:00", 3, 600)
+    spec = SyntheticSpec(plants=(
+        PlantSpec("noisy", ((south, 8000.0),), noise_rel=0.3, curtailment_w=2000.0),
+        PlantSpec("shaded", ((south, 4000.0), (wall, 3000.0)),
+                  shadows=(ShadowSector(0.0, 360.0, 0.0, 180.0),), noise_rel=0.05),
+    ), temperature_mean=20.0, temperature_amplitude=40.0)
+    synth = synthesize(spec, site, ts, seed=5)
+    night = ~sun_positions(ts, site).daytime
+    assert night.sum() > 100
+    for values in (synth.ghi_true, *(p.power for p in synth.dataset.plants)):
+        assert (values[night] == 0.0).all() and not np.signbit(values[night]).any()
+
+
+@pytest.mark.parametrize("field", ["temperature_mean", "temperature_amplitude"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_temperature_not_finite_is_a_setting_error(mesh, field, value):
+    """A NaN mean once gave a NaN temperature on every step and NaN power on
+    most, without an error; an infinite amplitude was named as a plant's."""
+    with pytest.raises(SettingError) as err:
+        SyntheticSpec(plants=(_spec(mesh),), **{field: value})
+    assert err.value.field == field
 
 
 def test_seed_reproducibility(site, mesh):
